@@ -118,15 +118,26 @@ def _coerce(name, raw):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ConfigurationError(f"bad boolean for {name}: {raw!r}")
-    if target == "int":
-        return int(raw)
-    if target == "float":
-        return math.inf if raw.lower() in ("inf", "+inf") else float(raw)
     if target in ("float | None", "int | None"):
         if raw.lower() in ("none", ""):
             return None
-        return float(raw) if target.startswith("float") else int(raw)
+        target = target.split()[0]
+    if target == "int":
+        return _parse_number(int, name, raw)
+    if target == "float":
+        return _parse_number(float, name, raw)
     return raw
+
+
+def _parse_number(kind, name, raw):
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad {kind.__name__} for {name}: {raw!r}") from None
+    if kind is float and math.isnan(value):
+        raise ConfigurationError(f"{name} must not be NaN")
+    return value
 
 
 def parse_overrides(pairs):
@@ -158,7 +169,7 @@ def load_config(path=None, overrides=None):
     values.update(parse_overrides(overrides))
     seed_env = os.environ.get("PNP_SEED")
     if seed_env is not None:
-        values["seed"] = int(seed_env)
+        values["seed"] = _parse_number(int, "PNP_SEED", seed_env)
     return ExperimentConfig(**values).validate()
 
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pnp_online.bessel import hankel1_0
+from pnp_online.bessel import hankel1_0, hankel1_0_array
 from pnp_online.errors import ConfigurationError
 from pnp_online.linops import (LinearOperator, cg_solve_regularized,
-                               power_iteration_lipschitz)
+                               output_gram, power_iteration_lipschitz)
 
 
 @dataclass
@@ -110,12 +110,9 @@ def green_function_2d(k_b, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ConfigurationError("green_function_2d is singular at r = 0")
-    out = np.empty(r.shape, dtype=complex)
-    flat = r.ravel()
-    res = out.ravel()
-    for idx in range(flat.size):
-        res[idx] = 0.25j * hankel1_0(k_b * flat[idx])
-    return out
+    g = hankel1_0_array(k_b * r)
+    g *= 0.25j
+    return g
 
 
 class BornComponentOperator(LinearOperator):
@@ -132,7 +129,13 @@ class BornComponentOperator(LinearOperator):
         return self.scattering @ (self.incident_field * x)
 
     def adjoint_apply(self, y):
-        return self.incident_field.conj() * (self.scattering.conj().T @ y)
+        # conj(conj(y) @ S) == S^H y without an (n, M) conjugate copy of S.
+        return self.incident_field.conj() * np.conj(np.conj(y) @ self.scattering)
+
+    def output_gram(self):
+        scattering, incident = self.scattering, self.incident_field
+        return output_gram(lambda cols: scattering[:, cols] * incident[cols],
+                           self.input_dim)
 
 
 class _AveragedStackOperator(LinearOperator):

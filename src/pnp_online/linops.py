@@ -6,6 +6,7 @@ equivalent to identifying C^m with R^{2m}.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,9 @@ import numpy as np
 from pnp_online.errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
+
+# Columns per chunk in `output_gram`: bounds its temporaries at (M, chunk).
+_GRAM_CHUNK = 256
 
 
 class LinearOperator:
@@ -31,6 +35,23 @@ class LinearOperator:
         """H^H H x, the normal-equations matvec."""
         return self.adjoint_apply(self.apply(x))
 
+    def output_gram(self):
+        """H H^H as a dense (output_dim, output_dim) array; None if matrix-free."""
+        return None
+
+
+def output_gram(columns, input_dim):
+    """H H^H as sum_c H_c H_c^H over column chunks H_c = columns(slice).
+
+    Summing chunks keeps the temporaries at (M, chunk) instead of a full
+    copy of H and of its conjugate.
+    """
+    gram = 0.0
+    for lo in range(0, input_dim, _GRAM_CHUNK):
+        block = columns(slice(lo, min(lo + _GRAM_CHUNK, input_dim)))
+        gram = gram + block @ block.conj().T
+    return gram
+
 
 class MatrixOperator(LinearOperator):
     """Dense matrix wrapped as an operator."""
@@ -47,6 +68,10 @@ class MatrixOperator(LinearOperator):
 
     def adjoint_apply(self, y):
         return self.matrix.conj().T @ y
+
+    def output_gram(self):
+        matrix = self.matrix
+        return output_gram(lambda cols: matrix[:, cols], self.input_dim)
 
 
 @dataclass
@@ -65,6 +90,12 @@ def power_iteration_lipschitz(op, tol=1e-8, max_iter=5000, seed=0):
     Rayleigh quotient at the last iterate, a lower bound on the true
     lambda_max up to the reported residual (relative change between the last
     two estimates).
+
+    A wide dense operator (output_dim < input_dim with an `output_gram`)
+    runs the same iteration on s = H v in the smaller output space: with
+    G = H H^H, the Rayleigh quotient is ||s||^2, ||H^H H v||^2 = s^H G s and
+    the next s is G s / ||H^H H v||. The iterates, the residuals and the
+    stopping step are those of the input-space loop, up to rounding.
     """
     if op.input_dim <= 0 or op.output_dim <= 0:
         raise ConfigurationError("operator dimensions must be positive")
@@ -77,20 +108,32 @@ def power_iteration_lipschitz(op, tol=1e-8, max_iter=5000, seed=0):
     v = rng.uniform(-1.0, 1.0, size=op.input_dim)
     v = v / np.linalg.norm(v)
 
+    gram = op.output_gram() if op.output_dim < op.input_dim else None
+    # Each step returns (H^H H v, or G s), ||H^H H v|| and the Rayleigh quotient.
+    if gram is None:
+        def step(v):
+            w = op.gram_apply(v)
+            return w, np.linalg.norm(w), float(np.real(np.vdot(v, w)))
+        state = v
+    else:
+        def step(s):
+            gs = gram @ s
+            return (gs, math.sqrt(max(float(np.real(np.vdot(s, gs))), 0.0)),
+                    float(np.real(np.vdot(s, s))))
+        state = op.apply(v)
+
     value = 0.0
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = op.gram_apply(v)
-        norm_w = np.linalg.norm(w)
+        w, norm_w, new_value = step(state)
         if norm_w == 0.0:
             # Zero operator (or v in the null space of a zero Gram matrix).
             return SpectralEstimate(value=0.0, iterations_used=iterations,
                                     residual=0.0)
-        new_value = float(np.real(np.vdot(v, w)))
         residual = abs(new_value - value) / max(abs(new_value), np.finfo(float).tiny)
         value = new_value
-        v = w / norm_w
+        state = w / norm_w
         if residual <= tol:
             break
     return SpectralEstimate(value=value, iterations_used=iterations,

@@ -4,7 +4,9 @@ Layout: magic "PNPM1", one format-version byte, a fixed-size header
 (dimensions, geometry record, seed, input SNR), then row-major complex64
 blocks: the shared scattering matrix S once, followed by one incident
 field u_in^i and one measurement vector y_i per illumination. The loader
-reconstructs the model bit-exactly from the stored complex64 arrays.
+widens each block to complex128 once, which is exact, so the solvers'
+products need no per-call upcast; saving a loaded model reproduces the
+file byte for byte. A block holding NaN or Inf is rejected.
 """
 
 import math
@@ -78,7 +80,10 @@ def load_model(path):
             raw = fh.read(count * itemsize)
             if len(raw) != count * itemsize:
                 raise ConfigurationError("truncated PNPM1 data block")
-            return np.frombuffer(raw, dtype=np.complex64).astype(np.complex64)
+            block = np.frombuffer(raw, dtype=np.complex64).astype(np.complex128)
+            if not np.all(np.isfinite(block)):
+                raise ConfigurationError("PNPM1 data block holds NaN or Inf")
+            return block
 
         scattering = read_block(M * n).reshape(M, n)
         components = []

@@ -5,7 +5,8 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from pnp_online.bessel import bessel_j0, bessel_y0, hankel1_0
+from pnp_online.bessel import (bessel_j0, bessel_y0, hankel1_0,
+                                hankel1_0_array)
 
 
 def test_j0_y0_published_ten_digit_values():
@@ -53,3 +54,23 @@ def test_hankel_magnitude_asymptotic_decay():
 def test_determinism_bit_identical():
     assert hankel1_0(3.7) == hankel1_0(3.7)
     assert bessel_j0(77.7) == bessel_j0(77.7)
+
+
+def test_hankel_array_matches_scalar_elementwise():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(0.05, 11.95, 200),
+                        np.linspace(12.0, 200.0, 200),
+                        [1e-3, 11.999999, 12.000001, 500.0, 1000.0, 1e5],
+                        rng.uniform(0.01, 3000.0, 2000)])
+    scalar = np.array([hankel1_0(v) for v in x])
+    array = hankel1_0_array(x.reshape(2, -1)).ravel()
+    # Both evaluate the same recurrences and stop at the same term; only
+    # numpy's and math's log/cos/sin may round differently.
+    assert np.allclose(array, scalar, rtol=1e-14, atol=1e-15)
+
+
+def test_hankel_array_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        hankel1_0_array(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        hankel1_0_array(np.array([np.nan]))

@@ -132,6 +132,45 @@ def test_cli_exit_code_io_error(tmp_path):
     assert main(["counterexample", "-o", str(blocker / "sub")]) == 4
 
 
+@pytest.mark.parametrize("override", ["grid=abc", "lam=small",
+                                      "wavelength=nan", "gamma=1e-3x"])
+def test_cli_exit_code_malformed_number(override, capsys):
+    assert main(["certify", "--set", override]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_exit_code_malformed_seed_env(monkeypatch, capsys):
+    monkeypatch.setenv("PNP_SEED", "abc")
+    assert main(["reconstruct", "x.pnpm"]) == 2
+    assert "PNP_SEED" in capsys.readouterr().err
+
+
+LONG_SEED = "9" * 400  # an int, but too large to convert to float
+
+
+def test_cli_long_integer_seed_parses(monkeypatch, capsys):
+    # parsing succeeds, so the run reaches the missing model file (exit 4)
+    assert main(["reconstruct", "x.pnpm", "--set", f"seed={LONG_SEED}"]) == 4
+    monkeypatch.setenv("PNP_SEED", LONG_SEED)
+    assert main(["reconstruct", "x.pnpm"]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where,value", [("first", complex(np.inf, 0.0)),
+                                         ("last", complex(0.0, np.nan))])
+def test_cli_exit_code_nonfinite_model(tmp_path, where, value):
+    from pnp_online.modelio import _HEADER, MAGIC
+    model = tmp_path / "m.pnpm"
+    assert main(["simulate", *SMALL, "-o", str(model)]) == 0
+    data = bytearray(model.read_bytes())
+    offset = len(MAGIC) + _HEADER.size if where == "first" else len(data) - 8
+    data[offset:offset + 8] = np.complex64(value).tobytes()
+    model.write_bytes(bytes(data))
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
+    assert not os.path.exists(out + ".trace.csv")
+
+
 def test_cli_simulate_reconstruct_pipeline(tmp_path):
     model = str(tmp_path / "m.pnpm")
     assert main(["simulate", *SMALL, "-o", model]) == 0

@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_online.linops import (MatrixOperator, cg_solve_regularized,
+from pnp_online.linops import (LinearOperator, MatrixOperator,
+                               cg_solve_regularized,
                                power_iteration_lipschitz)
+
+
+class MatrixFree(LinearOperator):
+    """Hides a dense operator's output_gram, forcing the input-space loop."""
+
+    def __init__(self, op):
+        self.op = op
+        self.input_dim, self.output_dim = op.input_dim, op.output_dim
+
+    def apply(self, x):
+        return self.op.apply(x)
+
+    def adjoint_apply(self, y):
+        return self.op.adjoint_apply(y)
 
 
 def test_power_iteration_diagonal():
@@ -45,6 +60,64 @@ def test_power_iteration_deterministic():
     b = power_iteration_lipschitz(op, seed=11)
     assert a.value == b.value
     assert a.iterations_used == b.iterations_used
+
+
+def _wide_complex_operator():
+    rng = np.random.default_rng(3)
+    return MatrixOperator(rng.standard_normal((6, 40))
+                          + 1j * rng.standard_normal((6, 40)))
+
+
+@pytest.mark.parametrize("n", [40, 300])
+def test_output_gram_matches_dense_product(n):
+    # 300 columns leave an uneven last chunk
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    assert np.allclose(MatrixOperator(H).output_gram(), H @ H.conj().T,
+                       rtol=1e-13, atol=1e-12)
+
+
+def test_matrix_free_operator_has_no_output_gram():
+    assert MatrixFree(_wide_complex_operator()).output_gram() is None
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_output_space_power_iteration_matches_input_space(seed):
+    op = _wide_complex_operator()
+    fast = power_iteration_lipschitz(op, seed=seed)
+    slow = power_iteration_lipschitz(MatrixFree(op), seed=seed)
+    assert fast.iterations_used == slow.iterations_used
+    assert fast.value == pytest.approx(slow.value, rel=1e-12)
+    oracle = float(np.max(np.linalg.eigvalsh(op.matrix @ op.matrix.conj().T)))
+    assert fast.value == pytest.approx(oracle, rel=1e-8)
+
+
+def test_output_space_power_iteration_on_dt_component(small_dt_model):
+    model, _ = small_dt_model
+    for op, _ in model.components:
+        assert op.output_dim < op.input_dim
+        fast = power_iteration_lipschitz(op, seed=model.seed)
+        slow = power_iteration_lipschitz(MatrixFree(op), seed=model.seed)
+        assert fast.iterations_used == slow.iterations_used
+        assert fast.value == pytest.approx(slow.value, rel=1e-12)
+
+
+def test_output_space_power_iteration_zero_operator():
+    est = power_iteration_lipschitz(MatrixOperator(np.zeros((3, 8))))
+    assert est.value == 0.0
+    assert est.residual == 0.0
+    assert est.iterations_used == 1
+
+
+def test_born_adjoint_matches_conjugate_transpose(small_dt_model):
+    model, _ = small_dt_model
+    rng = np.random.default_rng(2)
+    for op, _ in model.components:
+        y = (rng.standard_normal(op.output_dim)
+             + 1j * rng.standard_normal(op.output_dim))
+        expected = op.incident_field.conj() * (op.scattering.conj().T @ y)
+        assert np.allclose(op.adjoint_apply(y), expected, rtol=1e-13,
+                           atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_cg_zero_operator_returns_rhs():
