@@ -51,6 +51,14 @@ def _cell(value):
     return str(value)
 
 
+def append_comments(path, comments):
+    """Append `# <comment>` lines to a CSV; read_csv skips them."""
+    if comments:
+        with open(path, "a", encoding="ascii") as fh:
+            for comment in comments:
+                fh.write(f"# {comment}\n")
+
+
 def read_csv(path):
     """Return (schema, columns, rows-of-strings)."""
     with open(path, encoding="ascii") as fh:
@@ -208,12 +216,15 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     try:
         x, trace = run_algorithm(cfg, model, truth)
     except DivergenceError as err:
-        rows = trace_rows(err.trace) if err.trace is not None else []
+        partial = err.trace
+        rows = trace_rows(partial) if partial is not None else []
+        warnings = partial.warnings if partial is not None else []
         write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, rows)
-        with open(csv_path, "a", encoding="ascii") as fh:
-            fh.write(f"# diverged: {err}\n")
+        append_comments(csv_path, [f"warning: {w}" for w in warnings]
+                        + [f"diverged: {err}"])
         raise
     write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, trace_rows(trace))
+    append_comments(csv_path, [f"warning: {w}" for w in trace.warnings])
     data, lo, hi = image_to_pgm16(x.reshape(model.shape))
     write_pgm(pgm_path, data, maxval=65535)
     with open(pgm_path + ".meta.txt", "w", encoding="ascii") as fh:
@@ -274,10 +285,8 @@ def cmd_sweep(cfg, outdir):
                + [f"B_{b}" for b in batches])
     summary_path = os.path.join(outdir, "summary.csv")
     write_csv(summary_path, "pnp-sweep-v1", columns, summary_rows)
-    if failures:
-        with open(summary_path, "a", encoding="ascii") as fh:
-            for tag, message in failures:
-                fh.write(f"# failed: {tag}: {message}\n")
+    append_comments(summary_path, [f"failed: {tag}: {message}"
+                                   for tag, message in failures])
     return summary_path
 
 

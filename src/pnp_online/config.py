@@ -1,7 +1,10 @@
 """Flat key=value experiment configuration with command-line overrides.
 
 The file format is deliberately diff-friendly: one `key = value` per line,
-'#' comments. Unknown keys are rejected so typos fail loudly at parse time.
+'#' comments. Unknown keys are rejected so typos fail loudly at parse time,
+and `validate` rejects values no command can use: a non-finite float (only
+`input_snr_db` may be inf, for noiseless data) or a grid outside
+[GRID_MIN, GRID_MAX].
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from pnp_online.errors import ConfigurationError
 
 ALGORITHMS = ("ista", "admm", "pnp-ista", "pnp-admm", "pnp-sgd")
 DENOISERS = ("tv", "filter", "identity")
+# Pixels per side. A 256 x 256 DT model already holds a 48 x 65 536 complex
+# Green matrix (50 MB) with the default receivers; the phantoms need 8.
+GRID_MIN, GRID_MAX = 8, 256
 
 
 @dataclass
@@ -87,14 +93,28 @@ class ExperimentConfig:
             raise ConfigurationError("sweep_batches must be nonempty")
         if self.iterations < 0 or self.batch_size < 1 or self.budget < 1:
             raise ConfigurationError("iteration/batch/budget values out of range")
+        if not GRID_MIN <= self.grid <= GRID_MAX:
+            raise ConfigurationError(
+                f"grid must lie in [{GRID_MIN}, {GRID_MAX}], got {self.grid}")
+        for name in _FLOAT_KEYS:
+            value = getattr(self, name)
+            if name == "input_snr_db" and value == math.inf:
+                continue                      # noiseless measurements
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         return self
 
     def gamma_list(self):
         try:
-            return [float(v) for v in self.sweep_gammas.split(",") if v.strip()]
+            gammas = [float(v) for v in self.sweep_gammas.split(",")
+                      if v.strip()]
         except ValueError:
             raise ConfigurationError(
                 f"bad sweep_gammas {self.sweep_gammas!r}") from None
+        if not all(math.isfinite(g) for g in gammas):
+            raise ConfigurationError(
+                f"sweep_gammas must be finite, got {self.sweep_gammas!r}")
+        return gammas
 
     def batch_list(self):
         try:
@@ -105,6 +125,8 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_FLOAT_KEYS = [name for name, f in _FIELDS.items()
+               if f.type.startswith("float")]
 
 
 def _coerce(name, raw):

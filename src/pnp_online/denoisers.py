@@ -23,72 +23,143 @@ def _grad2d(u):
     return dx, dy
 
 
-def _div2d(px, py):
-    """Negative adjoint of _grad2d: <grad u, p> = -<u, div p>."""
-    div = np.zeros_like(px)
-    if px.shape[1] >= 2:
-        div[:, 0] = px[:, 0]
-        div[:, 1:-1] = px[:, 1:-1] - px[:, :-2]
-        div[:, -1] = -px[:, -2]
-    if py.shape[0] >= 2:
-        div[0, :] += py[0, :]
-        div[1:-1, :] += py[1:-1, :] - py[:-2, :]
-        div[-1, :] += -py[-2, :]
-    return div
+@dataclass
+class TvInfo:
+    """How exactly one tv_prox call solved its dual problem."""
+
+    iterations: int
+    gap: float
+    converged: bool
+
+
+class _PaddedDual:
+    """A dual pair (px, py) in one zero-padded (2, h+1, w+1) buffer.
+
+    px[i, j] is buf[0, i, j+1] and py[i, j] is buf[1, i+1, j]: the column
+    left of px and the row above py are zero padding, and under _grad2d's
+    Neumann boundary the last column of px and the last row of py stay
+    zero too (the `*_live` views leave them out). Read with a row length of
+    w+1, pixel (i, j) is the flat index k = i(w+1) + j, and px[k] - px[k-1]
+    and py[k] - py[k-(w+1)] become subtractions of contiguous slices
+    (`*_flat` minus `*_prev`) over h(w+1) values, the last of each row zero.
+    """
+
+    def __init__(self, h, w):
+        n = h * (w + 1)
+        self.buf = np.zeros((2, h + 1, w + 1))
+        flat_x, flat_y = self.buf.reshape(2, -1)
+        self.px, self.py = self.buf[0, :h, 1:], self.buf[1, 1:, :w]
+        self.px_live, self.py_live = self.buf[0, :h, 1:w], self.buf[1, 1:h, :w]
+        self.px_flat, self.px_prev = flat_x[1:n + 1], flat_x[:n]
+        self.py_flat, self.py_prev = flat_y[w + 1:n + w + 1], flat_y[:n]
 
 
 def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
-            isotropic=False):
+            isotropic=False, return_info=False):
     """Proximal operator of lambda_scaled * ||D x||_1 at the 2D array z.
 
-    Accelerated dual projection: projected FISTA on the dual variable with
-    step 1/8 (an upper bound on ||D||^2), stopping on duality gap.
+    Accelerated dual projection (FGP, Beck & Teboulle 2009): projected FISTA
+    on the dual variable p = (px, py) with step 1/8 (an upper bound on
+    ||D||^2), returning x = z + div p once the duality gap is <= inner_tol
+    or after inner_iters iterations. With return_info=True the result is
+    (x, TvInfo): iterations run, the last gap (inf if none was evaluated)
+    and whether it met inner_tol.
+
+    The dual iterates, the momentum point and grad x live in zero-padded
+    (2, h+1, w+1) buffers (_PaddedDual), and x and z in (h, w+1) arrays
+    whose last column is zero, so div p is two contiguous shifted
+    subtractions and an add, every step is a ufunc writing into a buffer
+    allocated once per call, and the x of the last gap test is the result.
+    The floating-point operations and their order are those of the
+    textbook loop kept in the tests as the bitwise oracle, so for a
+    C-ordered z the output is bit-identical to it; other layouts are
+    copied to C order first.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
     if z.ndim != 2:
         raise ConfigurationError("tv_prox expects a 2D array")
     if lambda_scaled < 0:
         raise ConfigurationError("lambda_scaled must be nonnegative")
     if lambda_scaled == 0.0:
-        return z.copy()
+        x, info = z.copy(), TvInfo(iterations=0, gap=0.0, converged=True)
+        return (x, info) if return_info else x
 
     lam = lambda_scaled
-    px = np.zeros_like(z)
-    py = np.zeros_like(z)
-    qx, qy = px, py
+    h, w = z.shape
+    n = h * (w + 1)
+    p, p_new, q, g = (_PaddedDual(h, w) for _ in range(4))
+    x_pad = np.zeros((h, w + 1))
+    z_pad = np.zeros((h, w + 1))
+    z_pad[:, :w] = z
+    x_flat, z_flat = x_pad.reshape(-1), z_pad.reshape(-1)
+    t_flat = np.empty(n)
+    gy_flat = g.buf[1].reshape(-1)[w + 1:n]   # gy rows 0..h-2, pad column too
+    t1 = np.empty_like(z)
+    t2 = np.empty_like(z)
+
+    def div_plus_z(d):
+        """x = z + div p, summed as the reference: x part + y part, then z."""
+        np.subtract(d.px_flat, d.px_prev, out=x_flat)
+        np.subtract(d.py_flat, d.py_prev, out=t_flat)
+        np.add(x_flat, t_flat, out=x_flat)
+        np.add(z_flat, x_flat, out=x_flat)
+
+    def grad():
+        np.subtract(x_pad[:, 1:w], x_pad[:, :w - 1], out=g.px_live)
+        np.subtract(x_flat[w + 1:], x_flat[:n - w - 1], out=gy_flat)
+
     tau = 0.125
     q_prev = 1.0
-    x = z.copy()
-    for _ in range(inner_iters):
-        x = z + _div2d(qx, qy)
-        gx, gy = _grad2d(x)
-        nx = qx + tau * gx
-        ny = qy + tau * gy
+    gap = math.inf
+    done = 0
+    while done < inner_iters:
+        done += 1
+        div_plus_z(q)
+        grad()
+        np.multiply(g.buf, tau, out=p_new.buf)
+        np.add(q.buf, p_new.buf, out=p_new.buf)
         if isotropic:
-            mag = np.sqrt(nx * nx + ny * ny)
-            factor = lam / np.maximum(mag, lam)
-            px_new = nx * factor
-            py_new = ny * factor
+            np.multiply(p_new.px, p_new.px, out=t1)
+            np.multiply(p_new.py, p_new.py, out=t2)
+            np.add(t1, t2, out=t2)
+            np.sqrt(t2, out=t2)
+            np.maximum(t2, lam, out=t2)
+            np.divide(lam, t2, out=t2)
+            # only the live entries are scaled: a NaN factor (lam = inf)
+            # must not reach the zero last column of px or last row of py
+            np.multiply(p_new.px_live, t2[:, :-1], out=p_new.px_live)
+            np.multiply(p_new.py_live, t2[:-1, :], out=p_new.py_live)
         else:
-            px_new = np.clip(nx, -lam, lam)
-            py_new = np.clip(ny, -lam, lam)
+            np.clip(p_new.buf, -lam, lam, out=p_new.buf)
         q_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * q_prev * q_prev))
         beta = (q_prev - 1.0) / q_new
-        qx = px_new + beta * (px_new - px)
-        qy = py_new + beta * (py_new - py)
-        px, py = px_new, py_new
+        np.subtract(p_new.buf, p.buf, out=q.buf)
+        np.multiply(q.buf, beta, out=q.buf)
+        np.add(p_new.buf, q.buf, out=q.buf)
+        p, p_new = p_new, p
         q_prev = q_new
 
-        x = z + _div2d(px, py)
-        gx, gy = _grad2d(x)
+        div_plus_z(p)
+        grad()
         if isotropic:
-            penalty = lam * float(np.sum(np.sqrt(gx * gx + gy * gy)))
+            np.multiply(g.px, g.px, out=t1)
+            np.multiply(g.py, g.py, out=t2)
+            np.add(t1, t2, out=t1)
+            penalty = lam * float(np.sqrt(t1, out=t1).sum())
         else:
-            penalty = lam * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
-        gap = penalty - float(np.sum(px * gx) + np.sum(py * gy))
+            abs_x = np.abs(g.px, out=t1).sum()
+            penalty = lam * float(abs_x + np.abs(g.py, out=t1).sum())
+        pg_x = np.multiply(p.px, g.px, out=t1).sum()
+        gap = penalty - float(pg_x + np.multiply(p.py, g.py, out=t1).sum())
         if gap <= inner_tol:
             break
-    return z + _div2d(px, py)
+    if done == 0:
+        div_plus_z(p)
+    x = x_pad[:, :w].copy()
+    if return_info:
+        return x, TvInfo(iterations=done, gap=gap,
+                         converged=bool(gap <= inner_tol))
+    return x
 
 
 def tv_objective(x, z, lambda_scaled, isotropic=False):

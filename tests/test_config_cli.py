@@ -5,10 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from pnp_online import cli, solvers
 from pnp_online.cli import main, read_csv, write_csv
-from pnp_online.config import (ExperimentConfig, dump_config, load_config,
-                               parse_overrides)
-from pnp_online.errors import ConfigurationError
+from pnp_online.config import (GRID_MAX, GRID_MIN, ExperimentConfig,
+                               dump_config, load_config, parse_overrides)
+from pnp_online.errors import ConfigurationError, DivergenceError
+from pnp_online.forward import prox_datafit
+from pnp_online.linops import CgInfo
 
 
 # ------------------------------------------------------------------- config
@@ -171,6 +174,91 @@ def test_cli_exit_code_nonfinite_model(tmp_path, where, value):
     assert not os.path.exists(out + ".trace.csv")
 
 
+@pytest.mark.parametrize("override", [
+    "lam=inf", "gamma_scale=inf", "wavelength=inf", "domain_side=-inf",
+    "sigma=inf", "gamma=inf", "cert_tol=inf", "input_snr_db=-inf",
+    "sweep_gammas=1,inf"])
+def test_cli_exit_code_nonfinite_config(override, capsys):
+    assert main(["certify", "--set", "cert_pairs=1", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", ["lam=inf", "gamma_scale=inf"])
+def test_cli_reconstruct_rejects_infinite_step_or_weight(tmp_path, override):
+    # before validation, lam=inf exited 0 with a meaningless trace and
+    # gamma_scale=inf exited 3
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *SMALL, "-o", out,
+                 "--set", "iterations=5", "--set", override]) == 2
+    assert not os.path.exists(out + ".trace.csv")
+
+
+def test_validate_accepts_grid_bounds_and_noiseless_snr():
+    for grid in (GRID_MIN, GRID_MAX):
+        assert ExperimentConfig(grid=grid).validate().grid == grid
+    assert ExperimentConfig(input_snr_db=float("inf")).validate()
+
+
+@pytest.mark.parametrize("grid", [str(GRID_MIN - 1), str(GRID_MAX + 1),
+                                  "1" + "0" * 29])
+def test_cli_exit_code_grid_out_of_range(grid, capsys):
+    # a 30-digit grid used to reach numpy in certify and die with a
+    # ValueError traceback (exit 1)
+    assert main(["certify", "--set", f"grid={grid}",
+                 "--set", "cert_pairs=1"]) == 2
+    err = capsys.readouterr().err
+    assert "grid must lie in" in err
+    assert "Traceback" not in err
+
+
+def _stalled_prox(model, gamma, x, tol=1e-10, return_info=False):
+    """A data prox whose inner CG never converges (one CG iteration)."""
+    return prox_datafit(model, gamma, x, tol=tol, max_iter=1,
+                        return_info=return_info)
+
+
+def test_cli_reconstruct_writes_solver_warnings(tmp_path, monkeypatch):
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+    monkeypatch.setattr(solvers, "prox_datafit", _stalled_prox)
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *SMALL, "-o", out,
+                 "--set", "algorithm=pnp-admm", "--set", "denoiser=filter",
+                 "--set", "iterations=3"]) == 0
+    lines = open(out + ".trace.csv").read().splitlines()
+    warnings = [line for line in lines if line.startswith("# warning: ")]
+    assert [w.split(":")[1] for w in warnings] == [
+        " iteration 1", " iteration 2", " iteration 3"]
+    assert all("inner CG stopped at relative residual" in w
+               for w in warnings)
+    assert lines[-3:] == warnings        # after the rows
+    _, _, rows = read_csv(out + ".trace.csv")
+    assert len(rows) == 3
+
+
+def test_cli_diverged_trace_keeps_solver_warnings(tmp_path, monkeypatch):
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+
+    def exploding_prox(model, gamma, x, tol=1e-10, return_info=False):
+        return np.full(model.n, 1e100), CgInfo(converged=False, iterations=1,
+                                               relative_residual=0.5)
+
+    monkeypatch.setattr(solvers, "prox_datafit", exploding_prox)
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *SMALL, "-o", out,
+                 "--set", "algorithm=pnp-admm", "--set", "denoiser=identity",
+                 "--set", "iterations=3"]) == 3
+    lines = open(out + ".trace.csv").read().splitlines()
+    assert lines[-2] == ("# warning: iteration 1: inner CG stopped at "
+                         "relative residual 5.000e-01")
+    assert lines[-1].startswith("# diverged: ")
+
+
 def test_cli_simulate_reconstruct_pipeline(tmp_path):
     model = str(tmp_path / "m.pnpm")
     assert main(["simulate", *SMALL, "-o", model]) == 0
@@ -253,6 +341,22 @@ def test_cli_sweep_small(tmp_path):
     assert {r[0] for r in rows} == {"tv", "filter"}
     svgs = [f for f in os.listdir(out) if f.endswith(".svg")]
     assert svgs
+
+
+def test_cli_sweep_records_failed_cells(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("iterate norm exceeded safety bound")
+
+    monkeypatch.setattr(cli, "_sweep_cell", diverge)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", *SMALL, "-o", out, "--set", "sweep_gammas=1",
+                 "--set", "sweep_batches=2"]) == 0
+    lines = open(os.path.join(out, "summary.csv")).read().splitlines()
+    failed = [line for line in lines if line.startswith("#")][1:]
+    assert len(failed) == 8   # 2 denoisers x 2 cells x basic/accelerated
+    assert failed[0] == ("# failed: tv_gamma_1_B4_basic: iterate norm "
+                         "exceeded safety bound")
+    assert lines[-8:] == failed
 
 
 def test_cli_compare_small(tmp_path):

@@ -1,12 +1,14 @@
 """Denoisers: TV prox vs dual-QP oracle, filter spectrum, certificates."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pnp_online.denoisers import (AveragedFilterDenoiser, DampedDenoiser,
-                                  IdentityDenoiser, ShiftDenoiser,
-                                  TvProxDenoiser, _div2d, _grad2d,
+                                  IdentityDenoiser, ShiftDenoiser, TvInfo,
+                                  TvProxDenoiser, _grad2d,
                                   averaged_linear_filter, certify_averaged,
                                   certify_pair, damp,
                                   estimate_bounded_constant, shift_denoiser,
@@ -15,6 +17,68 @@ from pnp_online.errors import ConfigurationError
 from pnp_online.linops import LinearOperator, power_iteration_lipschitz
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
+
+
+def _div2d(px, py):
+    """Negative adjoint of _grad2d: <grad u, p> = -<u, div p>."""
+    div = np.zeros_like(px)
+    if px.shape[1] >= 2:
+        div[:, 0] = px[:, 0]
+        div[:, 1:-1] = px[:, 1:-1] - px[:, :-2]
+        div[:, -1] = -px[:, -2]
+    if py.shape[0] >= 2:
+        div[0, :] += py[0, :]
+        div[1:-1, :] += py[1:-1, :] - py[:-2, :]
+        div[-1, :] += -py[-2, :]
+    return div
+
+
+def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
+                      isotropic=False):
+    """The textbook FGP loop: a fresh array for every step.
+
+    tv_prox must reproduce it bit for bit; it is the oracle for the
+    preallocated padded-buffer kernel, not a second implementation to use.
+    """
+    z = np.asarray(z, dtype=float)
+    if lambda_scaled == 0.0:
+        return z.copy()
+    lam = lambda_scaled
+    px = np.zeros_like(z)
+    py = np.zeros_like(z)
+    qx, qy = px, py
+    tau = 0.125
+    q_prev = 1.0
+    for _ in range(inner_iters):
+        x = z + _div2d(qx, qy)
+        gx, gy = _grad2d(x)
+        nx = qx + tau * gx
+        ny = qy + tau * gy
+        if isotropic:
+            mag = np.sqrt(nx * nx + ny * ny)
+            factor = lam / np.maximum(mag, lam)
+            px_new = nx * factor
+            py_new = ny * factor
+        else:
+            px_new = np.clip(nx, -lam, lam)
+            py_new = np.clip(ny, -lam, lam)
+        q_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * q_prev * q_prev))
+        beta = (q_prev - 1.0) / q_new
+        qx = px_new + beta * (px_new - px)
+        qy = py_new + beta * (py_new - py)
+        px, py = px_new, py_new
+        q_prev = q_new
+
+        x = z + _div2d(px, py)
+        gx, gy = _grad2d(x)
+        if isotropic:
+            penalty = lam * float(np.sum(np.sqrt(gx * gx + gy * gy)))
+        else:
+            penalty = lam * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+        gap = penalty - float(np.sum(px * gx) + np.sum(py * gy))
+        if gap <= inner_tol:
+            break
+    return z + _div2d(px, py)
 
 
 def oracle_tv_prox(z, lam):
@@ -114,6 +178,74 @@ def test_tv_prox_isotropic_objective_not_worse_than_start():
     out = tv_prox(z, 0.2, isotropic=True)
     assert tv_objective(out, z, 0.2, isotropic=True) <= \
         tv_objective(z, z, 0.2, isotropic=True) + 1e-12
+
+
+SIDES = [1, 2, 3, 5, 8, 13, 32, 48]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SIDES), st.sampled_from(SIDES),
+       st.sampled_from([0.0, 1e-5, 0.05, 1.0, math.inf]), st.booleans(),
+       st.sampled_from([0, 1, 5, 200]), st.sampled_from([0.0, 1e-12]),
+       st.sampled_from([1.0, 0.05]), st.integers(0, 2**32 - 1))
+@example(1, 1, math.inf, True, 200, 0.0, 1.0, 0)
+@example(1, 48, 0.05, True, 200, 1e-12, 1.0, 1)
+@example(48, 1, 0.05, False, 200, 0.0, 1.0, 2)
+@example(2, 2, 1.0, False, 5, 0.0, 1.0, 3)
+@example(48, 48, 1e-5, True, 200, 1e-12, 0.05, 4)
+@example(32, 32, 0.05, False, 200, 1e-12, 0.05, 5)
+def test_tv_prox_bit_identical_to_reference(h, w, lam, isotropic, iters, tol,
+                                            scale, seed):
+    z = np.random.default_rng(seed).standard_normal((h, w)) * scale
+    before = z.copy()
+    with np.errstate(invalid="ignore"):   # isotropic lam = inf gives NaN
+        ours = tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
+                       isotropic=isotropic)
+        ref = reference_tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
+                                isotropic=isotropic)
+    assert ours.shape == (h, w) and ours.flags.c_contiguous
+    # NaN only where the reference has NaN (isotropic lam = inf)
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(z, before)
+
+
+def test_tv_prox_non_c_ordered_input_matches_reference():
+    z = np.random.default_rng(6).standard_normal((9, 7))
+    fortran = np.asfortranarray(z)
+    assert np.array_equal(tv_prox(fortran, 0.05),
+                          reference_tv_prox(z, 0.05))
+    assert np.array_equal(tv_prox(z.T, 0.05),
+                          reference_tv_prox(np.ascontiguousarray(z.T), 0.05))
+
+
+def test_tv_prox_info_converged_two_pixel():
+    z = np.array([[0.0, 1.0]])
+    x, info = tv_prox(z, 0.2, inner_iters=5000, inner_tol=1e-12,
+                      return_info=True)
+    assert np.array_equal(x, tv_prox(z, 0.2, inner_iters=5000,
+                                     inner_tol=1e-12))
+    assert np.allclose(x, [[0.2, 0.8]], atol=1e-9)
+    assert info.converged
+    assert 1 <= info.iterations < 5000
+    assert info.gap <= 1e-12
+
+
+def test_tv_prox_info_reports_unconverged():
+    z = np.random.default_rng(4).standard_normal((8, 8))
+    x, info = tv_prox(z, 0.1, inner_iters=1, inner_tol=1e-12,
+                      return_info=True)
+    assert info == TvInfo(iterations=1, gap=info.gap, converged=False)
+    assert info.gap > 1e-12
+    assert np.array_equal(x, reference_tv_prox(z, 0.1, inner_iters=1,
+                                               inner_tol=1e-12))
+
+
+def test_tv_prox_info_without_iterations():
+    z = np.random.default_rng(5).standard_normal((4, 4))
+    assert tv_prox(z, 0.0, return_info=True)[1] == TvInfo(0, 0.0, True)
+    x, info = tv_prox(z, 0.1, inner_iters=0, return_info=True)
+    assert np.array_equal(x, z)
+    assert info == TvInfo(0, math.inf, False)
 
 
 def test_tv_prox_rejects_bad_input():
