@@ -20,8 +20,8 @@ from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
                                   certify_averaged, certify_pair,
                                   estimate_bounded_constant)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import (DtGeometry, Image, MeasurementModel,
-                                build_dt_model, build_gaussian_model)
+from pnp_online.forward import (DtGeometry, Image, build_dt_model,
+                                build_gaussian_model)
 from pnp_online.linops import power_iteration_lipschitz
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import image_to_pgm16, write_pgm
@@ -86,15 +86,13 @@ def geometry_from_config(cfg):
 
 def phantom_from_config(cfg):
     if cfg.phantom in ("blobs", "checker"):
-        img = phantom_generate(cfg.phantom, cfg.grid, seed=cfg.seed,
-                               physical_extent=cfg.domain_side)
+        img = phantom_generate(cfg.phantom, cfg.grid, seed=cfg.seed)
     else:
         img = phantom_generate("pgm", cfg.grid, seed=cfg.seed,
-                               pgm_path=cfg.phantom,
-                               physical_extent=cfg.domain_side)
+                               pgm_path=cfg.phantom)
     # contrast mapping keeps the first-Born linearization sensible
     return Image(pixels=img.pixels * cfg.f_max, width=img.width,
-                 height=img.height, physical_extent=img.physical_extent)
+                 height=img.height)
 
 
 def model_from_config(cfg, truth):
@@ -120,12 +118,10 @@ def resolve_gamma_sigma(cfg, lipschitz):
 
 
 def achieved_input_snr_db(model, truth):
-    signal = noise = 0.0
-    for op, y in model.components:
-        clean = op.apply(truth.pixels)
-        signal += float(np.vdot(clean, clean).real)
-        err = y - clean
-        noise += float(np.vdot(err, err).real)
+    clean = model.apply(truth.pixels)
+    err = model.measurements - clean
+    signal = float(np.vdot(clean, clean).real)
+    noise = float(np.vdot(err, err).real)
     if noise == 0.0:
         return math.inf
     return 10.0 * math.log10(signal / noise)
@@ -308,13 +304,11 @@ def _subset_model(model, budget):
     """Fixed, uniformly spread illumination subset (batch budget runs)."""
     indices = np.linspace(0, model.num_components, budget,
                           endpoint=False).astype(int)
-    components = [model.components[i] for i in indices]
-    lipschitz = max(power_iteration_lipschitz(op, seed=model.seed or 0).value
-                    for op, _ in components)
-    return MeasurementModel(components=components, lipschitz=lipschitz,
-                            width=model.width, height=model.height,
-                            geometry=model.geometry, seed=model.seed,
-                            input_snr_db=model.input_snr_db)
+    components = model.components
+    lipschitz = max(power_iteration_lipschitz(components[i][0],
+                                              seed=model.seed or 0).value
+                    for i in indices)
+    return model.select(indices, lipschitz)
 
 
 def cmd_compare(cfg, outdir):
@@ -348,6 +342,9 @@ def cmd_compare(cfg, outdir):
         rows.append(row)
     csv_path = os.path.join(outdir, "compare.csv")
     write_csv(csv_path, "pnp-compare-v1", columns, rows)
+    append_comments(csv_path, [f"warning: {name}: {w}"
+                               for name, (_, trace) in runs.items()
+                               for w in trace.warnings])
     plot_compare_csv(csv_path, os.path.join(outdir, "compare_iterations.svg"),
                      against="iterations")
     plot_compare_csv(csv_path, os.path.join(outdir, "compare_wallclock.svg"),

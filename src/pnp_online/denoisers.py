@@ -118,15 +118,16 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
         grad()
         np.multiply(g.buf, tau, out=p_new.buf)
         np.add(q.buf, p_new.buf, out=p_new.buf)
-        if isotropic:
+        if isotropic and lam < math.inf:
+            # at lam = inf the factor lam / max(|p|, lam) is inf / inf; the
+            # projection is the identity there, as the clip below is
             np.multiply(p_new.px, p_new.px, out=t1)
             np.multiply(p_new.py, p_new.py, out=t2)
             np.add(t1, t2, out=t2)
             np.sqrt(t2, out=t2)
             np.maximum(t2, lam, out=t2)
             np.divide(lam, t2, out=t2)
-            # only the live entries are scaled: a NaN factor (lam = inf)
-            # must not reach the zero last column of px or last row of py
+            # scale the live entries only; the padding stays zero
             np.multiply(p_new.px_live, t2[:, :-1], out=p_new.px_live)
             np.multiply(p_new.py_live, t2[:-1, :], out=p_new.py_live)
         else:

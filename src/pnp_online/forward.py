@@ -7,14 +7,15 @@ the full gradient without rescaling.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from pnp_online.bessel import hankel1_0, hankel1_0_array
 from pnp_online.errors import ConfigurationError
-from pnp_online.linops import (LinearOperator, cg_solve_regularized,
-                               output_gram, power_iteration_lipschitz)
+from pnp_online.linops import (LinearOperator, MatrixOperator,
+                               cg_solve_regularized, output_gram,
+                               power_iteration_lipschitz)
 
 
 @dataclass
@@ -24,7 +25,6 @@ class Image:
     pixels: np.ndarray
     width: int
     height: int
-    physical_extent: float = 0.18
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=float).ravel()
@@ -41,10 +41,10 @@ class Image:
         return self.pixels.reshape(self.height, self.width)
 
     @classmethod
-    def from_grid(cls, grid, physical_extent=0.18):
+    def from_grid(cls, grid):
         grid = np.asarray(grid, dtype=float)
         return cls(pixels=grid.ravel(), width=grid.shape[1],
-                   height=grid.shape[0], physical_extent=physical_extent)
+                   height=grid.shape[0])
 
 
 @dataclass
@@ -138,78 +138,122 @@ class BornComponentOperator(LinearOperator):
                            self.input_dim)
 
 
-class _AveragedStackOperator(LinearOperator):
-    """Vertical stack of the H_i scaled by 1/sqrt(I): gram = (1/I) sum H_i^H H_i."""
-
-    def __init__(self, operators):
-        self.operators = operators
-        self.input_dim = operators[0].input_dim
-        self.output_dim = sum(op.output_dim for op in operators)
-        self._scale = 1.0 / math.sqrt(len(operators))
-
-    def apply(self, x):
-        return self._scale * np.concatenate([op.apply(x)
-                                             for op in self.operators])
-
-    def adjoint_apply(self, y):
-        out = np.zeros(self.input_dim, dtype=complex)
-        offset = 0
-        for op in self.operators:
-            out += op.adjoint_apply(y[offset:offset + op.output_dim])
-            offset += op.output_dim
-        return self._scale * out
-
-
-@dataclass
 class MeasurementModel:
-    """I component operators with measurements and a shared Lipschitz bound."""
+    """I components H_i with measurements y_i, held as arrays.
 
-    components: list                      # list of (LinearOperator, y_i)
-    lipschitz: float
-    width: int
-    height: int
-    geometry: DtGeometry | None = None
-    seed: int | None = None
-    input_snr_db: float = math.inf
-    _stack: LinearOperator | None = field(default=None, repr=False)
+    A DT model keeps each H_i = S diag(u_i) factored: the shared scattering
+    matrix S (M, n) and the incident fields U (I, n). Any other model keeps
+    the stacked matrices H (I, M, n), and may be given as a list of
+    (MatrixOperator, y_i) pairs instead. The measurements are Y (I, M).
+    Products over a set of components take `rows`, a slice or an index
+    array; a repeated index repeats its component.
+    """
 
-    def __post_init__(self):
-        dims = {(op.input_dim, op.output_dim) for op, _ in self.components}
-        if len(dims) != 1:
-            raise ConfigurationError("components must share dimensions")
-        (self.n, self.M), = dims
-        if self.n != self.width * self.height:
-            raise ConfigurationError("component input_dim must match grid")
+    def __init__(self, components=None, *, lipschitz, width, height,
+                 measurements=None, scattering=None, incident=None,
+                 matrices=None, geometry=None, seed=None,
+                 input_snr_db=math.inf):
+        if components is not None:
+            matrices = np.array([op.matrix for op, _ in components])
+            measurements = [y for _, y in components]
+        self.measurements = np.asarray(measurements)
+        self.scattering, self.incident = scattering, incident
+        self.matrices = matrices
+        self.lipschitz = lipschitz
+        self.width, self.height = width, height
+        self.geometry, self.seed = geometry, seed
+        self.input_snr_db = input_snr_db
+        self.n = width * height
+        num, self.M = self.measurements.shape
+        if matrices is not None:
+            ok = matrices.shape == (num, self.M, self.n)
+        else:
+            ok = (scattering.shape == (self.M, self.n)
+                  and incident.shape == (num, self.n))
+        if not ok:
+            raise ConfigurationError("component arrays must match the "
+                                     "measurements and the grid")
+        # (1/I) sum_i Re(H_i^H y_i): the data term of every prox right side
+        self.back_projection = self.adjoint_sum(self.measurements) / num
 
     @property
     def num_components(self):
-        return len(self.components)
+        return len(self.measurements)
 
     @property
     def shape(self):
         return (self.height, self.width)
 
-    def averaged_stack(self):
-        if self._stack is None:
-            self._stack = _AveragedStackOperator(
-                [op for op, _ in self.components])
-        return self._stack
+    @property
+    def input_dim(self):
+        """Dimension for CG, which solves with this model's `gram_apply`."""
+        return self.n
+
+    @property
+    def components(self):
+        """(operator, y_i) pairs viewing the arrays, one per component."""
+        if self.matrices is not None:
+            ops = [MatrixOperator(h) for h in self.matrices]
+        else:
+            ops = [BornComponentOperator(self.scattering, u)
+                   for u in self.incident]
+        return list(zip(ops, self.measurements))
+
+    def select(self, indices, lipschitz):
+        """The model of the listed components only."""
+        rows = np.asarray(indices, dtype=np.intp)
+        return MeasurementModel(
+            lipschitz=lipschitz, width=self.width, height=self.height,
+            measurements=self.measurements[rows], scattering=self.scattering,
+            incident=None if self.incident is None else self.incident[rows],
+            matrices=None if self.matrices is None else self.matrices[rows],
+            geometry=self.geometry, seed=self.seed,
+            input_snr_db=self.input_snr_db)
+
+    def apply(self, x, rows=slice(None)):
+        """H_i x for the components `rows`, stacked as a (B, M) array."""
+        if self.matrices is not None:
+            return self.matrices[rows] @ x
+        return (self.incident[rows] * x) @ self.scattering.T
+
+    def adjoint_sum(self, residuals, rows=slice(None)):
+        """sum_i Re(H_i^H r_i) over the components `rows`, r_i = residuals[i].
+
+        The rows are summed one at a time, in order. Stacked matrices form
+        each row's product on its own, so there a set of components sums
+        to exactly the sum of its single-component terms.
+        """
+        if self.matrices is not None:
+            w = np.conj(residuals)[:, None, :] @ self.matrices[rows]
+            return np.real(w[:, 0]).sum(axis=0)
+        # Re(conj(u) * S^H r) == Re(u * (conj(r) @ S)): no conjugate of S.
+        w = np.conj(residuals) @ self.scattering
+        w *= self.incident[rows]
+        return w.real.sum(axis=0)
+
+    def gram_apply(self, x):
+        """(1/I) sum_i Re(H_i^H H_i x): the averaged Gram matvec."""
+        return self.adjoint_sum(self.apply(x)) / self.num_components
 
 
 def _apply_noise(clean, rng, input_snr_db, complex_noise):
-    """Scale one global noise draw so the input SNR hits the request exactly."""
+    """Scale one global noise draw so the input SNR hits the request exactly.
+
+    The draw takes each row of `clean` (I, M) in turn: M real parts, then
+    M imaginary parts when complex.
+    """
     signal_power = sum(float(np.vdot(y, y).real) for y in clean)
     if not math.isfinite(input_snr_db) or signal_power == 0.0:
         # +inf SNR, or the zero-signal convention: no noise at all.
-        return [y.copy() for y in clean]
+        return clean
     if complex_noise:
-        raw = [rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)
-               for y in clean]
+        raw = rng.standard_normal((len(clean), 2, clean.shape[1]))
+        raw = raw[:, 0] + 1j * raw[:, 1]
     else:
-        raw = [rng.standard_normal(y.size) for y in clean]
+        raw = rng.standard_normal(clean.shape)
     raw_power = sum(float(np.vdot(e, e).real) for e in raw)
     scale = math.sqrt(signal_power / (10.0 ** (input_snr_db / 10.0) * raw_power))
-    return [y + scale * e for y, e in zip(clean, raw)]
+    return clean + scale * raw
 
 
 def _model_lipschitz(operators, seed):
@@ -237,26 +281,29 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
         raise ConfigurationError("receiver coincides with a grid point")
     scattering = (k_b ** 2) * (delta ** 2) * green_function_2d(k_b, dist_rx)
 
-    operators = []
-    for tx in transmitters:
-        if geometry.incident == "point":
-            dist_tx = np.linalg.norm(pixels - tx[None, :], axis=1)
-            if np.any(dist_tx <= 0):
-                raise ConfigurationError("transmitter coincides with a grid point")
-            u_in = green_function_2d(k_b, dist_tx)
-        else:
-            direction = -tx / np.linalg.norm(tx)
-            u_in = np.exp(1j * k_b * (pixels @ direction))
-        operators.append(BornComponentOperator(scattering, u_in))
+    if geometry.incident == "point":
+        dist_tx = np.linalg.norm(pixels[None, :, :] - transmitters[:, None, :],
+                                 axis=2)
+        if np.any(dist_tx <= 0):
+            raise ConfigurationError("transmitter coincides with a grid point")
+        incident = green_function_2d(k_b, dist_tx)
+    else:
+        directions = -transmitters / np.linalg.norm(transmitters, axis=1,
+                                                    keepdims=True)
+        incident = np.exp(1j * k_b * (directions @ pixels.T))
 
     rng = np.random.default_rng(seed)
-    clean = [op.apply(truth.pixels) for op in operators]
+    # One product per component, as BornComponentOperator.apply forms it,
+    # so a noiseless y_i equals H_i x bit for bit.
+    clean = np.array([scattering @ (u * truth.pixels) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=True)
-    lipschitz = _model_lipschitz(operators, seed)
-    return MeasurementModel(components=list(zip(operators, noisy)),
-                            lipschitz=lipschitz, width=truth.width,
-                            height=truth.height, geometry=geometry,
-                            seed=seed, input_snr_db=input_snr_db)
+    lipschitz = _model_lipschitz(
+        [BornComponentOperator(scattering, u) for u in incident], seed)
+    return MeasurementModel(lipschitz=lipschitz, width=truth.width,
+                            height=truth.height, measurements=noisy,
+                            scattering=scattering, incident=incident,
+                            geometry=geometry, seed=seed,
+                            input_snr_db=input_snr_db)
 
 
 def build_gaussian_model(n, M, I, seed, truth, input_snr_db=math.inf):
@@ -265,37 +312,35 @@ def build_gaussian_model(n, M, I, seed, truth, input_snr_db=math.inf):
         raise ConfigurationError("model dimensions must be positive")
     if truth.n != n:
         raise ConfigurationError("truth length must equal n")
-    from pnp_online.linops import MatrixOperator
-
     rng = np.random.default_rng(seed)
-    operators = [MatrixOperator(rng.standard_normal((M, n)) / math.sqrt(M))
-                 for _ in range(I)]
-    clean = [op.apply(truth.pixels) for op in operators]
+    matrices = rng.standard_normal((I, M, n)) / math.sqrt(M)
+    clean = matrices @ truth.pixels
     noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=False)
-    lipschitz = _model_lipschitz(operators, seed)
-    return MeasurementModel(components=list(zip(operators, noisy)),
-                            lipschitz=lipschitz, width=truth.width,
-                            height=truth.height, geometry=None, seed=seed,
+    lipschitz = _model_lipschitz([MatrixOperator(h) for h in matrices], seed)
+    return MeasurementModel(lipschitz=lipschitz, width=truth.width,
+                            height=truth.height, measurements=noisy,
+                            matrices=matrices, geometry=None, seed=seed,
                             input_snr_db=input_snr_db)
+
+
+def _gradient(model, rows, x):
+    residuals = model.apply(x, rows) - model.measurements[rows]
+    return model.adjoint_sum(residuals, rows) / len(residuals)
 
 
 def component_gradient(model, index, x):
     """grad of d_i(x) = (1/2)||y_i - H_i x||^2, real part convention."""
-    op, y = model.components[index]
-    return np.real(op.adjoint_apply(op.apply(x) - y))
+    return gradient_from_indices(model, [index], x)
 
 
 def gradient_from_indices(model, indices, x):
     """Average of the listed component gradients (accumulation order fixed)."""
-    total = np.zeros(model.n)
-    for i in indices:
-        total += component_gradient(model, int(i), x)
-    return total / len(indices)
+    return _gradient(model, np.asarray(indices, dtype=np.intp), x)
 
 
 def grad_full(model, x):
     """Full gradient (1/I) sum_i Re(H_i^H (H_i x - y_i))."""
-    return gradient_from_indices(model, range(model.num_components), x)
+    return _gradient(model, slice(None), x)
 
 
 def grad_minibatch(model, x, B, rng):
@@ -308,22 +353,16 @@ def grad_minibatch(model, x, B, rng):
 
 def datafit_value(model, x):
     """d(x) = (1/I) sum_i (1/2)||y_i - H_i x||^2."""
-    total = 0.0
-    for op, y in model.components:
-        r = op.apply(x) - y
-        total += 0.5 * float(np.vdot(r, r).real)
-    return total / model.num_components
+    residuals = model.apply(x) - model.measurements
+    return 0.5 * float(np.vdot(residuals, residuals).real) / model.num_components
 
 
 def prox_datafit(model, gamma, x, tol=1e-10, max_iter=None, return_info=False):
     """prox of gamma*d at x: solve (I + (gamma/I) sum H_i^H H_i) z = rhs by CG."""
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
-    stack = model.averaged_stack()
-    rhs = np.asarray(x, dtype=float).copy()
-    for op, y in model.components:
-        rhs += (gamma / model.num_components) * np.real(op.adjoint_apply(y))
-    return cg_solve_regularized(stack, gamma, rhs, tol=tol, max_iter=max_iter,
+    rhs = np.asarray(x, dtype=float) + gamma * model.back_projection
+    return cg_solve_regularized(model, gamma, rhs, tol=tol, max_iter=max_iter,
                                 return_info=return_info)
 
 

@@ -31,10 +31,8 @@ def save_model(path, model):
     geometry = model.geometry
     if geometry is None:
         raise ConfigurationError("only DT models carry the PNPM1 geometry record")
-    ops = [op for op, _ in model.components]
-    if not all(isinstance(op, BornComponentOperator) for op in ops):
+    if model.scattering is None:
         raise ConfigurationError("PNPM1 stores S diag(u_in) factored operators")
-    scattering = ops[0].scattering
     n, M, I = model.n, model.M, model.num_components
     snr = model.input_snr_db if model.input_snr_db is not None else math.inf
     header = _HEADER.pack(VERSION, n, M, I,
@@ -47,10 +45,10 @@ def save_model(path, model):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(np.ascontiguousarray(scattering, dtype=np.complex64).tobytes())
-        for op, y in model.components:
-            fh.write(np.ascontiguousarray(op.incident_field,
-                                          dtype=np.complex64).tobytes())
+        fh.write(np.ascontiguousarray(model.scattering,
+                                      dtype=np.complex64).tobytes())
+        for u_in, y in zip(model.incident, model.measurements):
+            fh.write(np.ascontiguousarray(u_in, dtype=np.complex64).tobytes())
             fh.write(np.ascontiguousarray(y, dtype=np.complex64).tobytes())
 
 
@@ -86,13 +84,15 @@ def load_model(path):
             return block
 
         scattering = read_block(M * n).reshape(M, n)
-        components = []
-        for _ in range(I):
-            u_in = read_block(n)
-            y = read_block(M)
-            components.append((BornComponentOperator(scattering, u_in), y))
-    lipschitz = max(power_iteration_lipschitz(op, seed=seed).value
-                    for op, _ in components)
-    return MeasurementModel(components=components, lipschitz=lipschitz,
-                            width=grid, height=grid, geometry=geometry,
-                            seed=seed, input_snr_db=input_snr_db)
+        incident = np.empty((I, n), dtype=complex)
+        measurements = np.empty((I, M), dtype=complex)
+        for i in range(I):
+            incident[i] = read_block(n)
+            measurements[i] = read_block(M)
+    lipschitz = max(power_iteration_lipschitz(
+        BornComponentOperator(scattering, u_in), seed=seed).value
+        for u_in in incident)
+    return MeasurementModel(lipschitz=lipschitz, width=grid, height=grid,
+                            measurements=measurements, scattering=scattering,
+                            incident=incident, geometry=geometry, seed=seed,
+                            input_snr_db=input_snr_db)

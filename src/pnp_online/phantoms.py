@@ -41,7 +41,7 @@ def phantom_from_pgm(path, grid=None):
     return pixels
 
 
-def phantom_generate(kind, grid, seed=0, pgm_path=None, physical_extent=0.18):
+def phantom_generate(kind, grid, seed=0, pgm_path=None):
     """Build a phantom Image with pixel values in [0, 1]."""
     if grid < 8:
         raise ConfigurationError("grid must be >= 8")
@@ -55,4 +55,4 @@ def phantom_generate(kind, grid, seed=0, pgm_path=None, physical_extent=0.18):
         data = phantom_from_pgm(pgm_path, grid)
     else:
         raise ConfigurationError(f"unknown phantom kind {kind!r}")
-    return Image.from_grid(data, physical_extent=physical_extent)
+    return Image.from_grid(data)

@@ -368,3 +368,20 @@ def test_cli_compare_small(tmp_path):
     assert len(rows) == 30
     assert os.path.exists(os.path.join(out, "compare_iterations.svg"))
     assert os.path.exists(os.path.join(out, "compare_wallclock.svg"))
+
+
+def test_cli_compare_writes_solver_warnings(tmp_path, monkeypatch):
+    monkeypatch.setattr(solvers, "prox_datafit", _stalled_prox)
+    out = str(tmp_path / "cmp")
+    assert main(["compare", *SMALL, "-o", out, "--set", "iterations=2",
+                 "--set", "budget=2"]) == 0
+    csv_path = os.path.join(out, "compare.csv")
+    lines = open(csv_path).read().splitlines()
+    warnings = [line for line in lines if line.startswith("# warning: ")]
+    assert [w.split(":")[1:3] for w in warnings] == [
+        [" pnp-admm", " iteration 1"], [" pnp-admm", " iteration 2"]]
+    assert all("inner CG stopped at relative residual" in w
+               for w in warnings)
+    assert lines[-2:] == warnings        # after the rows
+    _, _, rows = read_csv(csv_path)
+    assert len(rows) == 2

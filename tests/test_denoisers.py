@@ -54,7 +54,7 @@ def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
         gx, gy = _grad2d(x)
         nx = qx + tau * gx
         ny = qy + tau * gy
-        if isotropic:
+        if isotropic and lam < math.inf:
             mag = np.sqrt(nx * nx + ny * ny)
             factor = lam / np.maximum(mag, lam)
             px_new = nx * factor
@@ -198,15 +198,24 @@ def test_tv_prox_bit_identical_to_reference(h, w, lam, isotropic, iters, tol,
                                             scale, seed):
     z = np.random.default_rng(seed).standard_normal((h, w)) * scale
     before = z.copy()
-    with np.errstate(invalid="ignore"):   # isotropic lam = inf gives NaN
-        ours = tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
-                       isotropic=isotropic)
-        ref = reference_tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
-                                isotropic=isotropic)
+    ours = tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
+                   isotropic=isotropic)
+    ref = reference_tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
+                            isotropic=isotropic)
     assert ours.shape == (h, w) and ours.flags.c_contiguous
-    # NaN only where the reference has NaN (isotropic lam = inf)
-    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(ours, ref)
     assert np.array_equal(z, before)
+
+
+def test_tv_prox_isotropic_infinite_lambda_matches_anisotropic():
+    # lam / max(|p|, lam) is inf / inf at lam = inf: the isotropic
+    # projection is skipped there, as the anisotropic clip is a no-op
+    z = np.random.default_rng(7).standard_normal((4, 5))
+    with np.errstate(all="raise"):
+        iso = tv_prox(z, math.inf, isotropic=True)
+        aniso = tv_prox(z, math.inf, isotropic=False)
+    assert np.all(np.isfinite(iso))
+    assert np.array_equal(iso, aniso)
 
 
 def test_tv_prox_non_c_ordered_input_matches_reference():

@@ -234,6 +234,82 @@ def test_minibatch_draws_with_replacement_deterministic(small_dt_model):
     assert np.array_equal(idx1, idx2)
 
 
+# --------------------------------------- array engine vs per-component loop
+
+def reference_gradient(model, indices, x):
+    """The per-component loop the batched products replaced: the oracle."""
+    components = model.components
+    total = np.zeros(model.n)
+    for i in indices:
+        op, y = components[i]
+        total += np.real(op.adjoint_apply(op.apply(x) - y))
+    return total / len(indices)
+
+
+def reference_datafit(model, x):
+    total = 0.0
+    for op, y in model.components:
+        r = op.apply(x) - y
+        total += 0.5 * float(np.vdot(r, r).real)
+    return total / model.num_components
+
+
+def _engine_model_and_point(request, name):
+    model, _ = request.getfixturevalue(name)
+    scale = 0.01 if name == "small_dt_model" else 1.0
+    return model, np.random.default_rng(11).standard_normal(model.n) * scale
+
+
+@pytest.mark.parametrize("name", ["small_dt_model", "small_gaussian_model"])
+@pytest.mark.parametrize("indices", [None, [2, 0, 2, 2], [1], 3])
+def test_gradient_matches_component_loop(request, name, indices):
+    model, x = _engine_model_and_point(request, name)
+    if indices is None:
+        ours = grad_full(model, x)
+        indices = range(model.num_components)
+    elif isinstance(indices, int):
+        ours = component_gradient(model, indices, x)
+        indices = [indices]
+    else:
+        ours = gradient_from_indices(model, indices, x)
+    ref = reference_gradient(model, indices, x)
+    np.testing.assert_allclose(ours, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["small_dt_model", "small_gaussian_model"])
+def test_datafit_matches_component_loop(request, name):
+    model, x = _engine_model_and_point(request, name)
+    assert datafit_value(model, x) == pytest.approx(
+        reference_datafit(model, x), rel=1e-12)
+
+
+def test_selected_model_gradient_equals_index_set(small_dt_model):
+    model, _ = small_dt_model
+    x = np.random.default_rng(12).standard_normal(model.n) * 0.01
+    subset = model.select([3, 1], model.lipschitz)
+    assert subset.num_components == 2
+    assert np.array_equal(grad_full(subset, x),
+                          gradient_from_indices(model, [3, 1], x))
+
+
+def test_prox_datafit_matches_dense_solve_dt(small_dt_model):
+    model, _ = small_dt_model
+    gamma = 1.0 / model.lipschitz
+    x = np.random.default_rng(13).standard_normal(model.n) * 0.01
+    gram = np.zeros((model.n, model.n))
+    rhs = x.copy()
+    for op, y in model.components:
+        A = dense_matrix(op)
+        gram += np.real(A.conj().T @ A)
+        rhs += (gamma / model.num_components) * np.real(A.conj().T @ y)
+    oracle = np.linalg.solve(
+        np.eye(model.n) + (gamma / model.num_components) * gram, rhs)
+    z = prox_datafit(model, gamma, x, tol=1e-13)
+    np.testing.assert_allclose(z, oracle, rtol=0,
+                               atol=1e-10 * np.max(np.abs(oracle)))
+
+
 # ---------------------------------------------------------------- data prox
 
 def test_prox_datafit_zero_operator_returns_x():
