@@ -61,8 +61,12 @@ class DtGeometry:
     incident: str = "point"          # "point" or "plane"
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ConfigurationError("wavelength must be positive")
+        for name in ("domain_side", "wavelength", "eps_background",
+                     "ring_radius"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}")
         if self.ring_radius <= self.domain_side / math.sqrt(2.0):
             raise ConfigurationError(
                 "ring_radius must exceed domain_side/sqrt(2) so sources sit "

@@ -6,10 +6,13 @@ blocks: the shared scattering matrix S once, followed by one incident
 field u_in^i and one measurement vector y_i per illumination. The loader
 widens each block to complex128 once, which is exact, so the solvers'
 products need no per-call upcast; saving a loaded model reproduces the
-file byte for byte. A block holding NaN or Inf is rejected.
+file byte for byte. A header with an empty dimension or an invalid
+geometry, a file whose size differs from the one its header implies, and a
+block holding NaN or Inf are rejected.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -66,13 +69,21 @@ def load_model(path):
          input_snr_db) = _HEADER.unpack(header)
         if version != VERSION:
             raise ConfigurationError(f"unsupported PNPM1 version {version}")
+        if min(n, M, I) < 1:
+            raise ConfigurationError(
+                f"empty PNPM1 dimensions n={n}, M={M}, I={I}")
+        itemsize = np.dtype(np.complex64).itemsize
+        expected = fh.tell() + itemsize * (M * n + I * (n + M))
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise ConfigurationError(f"PNPM1 file has {actual} bytes, "
+                                     f"its header implies {expected}")
         geometry = DtGeometry(domain_side=domain_side, grid=grid,
                               wavelength=wavelength,
                               eps_background=eps_background,
                               num_transmitters=num_tx, num_receivers=num_rx,
                               ring_radius=ring_radius,
-                              incident=_INCIDENT_NAMES[incident_code])
-        itemsize = np.dtype(np.complex64).itemsize
+                              incident=_INCIDENT_NAMES.get(incident_code))
 
         def read_block(count):
             raw = fh.read(count * itemsize)

@@ -1,13 +1,17 @@
 """Batch and online solvers: ISTA/FISTA, ADMM, PnP-ISTA, PnP-ADMM, PnP-SGD.
 
-All runs are seed-deterministic state machines. Traces record the squared
-distance to the fixed-point operator P(x) = denoise(x - gamma * grad d(x)),
-computed with the full gradient even inside stochastic runs.
+They run on two loops. The forward-backward loop is PnP-SGD; PnP-ISTA is
+its full-gradient case and ISTA/FISTA is PnP-ISTA with a regularizer prox
+as the denoiser. The ADMM loop is PnP-ADMM; ADMM plugs in the prox the same
+way. All runs are seed-deterministic state machines. Traces record the
+squared distance to the fixed-point operator
+P(x) = denoise(x - gamma * grad d(x)), computed with the full gradient even
+inside stochastic runs.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,26 +105,40 @@ def composition_alpha(alpha1, alpha2):
     return (alpha1 + alpha2 - 2.0 * alpha1 * alpha2) / (1.0 - alpha1 * alpha2)
 
 
-def operator_P(model, denoiser, gamma, sigma, x):
-    """P(x) = denoise(x - gamma * grad d(x)) on flat vectors."""
-    z = x - gamma * grad_full(model, x)
+def _denoise_flat(model, denoiser, sigma, z):
     return denoiser.denoise(z.reshape(model.shape), sigma).ravel()
 
 
-def _snr_or_nan(truth, x):
-    if truth is None:
-        return math.nan
-    from pnp_online.metrics import snr_db
-    return snr_db(truth, x)
+def operator_P(model, denoiser, gamma, sigma, x):
+    """P(x) = denoise(x - gamma * grad d(x)) on flat vectors."""
+    z = x - gamma * grad_full(model, x)
+    return _denoise_flat(model, denoiser, sigma, z)
+
+
+class _ProxDenoiser:
+    """A flat regularizer prox as a denoiser; sigma is not used."""
+
+    def __init__(self, prox):
+        self.prox = prox
+
+    def denoise(self, z, _sigma):
+        return self.prox(z.ravel()).reshape(z.shape)
 
 
 class _TraceRecorder:
-    """Shared per-iteration bookkeeping for all solver loops."""
+    """Per-iteration bookkeeping shared by both loops.
 
-    def __init__(self, model, config, x0, dist_fn, truth):
+    The recorded distance is metrics.dist_to_fix for the run's denoiser,
+    gamma and sigma. The clock stops while a record is taken, so elapsed
+    times the solver without its diagnostics.
+    """
+
+    def __init__(self, model, denoiser, config, x0, truth):
+        from pnp_online import metrics  # metrics imports operator_P from here
+        self.metrics = metrics
         self.model = model
+        self.denoiser = denoiser
         self.config = config
-        self.dist_fn = dist_fn
         self.truth = truth
         self.x0_norm = float(np.linalg.norm(x0))
         stride = config.dist_stride
@@ -140,21 +158,25 @@ class _TraceRecorder:
                                   trace=self.trace)
 
     def record(self, k, x, indices=None):
-        if not self.config.record_trace:
+        config = self.config
+        if not config.record_trace:
             return
-        if k % self.stride == 0 or k == self.config.iterations:
-            dist = self.dist_fn(x)
+        entered = time.perf_counter()
+        if k % self.stride == 0 or k == config.iterations:
+            dist = self.metrics.dist_to_fix(self.model, self.denoiser,
+                                            config.gamma, config.sigma, x)
         else:
             dist = math.nan
         self.trace.dist.append(dist)
-        self.trace.snr.append(_snr_or_nan(self.truth, x))
-        elapsed = (time.perf_counter() - self.start
-                   if self.config.record_timing else 0.0)
-        self.trace.elapsed.append(elapsed)
+        self.trace.snr.append(math.nan if self.truth is None
+                              else self.metrics.snr_db(self.truth, x))
+        self.trace.elapsed.append(entered - self.start
+                                  if config.record_timing else 0.0)
         self.trace.indices.append(None if indices is None
                                   else np.asarray(indices).copy())
         if self.trace.iterates is not None:
             self.trace.iterates.append(x.copy())
+        self.start += time.perf_counter() - entered
 
 
 def _initial_iterate(model, config):
@@ -166,139 +188,78 @@ def _initial_iterate(model, config):
     return np.zeros(model.n)
 
 
-def _momentum_coefficient(config, q_prev):
-    if config.q_schedule == "fista":
-        q_new = fista_q_update(q_prev)
-    else:
-        q_new = 1.0
-    return (q_prev - 1.0) / q_new, q_new
-
-
-def _run_forward_backward(model, config, gradient_step, backward_step,
-                          dist_fn, truth):
-    """Shared forward-backward loop; variants differ only in the two steps."""
-    x = _initial_iterate(model, config)
-    s = x.copy()
-    q_prev = 1.0
-    recorder = _TraceRecorder(model, config, x, dist_fn, truth)
-    for k in range(1, config.iterations + 1):
-        grad, indices = gradient_step(s, k)
-        z = s - config.gamma * grad
-        x_new = backward_step(z)
-        recorder.check_divergence(x_new)
-        beta, q_prev = _momentum_coefficient(config, q_prev)
-        s = x_new + beta * (x_new - x)
-        x = x_new
-        recorder.record(k, x, indices)
-    return x, recorder.trace
-
-
 def run_ista(model, regularizer_prox, config, truth=None):
-    """ISTA/FISTA: gradient step on d, then the regularizer prox.
+    """ISTA/FISTA: PnP-ISTA with the regularizer prox as the denoiser.
 
     regularizer_prox maps a flat vector to a flat vector and already
     captures gamma*lambda.
     """
-    def gradient_step(s, _k):
-        return grad_full(model, s), None
-
-    def dist_fn(x):
-        px = regularizer_prox(x - config.gamma * grad_full(model, x))
-        return float(np.sum((x - px) ** 2))
-
-    return _run_forward_backward(model, config, gradient_step,
-                                 regularizer_prox, dist_fn, truth)
+    return run_pnp_ista(model, _ProxDenoiser(regularizer_prox), config, truth)
 
 
 def run_pnp_ista(model, denoiser, config, truth=None):
-    """PnP-ISTA: gradient step on d, then the plugged-in denoiser."""
-    def gradient_step(s, _k):
-        return grad_full(model, s), None
-
-    def backward_step(z):
-        return denoiser.denoise(z.reshape(model.shape), config.sigma).ravel()
-
-    def dist_fn(x):
-        return float(np.sum((x - operator_P(model, denoiser, config.gamma,
-                                            config.sigma, x)) ** 2))
-
-    return _run_forward_backward(model, config, gradient_step, backward_step,
-                                 dist_fn, truth)
+    """PnP-ISTA: PnP-SGD with the full gradient at every iteration."""
+    return run_pnp_sgd(model, denoiser, replace(config, sample_mode="full"),
+                       truth)
 
 
 def run_pnp_sgd(model, denoiser, config, truth=None):
-    """PnP-SGD: minibatch gradient step, then the denoiser.
+    """The forward-backward loop: x = denoise(s - gamma * g(s)), then momentum.
 
-    sample_mode "replacement" draws independent uniform indices (the
-    analyzed estimator); "cycle" randomly cycles through all components
-    without replacement; "full" always uses every component in order.
+    sample_mode picks the gradient g: "replacement" draws independent
+    uniform indices (the analyzed estimator); "cycle" randomly cycles
+    through all components without replacement; "full" always uses every
+    component in order and records no indices, so the trace is that of the
+    batch algorithm it degenerates to.
     """
     rng = np.random.default_rng(config.seed)
-    sampler = (CyclingSampler(model.num_components, rng)
-               if config.sample_mode == "cycle" else None)
-
-    def gradient_step(s, _k):
+    sampler = CyclingSampler(model.num_components, rng)
+    x = _initial_iterate(model, config)
+    s = x.copy()
+    q_prev = 1.0
+    recorder = _TraceRecorder(model, denoiser, config, x, truth)
+    for k in range(1, config.iterations + 1):
         if config.sample_mode == "full":
-            # deterministic full batch: no indices recorded, so the trace is
-            # indistinguishable from the batch algorithm it degenerates to
-            return grad_full(model, s), None
-        if config.sample_mode == "cycle":
-            indices = sampler.draw(config.batch_size)
+            indices, grad = None, grad_full(model, s)
         else:
-            indices = rng.integers(0, model.num_components,
-                                   size=config.batch_size)
-        return gradient_from_indices(model, indices, s), indices
+            indices = (sampler.draw(config.batch_size)
+                       if config.sample_mode == "cycle" else
+                       rng.integers(0, model.num_components,
+                                    size=config.batch_size))
+            grad = gradient_from_indices(model, indices, s)
+        x_new = _denoise_flat(model, denoiser, config.sigma,
+                              s - config.gamma * grad)
+        recorder.check_divergence(x_new)
+        q_new = (fista_q_update(q_prev) if config.q_schedule == "fista"
+                 else 1.0)
+        s = x_new + (q_prev - 1.0) / q_new * (x_new - x)
+        x, q_prev = x_new, q_new
+        recorder.record(k, x, indices)
+    return x, recorder.trace
 
-    def backward_step(z):
-        return denoiser.denoise(z.reshape(model.shape), config.sigma).ravel()
 
-    def dist_fn(x):
-        return float(np.sum((x - operator_P(model, denoiser, config.gamma,
-                                            config.sigma, x)) ** 2))
-
-    return _run_forward_backward(model, config, gradient_step, backward_step,
-                                 dist_fn, truth)
+def run_admm(model, regularizer_prox, config, truth=None):
+    """ADMM: PnP-ADMM with the regularizer prox as the denoiser."""
+    return run_pnp_admm(model, _ProxDenoiser(regularizer_prox), config, truth)
 
 
-def _run_admm_family(model, config, backward_step, dist_fn, truth,
-                     prox_tol=1e-12):
-    """Shared ADMM loop with dual variable started at zero."""
+def run_pnp_admm(model, denoiser, config, truth=None):
+    """The ADMM loop, with the data prox solved by CG and the dual at zero."""
     x = _initial_iterate(model, config)
     s = np.zeros(model.n)
-    recorder = _TraceRecorder(model, config, x, dist_fn, truth)
+    recorder = _TraceRecorder(model, denoiser, config, x, truth)
     for k in range(1, config.iterations + 1):
-        z, info = prox_datafit(model, config.gamma, x - s, tol=prox_tol,
+        z, info = prox_datafit(model, config.gamma, x - s, tol=1e-12,
                                return_info=True)
         if not info.converged:
             recorder.trace.warnings.append(
                 f"iteration {k}: inner CG stopped at relative residual "
                 f"{info.relative_residual:.3e}")
-        x = backward_step(z + s)
+        x = _denoise_flat(model, denoiser, config.sigma, z + s)
         recorder.check_divergence(x)
         s = s + (z - x)
         recorder.record(k, x)
     return x, recorder.trace
-
-
-def run_admm(model, regularizer_prox, config, truth=None):
-    """ADMM with the data prox solved by CG."""
-    def dist_fn(x):
-        px = regularizer_prox(x - config.gamma * grad_full(model, x))
-        return float(np.sum((x - px) ** 2))
-
-    return _run_admm_family(model, config, regularizer_prox, dist_fn, truth)
-
-
-def run_pnp_admm(model, denoiser, config, truth=None):
-    """PnP-ADMM with the data prox solved by CG."""
-    def backward_step(v):
-        return denoiser.denoise(v.reshape(model.shape), config.sigma).ravel()
-
-    def dist_fn(x):
-        return float(np.sum((x - operator_P(model, denoiser, config.gamma,
-                                            config.sigma, x)) ** 2))
-
-    return _run_admm_family(model, config, backward_step, dist_fn, truth)
 
 
 def huber_gradient(x):

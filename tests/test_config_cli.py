@@ -174,6 +174,71 @@ def test_cli_exit_code_nonfinite_model(tmp_path, where, value):
     assert not os.path.exists(out + ".trace.csv")
 
 
+@pytest.fixture(scope="module")
+def small_model_bytes(tmp_path_factory):
+    model = tmp_path_factory.mktemp("pnpm") / "m.pnpm"
+    assert main(["simulate", *SMALL, "-o", str(model)]) == 0
+    return model.read_bytes()
+
+
+# header fields: 0 version, 1 n, 2 M, 3 I, 4 domain_side, 5 wavelength,
+# 6 eps_background, 7 ring_radius, 8 grid, 9-10 Tx/Rx, 11 incident code
+@pytest.mark.parametrize("field,value", [
+    (3, 3),                   # fewer illuminations than blocks in the file
+    (3, 2 ** 32 - 1),         # would allocate terabytes before reading
+    (11, 7),                  # unknown incident code: KeyError
+    (5, float("nan")),        # NaN wavelength loaded and used
+    (6, -1.0),                # sqrt of a negative permittivity
+    (7, float("inf"))])
+def test_cli_exit_code_corrupt_model_header(small_model_bytes, tmp_path,
+                                            capsys, field, value):
+    from pnp_online.modelio import _HEADER, MAGIC
+    fields = list(_HEADER.unpack_from(small_model_bytes, len(MAGIC)))
+    fields[field] = value
+    model = tmp_path / "bad.pnpm"
+    model.write_bytes(MAGIC + _HEADER.pack(*fields)
+                      + small_model_bytes[len(MAGIC) + _HEADER.size:])
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out + ".trace.csv")
+
+
+def test_cli_exit_code_model_without_illuminations(small_model_bytes,
+                                                   tmp_path, capsys):
+    # a file that holds S and nothing else, as its header with I = 0 implies;
+    # the Lipschitz step used to fail on max() of an empty sequence
+    from pnp_online.modelio import _HEADER, MAGIC
+    fields = list(_HEADER.unpack_from(small_model_bytes, len(MAGIC)))
+    n, M = fields[1], fields[2]
+    fields[3] = 0
+    start = len(MAGIC) + _HEADER.size
+    model = tmp_path / "empty.pnpm"
+    model.write_bytes(MAGIC + _HEADER.pack(*fields)
+                      + small_model_bytes[start:start + 8 * M * n])
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_exit_code_model_with_trailing_data(small_model_bytes, tmp_path,
+                                                capsys):
+    model = tmp_path / "long.pnpm"
+    model.write_bytes(small_model_bytes + bytes(8))
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["eps_background=-1", "domain_side=0"])
+def test_cli_simulate_rejects_nonpositive_geometry(tmp_path, capsys,
+                                                   override):
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "--set", override, "-o", model]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not os.path.exists(model)
+
+
 @pytest.mark.parametrize("override", [
     "lam=inf", "gamma_scale=inf", "wavelength=inf", "domain_side=-inf",
     "sigma=inf", "gamma=inf", "cert_tol=inf", "input_snr_db=-inf",

@@ -1,6 +1,7 @@
 """Solvers: schedules, bounds, ISTA/ADMM/PnP variants, counter-example."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import (Image, build_gaussian_model, datafit_value,
                                 grad_full)
 from pnp_online.linops import MatrixOperator
+from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 corollary1_constant, estimate_gradient_noise,
                                 fista_q_update, huber_gradient, operator_P,
@@ -371,6 +373,63 @@ def test_pnp_sgd_prop5_bound_seed_averaged(small_dt_model):
     run_avg = np.cumsum(avg) / np.arange(1, 201)
     for t in range(1, 201):
         assert run_avg[t - 1] <= sgd_bound(0.5, gamma, nu, B, x0_dist, t)
+
+
+# ------------------------------------------------- trace distance and clock
+
+class FlatProxDenoiser:
+    """A flat regularizer prox as a denoiser, the way ISTA and ADMM use it."""
+
+    def __init__(self, prox):
+        self.prox = prox
+
+    def denoise(self, z, _sigma):
+        return self.prox(z.ravel()).reshape(z.shape)
+
+
+@pytest.mark.parametrize("algorithm", ["ista", "admm", "pnp-ista",
+                                       "pnp-admm", "pnp-sgd"])
+def test_trace_dist_is_dist_to_fix(small_dt_model, algorithm):
+    model, _ = small_dt_model
+    gamma = 1.0 / model.lipschitz
+    lam = 1e-4
+    cfg = SolverConfig(gamma=gamma, sigma=math.sqrt(gamma * lam),
+                       iterations=6, seed=2, batch_size=2,
+                       record_timing=False)
+    if algorithm in ("ista", "admm"):
+        def prox(z):
+            return tv_prox(z.reshape(model.shape), gamma * lam,
+                           inner_tol=1e-12).ravel()
+
+        run = run_ista if algorithm == "ista" else run_admm
+        _, trace = run(model, prox, cfg)
+        denoiser = FlatProxDenoiser(prox)
+    else:
+        denoiser = TvProxDenoiser()
+        run = {"pnp-ista": run_pnp_ista, "pnp-admm": run_pnp_admm,
+               "pnp-sgd": run_pnp_sgd}[algorithm]
+        _, trace = run(model, denoiser, cfg)
+    assert len(trace.iterates) == len(trace.dist) == 6
+    for dist, x in zip(trace.dist, trace.iterates):
+        assert dist == dist_to_fix(model, denoiser, cfg.gamma, cfg.sigma, x)
+
+
+class SleepingDenoiser(IdentityDenoiser):
+    def denoise(self, z, sigma):
+        time.sleep(0.02)
+        return super().denoise(z, sigma)
+
+
+@pytest.mark.parametrize("run", [run_pnp_ista, run_pnp_sgd, run_pnp_admm])
+def test_elapsed_excludes_diagnostics(run):
+    # the solver and the dist diagnostic each denoise once per iteration
+    model, _ = quadratic_model(seed=8)
+    k = 10
+    cfg = SolverConfig(gamma=1.0 / model.lipschitz, sigma=0.1, iterations=k,
+                       seed=0)
+    _, trace = run(model, SleepingDenoiser(), cfg)
+    assert all(math.isfinite(d) for d in trace.dist)
+    assert k * 0.02 <= trace.elapsed[-1] < 1.5 * k * 0.02
 
 
 def test_divergence_detector_raises():
