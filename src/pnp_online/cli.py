@@ -22,7 +22,8 @@ from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import (DtGeometry, Image, build_dt_model,
                                 build_gaussian_model)
-from pnp_online.linops import power_iteration_lipschitz
+# Unused here; perfbench/tracer.py patches this binding.
+from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import image_to_pgm16, write_pgm
 from pnp_online.phantoms import phantom_generate
@@ -209,6 +210,9 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     truth = phantom_from_config(cfg)
     csv_path = out_prefix + ".trace.csv"
     pgm_path = out_prefix + ".recon.pgm"
+    gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
+    step = [f"lipschitz = {model.lipschitz!r}", f"gamma = {gamma!r}",
+            f"sigma = {sigma!r}"]
     try:
         x, trace = run_algorithm(cfg, model, truth)
     except DivergenceError as err:
@@ -216,11 +220,12 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
         rows = trace_rows(partial) if partial is not None else []
         warnings = partial.warnings if partial is not None else []
         write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, rows)
-        append_comments(csv_path, [f"warning: {w}" for w in warnings]
+        append_comments(csv_path, step + [f"warning: {w}" for w in warnings]
                         + [f"diverged: {err}"])
         raise
     write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, trace_rows(trace))
-    append_comments(csv_path, [f"warning: {w}" for w in trace.warnings])
+    append_comments(csv_path,
+                    step + [f"warning: {w}" for w in trace.warnings])
     data, lo, hi = image_to_pgm16(x.reshape(model.shape))
     write_pgm(pgm_path, data, maxval=65535)
     with open(pgm_path + ".meta.txt", "w", encoding="ascii") as fh:
@@ -304,11 +309,7 @@ def _subset_model(model, budget):
     """Fixed, uniformly spread illumination subset (batch budget runs)."""
     indices = np.linspace(0, model.num_components, budget,
                           endpoint=False).astype(int)
-    components = model.components
-    lipschitz = max(power_iteration_lipschitz(components[i][0],
-                                              seed=model.seed or 0).value
-                    for i in indices)
-    return model.select(indices, lipschitz)
+    return model.select(indices)
 
 
 def cmd_compare(cfg, outdir):

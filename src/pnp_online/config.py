@@ -3,8 +3,10 @@
 The file format is deliberately diff-friendly: one `key = value` per line,
 '#' comments. Unknown keys are rejected so typos fail loudly at parse time,
 and `validate` rejects values no command can use: a non-finite float (only
-`input_snr_db` may be inf, for noiseless data) or a grid outside
-[GRID_MIN, GRID_MAX].
+`input_snr_db` may be inf, for noiseless data), a grid outside
+[GRID_MIN, GRID_MAX], a step (`gamma`, `gamma_scale`, `sweep_gammas`)
+that is not positive, a negative `lam` or `sigma`, and a `dist_stride`
+below 1.
 """
 
 from __future__ import annotations
@@ -102,6 +104,17 @@ class ExperimentConfig:
                 continue                      # noiseless measurements
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        for name in ("gamma", "gamma_scale"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        for name in ("lam", "sigma"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        if self.dist_stride is not None and self.dist_stride < 1:
+            raise ConfigurationError(
+                f"dist_stride must be >= 1, got {self.dist_stride}")
         return self
 
     def gamma_list(self):
@@ -114,6 +127,9 @@ class ExperimentConfig:
         if not all(math.isfinite(g) for g in gammas):
             raise ConfigurationError(
                 f"sweep_gammas must be finite, got {self.sweep_gammas!r}")
+        if not all(g > 0 for g in gammas):
+            raise ConfigurationError(
+                f"sweep_gammas must be > 0, got {self.sweep_gammas!r}")
         return gammas
 
     def batch_list(self):

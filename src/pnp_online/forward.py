@@ -14,8 +14,9 @@ import numpy as np
 from pnp_online.bessel import hankel1_0, hankel1_0_array
 from pnp_online.errors import ConfigurationError
 from pnp_online.linops import (LinearOperator, MatrixOperator,
-                               cg_solve_regularized, output_gram,
-                               power_iteration_lipschitz)
+                               cg_solve_regularized, lambda_max_bound)
+# Unused here; perfbench/tracer.py patches this binding.
+from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
 
 @dataclass
@@ -120,7 +121,11 @@ def green_function_2d(k_b, r):
 
 
 class BornComponentOperator(LinearOperator):
-    """H = S diag(u_in) for one illumination; S is shared across components."""
+    """H = S diag(u_in) for one illumination; S is shared across components.
+
+    A per-component view (`MeasurementModel.components`); perfbench/tracer.py
+    counts calls to its `apply` and `adjoint_apply`.
+    """
 
     def __init__(self, scattering, incident_field):
         self.scattering = scattering            # (M, n) complex
@@ -136,11 +141,6 @@ class BornComponentOperator(LinearOperator):
         # conj(conj(y) @ S) == S^H y without an (n, M) conjugate copy of S.
         return self.incident_field.conj() * np.conj(np.conj(y) @ self.scattering)
 
-    def output_gram(self):
-        scattering, incident = self.scattering, self.incident_field
-        return output_gram(lambda cols: scattering[:, cols] * incident[cols],
-                           self.input_dim)
-
 
 class MeasurementModel:
     """I components H_i with measurements y_i, held as arrays.
@@ -151,19 +151,22 @@ class MeasurementModel:
     (MatrixOperator, y_i) pairs instead. The measurements are Y (I, M).
     Products over a set of components take `rows`, a slice or an index
     array; a repeated index repeats its component.
+
+    `lambdas` holds lambda_max(H_i^H H_i) of every component, each a
+    certified upper bound from `lambda_max_bound`, computed here unless
+    given; `lipschitz`, the step's L, is their max.
     """
 
-    def __init__(self, components=None, *, lipschitz, width, height,
+    def __init__(self, components=None, *, width, height,
                  measurements=None, scattering=None, incident=None,
                  matrices=None, geometry=None, seed=None,
-                 input_snr_db=math.inf):
+                 input_snr_db=math.inf, lambdas=None):
         if components is not None:
             matrices = np.array([op.matrix for op, _ in components])
             measurements = [y for _, y in components]
         self.measurements = np.asarray(measurements)
         self.scattering, self.incident = scattering, incident
         self.matrices = matrices
-        self.lipschitz = lipschitz
         self.width, self.height = width, height
         self.geometry, self.seed = geometry, seed
         self.input_snr_db = input_snr_db
@@ -177,6 +180,9 @@ class MeasurementModel:
         if not ok:
             raise ConfigurationError("component arrays must match the "
                                      "measurements and the grid")
+        self.lambdas = (self._component_lambdas() if lambdas is None
+                        else np.asarray(lambdas, dtype=float))
+        self.lipschitz = float(self.lambdas.max())
         # (1/I) sum_i Re(H_i^H y_i): the data term of every prox right side
         self.back_projection = self.adjoint_sum(self.measurements) / num
 
@@ -203,11 +209,21 @@ class MeasurementModel:
                    for u in self.incident]
         return list(zip(ops, self.measurements))
 
-    def select(self, indices, lipschitz):
-        """The model of the listed components only."""
+    def _component_lambdas(self):
+        if self.matrices is not None:
+            columns = [lambda cols, h=h: h[:, cols] for h in self.matrices]
+        else:
+            s = self.scattering
+            columns = [lambda cols, u=u: s[:, cols] * u[cols]
+                       for u in self.incident]
+        return np.array([lambda_max_bound(c, (self.M, self.n))
+                         for c in columns])
+
+    def select(self, indices):
+        """The model of the listed components, with their lambda_i."""
         rows = np.asarray(indices, dtype=np.intp)
         return MeasurementModel(
-            lipschitz=lipschitz, width=self.width, height=self.height,
+            lambdas=self.lambdas[rows], width=self.width, height=self.height,
             measurements=self.measurements[rows], scattering=self.scattering,
             incident=None if self.incident is None else self.incident[rows],
             matrices=None if self.matrices is None else self.matrices[rows],
@@ -260,11 +276,6 @@ def _apply_noise(clean, rng, input_snr_db, complex_noise):
     return clean + scale * raw
 
 
-def _model_lipschitz(operators, seed):
-    return max(power_iteration_lipschitz(op, seed=seed).value
-               for op in operators)
-
-
 def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     """Simulate first-Born DT measurements of a real contrast image.
 
@@ -301,12 +312,9 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     # so a noiseless y_i equals H_i x bit for bit.
     clean = np.array([scattering @ (u * truth.pixels) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=True)
-    lipschitz = _model_lipschitz(
-        [BornComponentOperator(scattering, u) for u in incident], seed)
-    return MeasurementModel(lipschitz=lipschitz, width=truth.width,
-                            height=truth.height, measurements=noisy,
-                            scattering=scattering, incident=incident,
-                            geometry=geometry, seed=seed,
+    return MeasurementModel(width=truth.width, height=truth.height,
+                            measurements=noisy, scattering=scattering,
+                            incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db)
 
 
@@ -320,10 +328,9 @@ def build_gaussian_model(n, M, I, seed, truth, input_snr_db=math.inf):
     matrices = rng.standard_normal((I, M, n)) / math.sqrt(M)
     clean = matrices @ truth.pixels
     noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=False)
-    lipschitz = _model_lipschitz([MatrixOperator(h) for h in matrices], seed)
-    return MeasurementModel(lipschitz=lipschitz, width=truth.width,
-                            height=truth.height, measurements=noisy,
-                            matrices=matrices, geometry=None, seed=seed,
+    return MeasurementModel(width=truth.width, height=truth.height,
+                            measurements=noisy, matrices=matrices,
+                            geometry=None, seed=seed,
                             input_snr_db=input_snr_db)
 
 

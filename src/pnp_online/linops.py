@@ -15,8 +15,11 @@ from pnp_online.errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
 
-# Columns per chunk in `output_gram`: bounds its temporaries at (M, chunk).
+# Columns per chunk in `smaller_gram`: bounds its temporaries at (M, chunk).
 _GRAM_CHUNK = 256
+# The squaring stops once a step's term in the log of the bound is below
+# this, which bounds the bound's excess over lambda_max by the same amount.
+_SQUARING_TOL = 1e-16
 
 
 class LinearOperator:
@@ -35,23 +38,6 @@ class LinearOperator:
         """H^H H x, the normal-equations matvec."""
         return self.adjoint_apply(self.apply(x))
 
-    def output_gram(self):
-        """H H^H as a dense (output_dim, output_dim) array; None if matrix-free."""
-        return None
-
-
-def output_gram(columns, input_dim):
-    """H H^H as sum_c H_c H_c^H over column chunks H_c = columns(slice).
-
-    Summing chunks keeps the temporaries at (M, chunk) instead of a full
-    copy of H and of its conjugate.
-    """
-    gram = 0.0
-    for lo in range(0, input_dim, _GRAM_CHUNK):
-        block = columns(slice(lo, min(lo + _GRAM_CHUNK, input_dim)))
-        gram = gram + block @ block.conj().T
-    return gram
-
 
 class MatrixOperator(LinearOperator):
     """Dense matrix wrapped as an operator."""
@@ -69,9 +55,63 @@ class MatrixOperator(LinearOperator):
     def adjoint_apply(self, y):
         return self.matrix.conj().T @ y
 
-    def output_gram(self):
-        matrix = self.matrix
-        return output_gram(lambda cols: matrix[:, cols], self.input_dim)
+
+def smaller_gram(columns, shape):
+    """The smaller of H H^H and H^H H, H = columns(slice(None)) of `shape`.
+
+    A wide H sums H_c H_c^H over column chunks H_c = columns(slice), which
+    keeps the temporaries at (M, chunk) instead of a full copy of H.
+    """
+    rows, cols = shape
+    if cols < rows:
+        h = columns(slice(None))
+        return h.conj().T @ h
+    gram = 0.0
+    for lo in range(0, cols, _GRAM_CHUNK):
+        block = columns(slice(lo, min(lo + _GRAM_CHUNK, cols)))
+        gram = gram + block @ block.conj().T
+    return gram
+
+
+def lambda_max_bound(columns, shape):
+    """Certified upper bound on lambda_max(H^H H) = ||H||_2^2.
+
+    `columns(cols)` returns the columns `cols` (a slice) of H, whose shape
+    is `shape`. The bound comes from the p x p Gram G, the smaller of H H^H
+    and H^H H, by repeated squaring: with A_0 = G / tr(G) and
+    A_k = A_{k-1}^2 / c_k, c_k = tr(A_{k-1}^2), every partial product
+    tr(G) * prod_{j<=k} c_j^(1/2^j) = tr(G^(2^k))^(1/2^k) is at least
+    lambda_max. The c_k never decrease, and the bound after step k exceeds
+    lambda_max by at most the factor c_{k+1}^(-1/2^k), so stopping when
+    |log c_k| / 2^k < 1e-16 leaves an excess below 1e-16 in exact
+    arithmetic. Each squaring is one matrix product (no eigensolver), and
+    the squares are kept exactly Hermitian.
+
+    Rounding is covered by the factor 1 + 2 p (p + q) eps, q the larger
+    dimension: the first-order worst-case relative error of the Gram
+    product (p q u, since lambda_max >= tr(G) / p) plus that of all the
+    squarings (p^2 u), with u = eps / 2 and a factor 4 for complex
+    arithmetic. A zero H gives exactly 0.
+    """
+    gram = smaller_gram(columns, shape)
+    trace = float(np.trace(gram).real)
+    if trace == 0.0:
+        return 0.0
+    p, q = min(shape), max(shape)
+    a = gram / trace
+    log_bound = 0.0
+    # c_k >= 1/p, so |log c_k| / 2^k < 1e-16 holds by k = 63 for any p
+    for k in range(1, 64):
+        a = a @ a
+        a = 0.5 * (a + a.conj().T)
+        c = float(np.trace(a).real)
+        term = math.log(c) / 2.0 ** k
+        log_bound += term
+        if abs(term) < _SQUARING_TOL:
+            break
+        a /= c
+    margin = 2.0 * p * (p + q) * np.finfo(float).eps
+    return trace * math.exp(log_bound) * (1.0 + margin)
 
 
 @dataclass
@@ -83,19 +123,15 @@ class SpectralEstimate:
     residual: float
 
 
+# perfbench/tracer.py patches this binding and its imports elsewhere.
 def power_iteration_lipschitz(op, tol=1e-8, max_iter=5000, seed=0):
     """Estimate the squared largest singular value of `op` by power iteration.
 
     Iterates v <- H^H H v with normalization; the returned value is the
     Rayleigh quotient at the last iterate, a lower bound on the true
     lambda_max up to the reported residual (relative change between the last
-    two estimates).
-
-    A wide dense operator (output_dim < input_dim with an `output_gram`)
-    runs the same iteration on s = H v in the smaller output space: with
-    G = H H^H, the Rayleigh quotient is ||s||^2, ||H^H H v||^2 = s^H G s and
-    the next s is G s / ||H^H H v||. The iterates, the residuals and the
-    stopping step are those of the input-space loop, up to rounding.
+    two estimates). It needs only `gram_apply`, so it serves matrix-free
+    operators; measurement models use `lambda_max_bound` instead.
     """
     if op.input_dim <= 0 or op.output_dim <= 0:
         raise ConfigurationError("operator dimensions must be positive")
@@ -108,32 +144,20 @@ def power_iteration_lipschitz(op, tol=1e-8, max_iter=5000, seed=0):
     v = rng.uniform(-1.0, 1.0, size=op.input_dim)
     v = v / np.linalg.norm(v)
 
-    gram = op.output_gram() if op.output_dim < op.input_dim else None
-    # Each step returns (H^H H v, or G s), ||H^H H v|| and the Rayleigh quotient.
-    if gram is None:
-        def step(v):
-            w = op.gram_apply(v)
-            return w, np.linalg.norm(w), float(np.real(np.vdot(v, w)))
-        state = v
-    else:
-        def step(s):
-            gs = gram @ s
-            return (gs, math.sqrt(max(float(np.real(np.vdot(s, gs))), 0.0)),
-                    float(np.real(np.vdot(s, s))))
-        state = op.apply(v)
-
     value = 0.0
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w, norm_w, new_value = step(state)
+        w = op.gram_apply(v)
+        norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             # Zero operator (or v in the null space of a zero Gram matrix).
             return SpectralEstimate(value=0.0, iterations_used=iterations,
                                     residual=0.0)
+        new_value = float(np.real(np.vdot(v, w)))
         residual = abs(new_value - value) / max(abs(new_value), np.finfo(float).tiny)
         value = new_value
-        state = w / norm_w
+        v = w / norm_w
         if residual <= tol:
             break
     return SpectralEstimate(value=value, iterations_used=iterations,

@@ -6,9 +6,10 @@ blocks: the shared scattering matrix S once, followed by one incident
 field u_in^i and one measurement vector y_i per illumination. The loader
 widens each block to complex128 once, which is exact, so the solvers'
 products need no per-call upcast; saving a loaded model reproduces the
-file byte for byte. A header with an empty dimension or an invalid
-geometry, a file whose size differs from the one its header implies, and a
-block holding NaN or Inf are rejected.
+file byte for byte. L is not stored: the loaded model computes its
+lambda_i from the widened blocks. A header with an empty dimension or an
+invalid geometry, a file whose size differs from the one its header
+implies, and a block holding NaN or Inf are rejected.
 """
 
 import math
@@ -18,9 +19,9 @@ import struct
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import (BornComponentOperator, DtGeometry,
-                                MeasurementModel)
-from pnp_online.linops import power_iteration_lipschitz
+from pnp_online.forward import DtGeometry, MeasurementModel
+# Unused here; perfbench/tracer.py patches this binding.
+from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
 MAGIC = b"PNPM1"
 VERSION = 1
@@ -100,10 +101,7 @@ def load_model(path):
         for i in range(I):
             incident[i] = read_block(n)
             measurements[i] = read_block(M)
-    lipschitz = max(power_iteration_lipschitz(
-        BornComponentOperator(scattering, u_in), seed=seed).value
-        for u_in in incident)
-    return MeasurementModel(lipschitz=lipschitz, width=grid, height=grid,
+    return MeasurementModel(width=grid, height=grid,
                             measurements=measurements, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db)

@@ -1,17 +1,19 @@
 """Configuration parsing and the experiment CLI end to end."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from pnp_online import cli, solvers
+from pnp_online import cli, forward, linops, modelio, solvers
 from pnp_online.cli import main, read_csv, write_csv
 from pnp_online.config import (GRID_MAX, GRID_MIN, ExperimentConfig,
                                dump_config, load_config, parse_overrides)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
 from pnp_online.linops import CgInfo
+from pnp_online.modelio import load_model
 
 
 # ------------------------------------------------------------------- config
@@ -262,6 +264,40 @@ def test_cli_reconstruct_rejects_infinite_step_or_weight(tmp_path, override):
     assert not os.path.exists(out + ".trace.csv")
 
 
+@pytest.mark.parametrize("override,message", [
+    ("gamma_scale=-1", "gamma_scale must be > 0"),
+    ("gamma=-1e3", "gamma must be > 0"),
+    ("lam=-1", "lam must be >= 0"),
+    ("sigma=-1", "sigma must be >= 0"),
+    ("dist_stride=0", "dist_stride must be >= 1"),
+    ("dist_stride=-3", "dist_stride must be >= 1")])
+def test_cli_reconstruct_rejects_negative_step_weight_or_stride(
+        small_model_bytes, tmp_path, capsys, override, message):
+    # the first three died in resolve_gamma_sigma with "math domain error"
+    # and dist_stride=0 with a ZeroDivisionError (exit 1); sigma=-1 and
+    # dist_stride=-3 ran and exited 0
+    model = tmp_path / "m.pnpm"
+    model.write_bytes(small_model_bytes)
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out,
+                 "--set", "iterations=5", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out + ".trace.csv")
+
+
+def test_cli_sweep_rejects_negative_gamma(tmp_path, capsys):
+    # used to die in resolve_gamma_sigma with "math domain error" (exit 1)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", *SMALL, "-o", out, "--set", "iterations=5",
+                 "--set", "sweep_gammas=-1"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep_gammas must be > 0" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_validate_accepts_grid_bounds_and_noiseless_snr():
     for grid in (GRID_MIN, GRID_MAX):
         assert ExperimentConfig(grid=grid).validate().grid == grid
@@ -339,6 +375,38 @@ def test_cli_simulate_reconstruct_pipeline(tmp_path):
     assert columns[:3] == ["k", "dist", "snr_db"]
     assert len(rows) == 50
     assert os.path.exists(out + ".recon.pgm")
+
+
+def test_cli_reconstruct_records_lipschitz_gamma_sigma(tmp_path):
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *SMALL, "-o", out,
+                 "--set", "iterations=3", "--set", "gamma_scale=0.5",
+                 "--set", "lam=2e-9"]) == 0
+    lipschitz = load_model(model).lipschitz
+    gamma = 0.5 / lipschitz
+    lines = open(out + ".trace.csv").read().splitlines()
+    assert lines[-3:] == [f"# lipschitz = {lipschitz!r}",
+                          f"# gamma = {gamma!r}",
+                          f"# sigma = {math.sqrt(gamma * 2e-9)!r}"]
+    _, _, rows = read_csv(out + ".trace.csv")
+    assert len(rows) == 3
+
+
+def test_cli_commands_run_no_power_iteration(tmp_path, monkeypatch):
+    def power_iteration(*args, **kwargs):
+        raise AssertionError("power iteration called")
+
+    for module in (linops, forward, modelio, cli):
+        monkeypatch.setattr(module, "power_iteration_lipschitz",
+                            power_iteration)
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+    assert main(["reconstruct", model, *SMALL, "-o", str(tmp_path / "r"),
+                 "--set", "iterations=3"]) == 0
+    assert main(["compare", *SMALL, "-o", str(tmp_path / "cmp"),
+                 "--set", "iterations=3", "--set", "budget=2"]) == 0
 
 
 def test_cli_reconstruct_sgd_full_batch_matches_ista(tmp_path):

@@ -117,12 +117,26 @@ def test_dt_adjoint_consistency(small_dt_model):
 
 
 def test_dt_lipschitz_matches_dense_oracle(small_dt_model):
-    model, _ = small_dt_model
+    model, truth = small_dt_model
     oracle = max(
-        float(np.max(np.linalg.eigvalsh(dense_matrix(op).conj().T
-                                        @ dense_matrix(op))))
+        float(np.linalg.svd(dense_matrix(op), compute_uv=False)[0]) ** 2
         for op, _ in model.components)
-    assert model.lipschitz == pytest.approx(oracle, rel=1e-5)
+    assert model.lipschitz >= oracle
+    assert model.lipschitz <= oracle * (1.0 + 1e-9)
+    # L is exact, so it no longer depends on a power-iteration start
+    other = build_dt_model(model.geometry, truth, seed=model.seed + 7,
+                           input_snr_db=40.0)
+    assert other.lipschitz == model.lipschitz
+
+
+def test_dt_lambdas_match_dense_oracle_at_32():
+    geometry = DtGeometry(grid=32, num_transmitters=16, num_receivers=48)
+    model = build_dt_model(geometry, make_truth(32, seed=2), seed=0)
+    for u, bound in zip(model.incident, model.lambdas):
+        oracle = float(np.linalg.svd(model.scattering * u,
+                                     compute_uv=False)[0]) ** 2
+        assert oracle <= bound <= oracle * (1.0 + 1e-9)
+    assert model.lipschitz == max(model.lambdas)
 
 
 # ----------------------------------------------------------- Gaussian model
@@ -171,7 +185,7 @@ def test_gradient_identity_operator_zero_measurement():
     from pnp_online.linops import MatrixOperator
     model = type(model)(components=[(MatrixOperator(np.eye(4)),
                                      np.zeros(4, dtype=complex))],
-                        lipschitz=1.0, width=2, height=2)
+                        width=2, height=2)
     x = np.array([1.0, -2.0, 3.0, 0.5])
     assert np.allclose(grad_full(model, x), x, atol=1e-14)
 
@@ -287,10 +301,29 @@ def test_datafit_matches_component_loop(request, name):
 def test_selected_model_gradient_equals_index_set(small_dt_model):
     model, _ = small_dt_model
     x = np.random.default_rng(12).standard_normal(model.n) * 0.01
-    subset = model.select([3, 1], model.lipschitz)
+    subset = model.select([3, 1])
     assert subset.num_components == 2
     assert np.array_equal(grad_full(subset, x),
                           gradient_from_indices(model, [3, 1], x))
+
+
+@pytest.mark.parametrize("name", ["small_dt_model", "small_gaussian_model"])
+@pytest.mark.parametrize("rows", [[3, 1], [2], [0, 0, 2]])
+def test_selected_model_lipschitz_is_max_of_its_rows(request, name, rows):
+    model, _ = request.getfixturevalue(name)
+    subset = model.select(rows)
+    assert np.array_equal(subset.lambdas, model.lambdas[rows])
+    assert subset.lipschitz == max(model.lambdas[i] for i in rows)
+
+
+def test_gaussian_lambdas_match_dense_oracle():
+    # M < n (wide, H H^T) and M > n (tall, H^T H)
+    for n, M in ((16, 6), (9, 24)):
+        truth = Image(pixels=np.zeros(n), width=n, height=1)
+        model = build_gaussian_model(n=n, M=M, I=3, seed=4, truth=truth)
+        for h, bound in zip(model.matrices, model.lambdas):
+            oracle = float(np.linalg.svd(h, compute_uv=False)[0]) ** 2
+            assert oracle <= bound <= oracle * (1.0 + 1e-9)
 
 
 def test_prox_datafit_matches_dense_solve_dt(small_dt_model):
@@ -317,7 +350,8 @@ def test_prox_datafit_zero_operator_returns_x():
     from pnp_online.forward import MeasurementModel
     model = MeasurementModel(components=[(MatrixOperator(np.zeros((3, 3))),
                                           np.zeros(3, dtype=complex))],
-                             lipschitz=0.0, width=3, height=1)
+                             width=3, height=1)
+    assert model.lipschitz == 0.0
     x = np.array([1.0, 2.0, 3.0])
     assert np.allclose(prox_datafit(model, 0.5, x), x, atol=1e-12)
 
@@ -327,7 +361,7 @@ def test_prox_datafit_identity_closed_form():
     from pnp_online.forward import MeasurementModel
     model = MeasurementModel(components=[(MatrixOperator(np.eye(3)),
                                           np.zeros(3, dtype=complex))],
-                             lipschitz=1.0, width=3, height=1)
+                             width=3, height=1)
     x = np.array([2.0, -4.0, 6.0])
     assert np.allclose(prox_datafit(model, 1.0, x), x / 2.0, atol=1e-10)
 

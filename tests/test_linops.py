@@ -1,16 +1,18 @@
-"""Operator core: power iteration and regularized CG against dense oracles."""
+"""Operator core: spectral bounds and regularized CG against dense oracles."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online.linops import (LinearOperator, MatrixOperator,
-                               cg_solve_regularized,
-                               power_iteration_lipschitz)
+                               cg_solve_regularized, lambda_max_bound,
+                               power_iteration_lipschitz, smaller_gram)
 
 
 class MatrixFree(LinearOperator):
-    """Hides a dense operator's output_gram, forcing the input-space loop."""
+    """A dense operator seen only through apply and adjoint_apply."""
 
     def __init__(self, op):
         self.op = op
@@ -68,45 +70,87 @@ def _wide_complex_operator():
                           + 1j * rng.standard_normal((6, 40)))
 
 
+def _columns(h):
+    return lambda cols: h[:, cols]
+
+
 @pytest.mark.parametrize("n", [40, 300])
 def test_output_gram_matches_dense_product(n):
-    # 300 columns leave an uneven last chunk
+    # a wide H gives H H^H; 300 columns leave an uneven last chunk
     rng = np.random.default_rng(3)
     H = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-    assert np.allclose(MatrixOperator(H).output_gram(), H @ H.conj().T,
+    assert np.allclose(smaller_gram(_columns(H), H.shape), H @ H.conj().T,
+                       rtol=1e-13, atol=1e-12)
+
+
+def test_smaller_gram_of_tall_matrix_is_input_gram():
+    H = np.random.default_rng(4).standard_normal((30, 5))
+    assert np.allclose(smaller_gram(_columns(H), H.shape), H.T @ H,
                        rtol=1e-13, atol=1e-12)
 
 
 def test_matrix_free_operator_has_no_output_gram():
-    assert MatrixFree(_wide_complex_operator()).output_gram() is None
+    # the power iteration needs only apply/adjoint_apply
+    op = MatrixFree(_wide_complex_operator())
+    assert not hasattr(op, "output_gram")
+    est = power_iteration_lipschitz(op, seed=5)
+    H = op.op.matrix
+    oracle = float(np.max(np.linalg.eigvalsh(H @ H.conj().T)))
+    assert est.value == pytest.approx(oracle, rel=1e-8)
 
 
+# ------------------------------------------- certified lambda_max by squaring
+
+def assert_certified(bound, h):
+    """oracle <= bound <= oracle * (1 + 1e-9), oracle = sigma_max(h)^2."""
+    oracle = float(np.linalg.svd(h, compute_uv=False)[0]) ** 2
+    assert bound >= oracle
+    assert bound <= oracle * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("shape", [(6, 40), (40, 6), (12, 12)],
+                         ids=["wide", "tall", "square"])
 @pytest.mark.parametrize("seed", [0, 5])
-def test_output_space_power_iteration_matches_input_space(seed):
+def test_lambda_max_bound_gaussian_matrices(shape, seed):
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal(shape) / math.sqrt(shape[0])
+    assert_certified(lambda_max_bound(_columns(H), H.shape), H)
+
+
+def test_lambda_max_bound_wide_complex_dominates_power_iteration():
     op = _wide_complex_operator()
-    fast = power_iteration_lipschitz(op, seed=seed)
-    slow = power_iteration_lipschitz(MatrixFree(op), seed=seed)
-    assert fast.iterations_used == slow.iterations_used
-    assert fast.value == pytest.approx(slow.value, rel=1e-12)
-    oracle = float(np.max(np.linalg.eigvalsh(op.matrix @ op.matrix.conj().T)))
-    assert fast.value == pytest.approx(oracle, rel=1e-8)
+    bound = lambda_max_bound(_columns(op.matrix), op.matrix.shape)
+    assert_certified(bound, op.matrix)
+    for seed in (0, 5):
+        assert bound >= power_iteration_lipschitz(op, seed=seed).value
 
 
-def test_output_space_power_iteration_on_dt_component(small_dt_model):
+def test_lambda_max_bound_rank_one():
+    rng = np.random.default_rng(6)
+    H = np.outer(rng.standard_normal(9) + 1j * rng.standard_normal(9),
+                 rng.standard_normal(50))
+    assert_certified(lambda_max_bound(_columns(H), H.shape), H)
+
+
+def test_lambda_max_bound_repeated_top_eigenvalue():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    v, _ = np.linalg.qr(rng.standard_normal((30, 8)))
+    H = q @ np.diag([3.0, 3.0, 3.0, 2.0, 1.0, 0.5, 0.1, 0.0]) @ v.T
+    assert_certified(lambda_max_bound(_columns(H), H.shape), H)
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (8, 3)], ids=["wide", "tall"])
+def test_lambda_max_bound_zero_operator(shape):
+    H = np.zeros(shape)
+    with np.errstate(all="raise"):            # no log of 0
+        assert lambda_max_bound(_columns(H), shape) == 0.0
+
+
+def test_lambda_max_bound_on_dt_components(small_dt_model):
     model, _ = small_dt_model
-    for op, _ in model.components:
-        assert op.output_dim < op.input_dim
-        fast = power_iteration_lipschitz(op, seed=model.seed)
-        slow = power_iteration_lipschitz(MatrixFree(op), seed=model.seed)
-        assert fast.iterations_used == slow.iterations_used
-        assert fast.value == pytest.approx(slow.value, rel=1e-12)
-
-
-def test_output_space_power_iteration_zero_operator():
-    est = power_iteration_lipschitz(MatrixOperator(np.zeros((3, 8))))
-    assert est.value == 0.0
-    assert est.residual == 0.0
-    assert est.iterations_used == 1
+    for u, bound in zip(model.incident, model.lambdas):
+        assert_certified(bound, model.scattering * u)
 
 
 def test_born_adjoint_matches_conjugate_transpose(small_dt_model):

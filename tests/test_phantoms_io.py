@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import DtGeometry, build_dt_model
+from pnp_online.linops import lambda_max_bound
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import (PgmParseError, image_to_pgm16, read_pgm,
                             write_pgm)
@@ -149,6 +150,20 @@ def test_pnpm1_round_trip_bit_identical(dt_model_32, tmp_path):
     path2 = tmp_path / "m2.pnpm"
     save_model(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_pnpm1_load_computes_lipschitz_from_loaded_arrays(dt_model_32,
+                                                          tmp_path):
+    path = tmp_path / "m.pnpm"
+    save_model(path, dt_model_32)
+    back = load_model(path)
+    # the complex64-widened blocks, not the simulated complex128 arrays
+    expected = [lambda_max_bound(lambda cols, u=u: back.scattering[:, cols]
+                                 * u[cols], back.scattering.shape)
+                for u in back.incident]
+    assert back.lambdas.tolist() == expected
+    assert back.lipschitz == max(expected)
+    assert back.lipschitz == pytest.approx(dt_model_32.lipschitz, rel=1e-6)
 
 
 def test_pnpm1_same_seed_byte_identical(tmp_path):

@@ -30,8 +30,7 @@ def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
         # perturb measurements so the least-squares solution is nontrivial
         comps = [(op, y + 0.01 * rng.standard_normal(y.shape))
                  for op, y in model.components]
-        model = type(model)(components=comps, lipschitz=model.lipschitz,
-                            width=n, height=1)
+        model = type(model)(components=comps, width=n, height=1)
     return model, truth
 
 
@@ -204,7 +203,7 @@ def test_admm_zero_model_keeps_x0():
     model = type(quadratic_model()[0])(
         components=[(MatrixOperator(np.zeros((4, 4))),
                      np.zeros(4, dtype=complex))],
-        lipschitz=0.0, width=4, height=1)
+        width=4, height=1)
     cfg = SolverConfig(gamma=1.0, iterations=20, seed=0, record_timing=False)
     x, _ = run_admm(model, lambda z: z, cfg)
     assert np.allclose(x, np.zeros(4), atol=1e-12)
@@ -220,8 +219,7 @@ def test_admm_identity_prox_least_squares():
 
 def test_admm_matches_ista_on_tv_problem():
     model, _ = quadratic_model(n=9, M=12, I=3, seed=3)
-    model = type(model)(components=model.components,
-                        lipschitz=model.lipschitz, width=3, height=3)
+    model = type(model)(components=model.components, width=3, height=3)
     lam = 1e-3
     gamma = 1.0 / model.lipschitz
 
