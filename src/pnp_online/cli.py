@@ -184,8 +184,9 @@ def cmd_simulate(cfg, out_path):
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
     if cfg.model != "dt":
-        raise ConfigurationError("simulate writes PNPM1 containers; use model=dt")
-    save_model(out_path, model)
+        raise ConfigurationError("simulate writes PNPM2 containers; use model=dt")
+    # L of the stored, complex64-rounded operator: the L reconstruct uses
+    lipschitz = float(save_model(out_path, model).max())
     achieved = achieved_input_snr_db(model, truth)
     with open(out_path + ".meta.txt", "w", encoding="ascii") as fh:
         fh.write(f"grid = {cfg.grid}\n"
@@ -201,8 +202,21 @@ def cmd_simulate(cfg, out_path):
                  f"seed = {cfg.seed}\n"
                  f"requested_input_snr_db = {cfg.input_snr_db}\n"
                  f"achieved_input_snr_db = {achieved!r}\n"
-                 f"lipschitz = {model.lipschitz!r}\n")
+                 f"lipschitz = {lipschitz!r}\n")
     return out_path
+
+
+def check_truth(model, truth, model_path):
+    """Trace comments on the truth check; raises if the model's differs."""
+    if model.truth_sha256 is None:
+        return ["warning: PNPM1 model: truth image unchecked"]
+    if model.truth_sha256 != truth.sha256():
+        raise ConfigurationError(
+            f"{model_path} was simulated from another truth image (SHA-256 "
+            f"{model.truth_sha256.hex()[:16]}..., this config gives "
+            f"{truth.sha256().hex()[:16]}...); reconstruct with the phantom, "
+            f"f_max, grid and seed it was simulated with")
+    return []
 
 
 def cmd_reconstruct(cfg, model_path, out_prefix):
@@ -211,8 +225,8 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     csv_path = out_prefix + ".trace.csv"
     pgm_path = out_prefix + ".recon.pgm"
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
-    step = [f"lipschitz = {model.lipschitz!r}", f"gamma = {gamma!r}",
-            f"sigma = {sigma!r}"]
+    step = ([f"lipschitz = {model.lipschitz!r}", f"gamma = {gamma!r}",
+             f"sigma = {sigma!r}"] + check_truth(model, truth, model_path))
     try:
         x, trace = run_algorithm(cfg, model, truth)
     except DivergenceError as err:
@@ -445,7 +459,7 @@ def build_parser():
 
     p = sub.add_parser("reconstruct", help="run one reconstruction")
     add_common(p)
-    p.add_argument("model", help="PNPM1 measurement file")
+    p.add_argument("model", help="PNPM2 (or PNPM1) measurement file")
     p.add_argument("-o", "--output", default="recon",
                    help="output prefix for trace CSV and PGM")
 

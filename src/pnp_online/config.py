@@ -5,8 +5,8 @@ The file format is deliberately diff-friendly: one `key = value` per line,
 and `validate` rejects values no command can use: a non-finite float (only
 `input_snr_db` may be inf, for noiseless data), a grid outside
 [GRID_MIN, GRID_MAX], a step (`gamma`, `gamma_scale`, `sweep_gammas`)
-that is not positive, a negative `lam` or `sigma`, and a `dist_stride`
-below 1.
+that is not positive, a negative `lam` or `sigma`, a `dist_stride`
+below 1, and a `seed` or `cert_seed` outside [0, SEED_MAX].
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ DENOISERS = ("tv", "filter", "identity")
 # Pixels per side. A 256 x 256 DT model already holds a 48 x 65 536 complex
 # Green matrix (50 MB) with the default receivers; the phantoms need 8.
 GRID_MIN, GRID_MAX = 8, 256
+# numpy's generators take no negative seed, and PNPM files store the seed
+# as an int64.
+SEED_MAX = 2 ** 63 - 1
 
 
 @dataclass
@@ -115,6 +118,11 @@ class ExperimentConfig:
         if self.dist_stride is not None and self.dist_stride < 1:
             raise ConfigurationError(
                 f"dist_stride must be >= 1, got {self.dist_stride}")
+        for name in ("seed", "cert_seed"):
+            value = getattr(self, name)
+            if not 0 <= value <= SEED_MAX:
+                raise ConfigurationError(
+                    f"{name} must lie in [0, {SEED_MAX}], got {value}")
         return self
 
     def gamma_list(self):

@@ -6,6 +6,7 @@ d(x) = (1/I) sum_i (1/2)||y_i - H_i x||^2, so minibatch gradients estimate
 the full gradient without rescaling.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,10 @@ class Image:
 
     def grid(self):
         return self.pixels.reshape(self.height, self.width)
+
+    def sha256(self):
+        """SHA-256 digest (32 bytes) of the pixels as little-endian float64."""
+        return hashlib.sha256(self.pixels.astype("<f8").tobytes()).digest()
 
     @classmethod
     def from_grid(cls, grid):
@@ -153,14 +158,15 @@ class MeasurementModel:
     array; a repeated index repeats its component.
 
     `lambdas` holds lambda_max(H_i^H H_i) of every component, each a
-    certified upper bound from `lambda_max_bound`, computed here unless
-    given; `lipschitz`, the step's L, is their max.
+    certified upper bound from `lambda_max_bound`; unless given, they are
+    computed on first use. `lipschitz`, the step's L, is their max.
+    `truth_sha256` is the `Image.sha256` of the simulated truth, or None.
     """
 
     def __init__(self, components=None, *, width, height,
                  measurements=None, scattering=None, incident=None,
                  matrices=None, geometry=None, seed=None,
-                 input_snr_db=math.inf, lambdas=None):
+                 input_snr_db=math.inf, lambdas=None, truth_sha256=None):
         if components is not None:
             matrices = np.array([op.matrix for op, _ in components])
             measurements = [y for _, y in components]
@@ -170,6 +176,7 @@ class MeasurementModel:
         self.width, self.height = width, height
         self.geometry, self.seed = geometry, seed
         self.input_snr_db = input_snr_db
+        self.truth_sha256 = truth_sha256
         self.n = width * height
         num, self.M = self.measurements.shape
         if matrices is not None:
@@ -180,9 +187,8 @@ class MeasurementModel:
         if not ok:
             raise ConfigurationError("component arrays must match the "
                                      "measurements and the grid")
-        self.lambdas = (self._component_lambdas() if lambdas is None
-                        else np.asarray(lambdas, dtype=float))
-        self.lipschitz = float(self.lambdas.max())
+        self._lambdas = (None if lambdas is None
+                         else np.asarray(lambdas, dtype=float))
         # (1/I) sum_i Re(H_i^H y_i): the data term of every prox right side
         self.back_projection = self.adjoint_sum(self.measurements) / num
 
@@ -198,6 +204,16 @@ class MeasurementModel:
     def input_dim(self):
         """Dimension for CG, which solves with this model's `gram_apply`."""
         return self.n
+
+    @property
+    def lambdas(self):
+        if self._lambdas is None:
+            self._lambdas = self._component_lambdas()
+        return self._lambdas
+
+    @property
+    def lipschitz(self):
+        return float(self.lambdas.max())
 
     @property
     def components(self):
@@ -228,7 +244,7 @@ class MeasurementModel:
             incident=None if self.incident is None else self.incident[rows],
             matrices=None if self.matrices is None else self.matrices[rows],
             geometry=self.geometry, seed=self.seed,
-            input_snr_db=self.input_snr_db)
+            input_snr_db=self.input_snr_db, truth_sha256=self.truth_sha256)
 
     def apply(self, x, rows=slice(None)):
         """H_i x for the components `rows`, stacked as a (B, M) array."""
@@ -315,7 +331,8 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     return MeasurementModel(width=truth.width, height=truth.height,
                             measurements=noisy, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
-                            input_snr_db=input_snr_db)
+                            input_snr_db=input_snr_db,
+                            truth_sha256=truth.sha256())
 
 
 def build_gaussian_model(n, M, I, seed, truth, input_snr_db=math.inf):

@@ -97,7 +97,6 @@ def lambda_max_bound(columns, shape):
     trace = float(np.trace(gram).real)
     if trace == 0.0:
         return 0.0
-    p, q = min(shape), max(shape)
     a = gram / trace
     log_bound = 0.0
     # c_k >= 1/p, so |log c_k| / 2^k < 1e-16 holds by k = 63 for any p
@@ -110,8 +109,13 @@ def lambda_max_bound(columns, shape):
         if abs(term) < _SQUARING_TOL:
             break
         a /= c
-    margin = 2.0 * p * (p + q) * np.finfo(float).eps
-    return trace * math.exp(log_bound) * (1.0 + margin)
+    return trace * math.exp(log_bound) * (1.0 + rounding_margin(shape))
+
+
+def rounding_margin(shape):
+    """The relative margin 2 p (p + q) eps of `lambda_max_bound`."""
+    p, q = min(shape), max(shape)
+    return 2.0 * p * (p + q) * np.finfo(float).eps
 
 
 @dataclass

@@ -1,10 +1,13 @@
 """Configuration parsing and the experiment CLI end to end."""
 
+import contextlib
+import io
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnp_online import cli, forward, linops, modelio, solvers
 from pnp_online.cli import main, read_csv, write_csv
@@ -14,6 +17,7 @@ from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
 from pnp_online.linops import CgInfo
 from pnp_online.modelio import load_model
+from conftest import pnpm1_bytes
 
 
 # ------------------------------------------------------------------- config
@@ -154,11 +158,36 @@ LONG_SEED = "9" * 400  # an int, but too large to convert to float
 
 
 def test_cli_long_integer_seed_parses(monkeypatch, capsys):
-    # parsing succeeds, so the run reaches the missing model file (exit 4)
-    assert main(["reconstruct", "x.pnpm", "--set", f"seed={LONG_SEED}"]) == 4
+    # parsing succeeds, and the seed range check rejects it before the
+    # missing model file is reached
+    assert main(["reconstruct", "x.pnpm", "--set", f"seed={LONG_SEED}"]) == 2
     monkeypatch.setenv("PNP_SEED", LONG_SEED)
-    assert main(["reconstruct", "x.pnpm"]) == 4
-    assert "Traceback" not in capsys.readouterr().err
+    assert main(["reconstruct", "x.pnpm"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("seed must lie in [0, 9223372036854775807]") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,override,seed_env", [
+    ("simulate", "seed=-1", None),            # ValueError in default_rng
+    ("simulate", f"seed={2 ** 63}", None),    # struct.error packing int64
+    ("reconstruct", None, "-5"),
+    ("certify", "cert_seed=-3", None)])
+def test_cli_exit_code_seed_out_of_range(tmp_path, monkeypatch, capsys,
+                                         command, override, seed_env):
+    if seed_env is not None:
+        monkeypatch.setenv("PNP_SEED", seed_env)
+    out = tmp_path / "out"
+    argv = [command, *SMALL, "-o", str(out)]
+    if command == "reconstruct":
+        argv.insert(1, str(tmp_path / "m.pnpm"))
+    if override is not None:
+        argv += ["--set", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed must lie in [0, 9223372036854775807]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where,value", [("first", complex(np.inf, 0.0)),
@@ -168,7 +197,10 @@ def test_cli_exit_code_nonfinite_model(tmp_path, where, value):
     model = tmp_path / "m.pnpm"
     assert main(["simulate", *SMALL, "-o", str(model)]) == 0
     data = bytearray(model.read_bytes())
-    offset = len(MAGIC) + _HEADER.size if where == "first" else len(data) - 8
+    # the first block, S, follows the header and the I float64 lambda_i
+    num_components = _HEADER.unpack_from(data, len(MAGIC))[3]
+    first = len(MAGIC) + _HEADER.size + 8 * num_components
+    offset = first if where == "first" else len(data) - 8
     data[offset:offset + 8] = np.complex64(value).tobytes()
     model.write_bytes(bytes(data))
     out = str(tmp_path / "r")
@@ -184,7 +216,8 @@ def small_model_bytes(tmp_path_factory):
 
 
 # header fields: 0 version, 1 n, 2 M, 3 I, 4 domain_side, 5 wavelength,
-# 6 eps_background, 7 ring_radius, 8 grid, 9-10 Tx/Rx, 11 incident code
+# 6 eps_background, 7 ring_radius, 8 grid, 9-10 Tx/Rx, 11 incident code,
+# 12 seed, 13 input SNR, 14 truth SHA-256
 @pytest.mark.parametrize("field,value", [
     (3, 3),                   # fewer illuminations than blocks in the file
     (3, 2 ** 32 - 1),         # would allocate terabytes before reading
@@ -208,13 +241,14 @@ def test_cli_exit_code_corrupt_model_header(small_model_bytes, tmp_path,
 
 def test_cli_exit_code_model_without_illuminations(small_model_bytes,
                                                    tmp_path, capsys):
-    # a file that holds S and nothing else, as its header with I = 0 implies;
-    # the Lipschitz step used to fail on max() of an empty sequence
+    # a file that holds S and nothing else, as its header with I = 0 implies
+    # (no lambda_i either); the Lipschitz step used to fail on max() of an
+    # empty sequence
     from pnp_online.modelio import _HEADER, MAGIC
     fields = list(_HEADER.unpack_from(small_model_bytes, len(MAGIC)))
     n, M = fields[1], fields[2]
+    start = len(MAGIC) + _HEADER.size + 8 * fields[3]
     fields[3] = 0
-    start = len(MAGIC) + _HEADER.size
     model = tmp_path / "empty.pnpm"
     model.write_bytes(MAGIC + _HEADER.pack(*fields)
                       + small_model_bytes[start:start + 8 * M * n])
@@ -407,6 +441,147 @@ def test_cli_commands_run_no_power_iteration(tmp_path, monkeypatch):
                  "--set", "iterations=3"]) == 0
     assert main(["compare", *SMALL, "-o", str(tmp_path / "cmp"),
                  "--set", "iterations=3", "--set", "budget=2"]) == 0
+
+
+def test_cli_reconstruct_of_pnpm2_does_no_eigen_work(tmp_path, monkeypatch):
+    bindings = (linops, forward, modelio)
+    original = linops.lambda_max_bound
+    shapes = []
+
+    def counting(columns, shape):
+        shapes.append(shape)
+        return original(columns, shape)
+
+    for module in bindings:
+        monkeypatch.setattr(module, "lambda_max_bound", counting)
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+    assert shapes == [(12, 256)] * 4       # once per component, I = 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda_max_bound called")
+
+    for module in bindings:
+        monkeypatch.setattr(module, "lambda_max_bound", refuse)
+    assert main(["reconstruct", model, *SMALL, "-o", str(tmp_path / "r"),
+                 "--set", "iterations=3"]) == 0
+
+
+def test_cli_meta_lipschitz_is_the_reconstruct_lipschitz(tmp_path):
+    # simulate used to report L of its complex128 arrays, and reconstruct
+    # L of the complex64-rounded ones it loads
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *SMALL, "-o", model]) == 0
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *SMALL, "-o", out,
+                 "--set", "iterations=1"]) == 0
+    meta = [line for line in open(model + ".meta.txt").read().splitlines()
+            if line.startswith("lipschitz = ")]
+    trace = [line[2:] for line in open(out + ".trace.csv").read().splitlines()
+             if line.startswith("# lipschitz = ")]
+    assert len(meta) == 1
+    assert meta == trace
+
+
+PNPM1_WARNING = "# warning: PNPM1 model: truth image unchecked"
+
+
+def test_cli_pnpm1_and_pnpm2_reconstruct_alike(small_model_bytes, tmp_path):
+    paths = {"v1": tmp_path / "m1.pnpm", "v2": tmp_path / "m2.pnpm"}
+    paths["v1"].write_bytes(pnpm1_bytes(small_model_bytes))
+    paths["v2"].write_bytes(small_model_bytes)
+    lambdas = {k: load_model(p).lambdas.tolist() for k, p in paths.items()}
+    assert lambdas["v1"] == lambdas["v2"]
+    traces = {}
+    for name, path in paths.items():
+        out = str(tmp_path / name)
+        assert main(["reconstruct", str(path), *SMALL, "-o", out,
+                     "--set", "iterations=10",
+                     "--set", "record_timing=false"]) == 0
+        traces[name] = open(out + ".trace.csv").read().splitlines()
+    assert PNPM1_WARNING in traces["v1"]
+    assert PNPM1_WARNING not in traces["v2"]
+    assert [line for line in traces["v1"] if line != PNPM1_WARNING] \
+        == traces["v2"]
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0, 1e3, 1e-3])
+def test_cli_exit_code_bad_stored_lambda(small_model_bytes, tmp_path, capsys,
+                                         scale):
+    # lambda_max lies in [tr(G)/p, tr(G)], and p = 12 here, so a factor of
+    # 1e3 either way leaves that window
+    from pnp_online.modelio import _HEADER, MAGIC
+    data = bytearray(small_model_bytes)
+    num_components = _HEADER.unpack_from(data, len(MAGIC))[3]
+    last = len(MAGIC) + _HEADER.size + 8 * (num_components - 1)
+    stored = np.frombuffer(bytes(data[last:last + 8]), dtype="<f8")[0]
+    data[last:last + 8] = np.array([stored * scale], dtype="<f8").tobytes()
+    model = tmp_path / "bad.pnpm"
+    model.write_bytes(bytes(data))
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert "lambda_" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out + ".trace.csv")
+
+
+@pytest.mark.parametrize("override", ["phantom=checker", "seed=1",
+                                      "f_max=0.06"])
+def test_cli_reconstruct_rejects_another_truth(small_model_bytes, tmp_path,
+                                               capsys, override):
+    # a 16x16 blobs model reconstructed with phantom=checker used to exit 0
+    # and report SNR against the checker image
+    model = tmp_path / "m.pnpm"
+    model.write_bytes(small_model_bytes)
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out,
+                 "--set", "iterations=3", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "simulated from another truth image" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out + ".trace.csv")
+
+
+def _finite_cells(cells):
+    return all(math.isfinite(float(cell)) for cell in cells if cell != "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_reconstruct_survives_corrupt_pnpm2(small_model_bytes,
+                                                tmp_path_factory, data):
+    from pnp_online.modelio import _HEADER, MAGIC
+    blob = bytearray(small_model_bytes)
+    # the header, the lambda_i and the start of S, where one flipped byte
+    # reaches the most checks, or anywhere in the file
+    head = len(MAGIC) + _HEADER.size + 8 * 4 + 64
+    where = data.draw(st.one_of(st.integers(0, head - 1),
+                                st.integers(0, len(blob) - 1)))
+    if data.draw(st.booleans()):
+        blob[where] ^= data.draw(st.integers(1, 255))
+    else:
+        del blob[where:]
+    work = tmp_path_factory.mktemp("fuzz")
+    model = work / "m.pnpm"
+    model.write_bytes(bytes(blob))
+    out = str(work / "r")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["reconstruct", str(model), *SMALL, "-o", out,
+                     "--set", "iterations=3", "--set", "record_timing=false"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        return
+    lines = open(out + ".trace.csv").read().splitlines()
+    _, _, rows = read_csv(out + ".trace.csv")
+    assert all(_finite_cells(row[1:4]) for row in rows)
+    step = [line.split(" = ")[1] for line in lines
+            if line.split(" = ")[0] in ("# lipschitz", "# gamma", "# sigma")]
+    assert len(step) == 3 and _finite_cells(step)
+    window = open(out + ".recon.pgm.meta.txt").read().splitlines()
+    assert _finite_cells(line.split(" = ")[1] for line in window)
 
 
 def test_cli_reconstruct_sgd_full_batch_matches_ista(tmp_path):

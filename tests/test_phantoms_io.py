@@ -1,4 +1,4 @@
-"""Phantoms, PGM codec, PNPM1 container, and SVG plot determinism."""
+"""Phantoms, PGM codec, PNPM2/PNPM1 containers, and SVG plot determinism."""
 
 import math
 import os
@@ -16,7 +16,7 @@ from pnp_online.pgm import (PgmParseError, image_to_pgm16, read_pgm,
 from pnp_online.phantoms import (phantom_blobs, phantom_checker,
                                  phantom_from_pgm, phantom_generate)
 from pnp_online.svgplot import line_plot
-from conftest import make_truth
+from conftest import make_truth, pnpm1_bytes
 
 
 # ----------------------------------------------------------------- phantoms
@@ -125,7 +125,7 @@ def test_pgm_round_trip_property(tmp_path_factory, h, w, seed):
     assert np.array_equal(read_pgm(path), pixels)
 
 
-# ------------------------------------------------------------------- PNPM1
+# ------------------------------------------------------------- PNPM2/PNPM1
 
 @pytest.fixture(scope="module")
 def dt_model_32():
@@ -156,7 +156,9 @@ def test_pnpm1_load_computes_lipschitz_from_loaded_arrays(dt_model_32,
                                                           tmp_path):
     path = tmp_path / "m.pnpm"
     save_model(path, dt_model_32)
+    path.write_bytes(pnpm1_bytes(path.read_bytes()))
     back = load_model(path)
+    assert back.truth_sha256 is None
     # the complex64-widened blocks, not the simulated complex128 arrays
     expected = [lambda_max_bound(lambda cols, u=u: back.scattering[:, cols]
                                  * u[cols], back.scattering.shape)
@@ -164,6 +166,23 @@ def test_pnpm1_load_computes_lipschitz_from_loaded_arrays(dt_model_32,
     assert back.lambdas.tolist() == expected
     assert back.lipschitz == max(expected)
     assert back.lipschitz == pytest.approx(dt_model_32.lipschitz, rel=1e-6)
+
+
+def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
+    path = tmp_path / "m.pnpm"
+    stored = save_model(path, dt_model_32)
+    back = load_model(path)
+    assert back.lambdas.tolist() == stored.tolist()
+    assert back.lipschitz == stored.max()
+    assert back.truth_sha256 == make_truth(32, seed=0).sha256()
+
+
+def test_pnpm2_needs_a_truth_fingerprint(dt_model_32, tmp_path):
+    path = tmp_path / "m.pnpm"
+    save_model(path, dt_model_32)
+    path.write_bytes(pnpm1_bytes(path.read_bytes()))
+    with pytest.raises(ConfigurationError, match="SHA-256"):
+        save_model(tmp_path / "again.pnpm", load_model(path))
 
 
 def test_pnpm1_same_seed_byte_identical(tmp_path):
