@@ -101,12 +101,11 @@ def _rounded_lambdas(scattering, incident):
     for it, so no full complex128 copy is made; the products are those of
     the loaded model's own lambda_i, bit for bit.
     """
-    def columns(cols, u):
-        return scattering[:, cols].astype(complex) * u[cols].astype(complex)
-
-    return np.array([lambda_max_bound(lambda cols, u=u: columns(cols, u),
-                                      scattering.shape)
-                     for u in incident])
+    return np.array([
+        lambda_max_bound(lambda cols, u=u: (scattering[:, cols].astype(complex)
+                                            * u[cols].astype(complex)),
+                         scattering.shape)
+        for u in incident])
 
 
 def _check_lambdas(lambdas, scattering, incident):
