@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config error, 3 numerical divergence, 4 I/O error.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -247,20 +248,6 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     return csv_path, pgm_path
 
 
-def _sweep_cell(cfg, model, truth, denoiser_name, gamma_scale, batch,
-                accelerated):
-    local = _replace(cfg, denoiser=denoiser_name, algorithm="pnp-sgd",
-                     accelerated=accelerated, batch_size=batch,
-                     gamma_scale=gamma_scale, gamma=None)
-    _, trace = run_algorithm(local, model, truth)
-    return trace
-
-
-def _replace(cfg, **kwargs):
-    import dataclasses
-    return dataclasses.replace(cfg, **kwargs)
-
-
 def cmd_sweep(cfg, outdir):
     os.makedirs(outdir, exist_ok=True)
     truth = phantom_from_config(cfg)
@@ -280,9 +267,12 @@ def cmd_sweep(cfg, outdir):
             for accelerated in (False, True):
                 tag = (f"{denoiser_name}_{kind}_{scale:g}_B{batch}"
                        f"_{'acc' if accelerated else 'basic'}")
+                local = dataclasses.replace(
+                    cfg, denoiser=denoiser_name, algorithm="pnp-sgd",
+                    accelerated=accelerated, batch_size=batch,
+                    gamma_scale=scale, gamma=None)
                 try:
-                    trace = _sweep_cell(cfg, model, truth, denoiser_name,
-                                        scale, batch, accelerated)
+                    _, trace = run_algorithm(local, model, truth)
                 except DivergenceError as err:
                     failures.append((tag, str(err)))
                     if not accelerated:
@@ -334,12 +324,13 @@ def cmd_compare(cfg, outdir):
     subset = _subset_model(model, budget)
 
     runs = {}
-    fista_cfg = _replace(cfg, algorithm="pnp-ista", accelerated=True)
+    fista_cfg = dataclasses.replace(cfg, algorithm="pnp-ista",
+                                    accelerated=True)
     runs["pnp-fista"] = run_algorithm(fista_cfg, subset, truth)
-    admm_cfg = _replace(cfg, algorithm="pnp-admm")
+    admm_cfg = dataclasses.replace(cfg, algorithm="pnp-admm")
     runs["pnp-admm"] = run_algorithm(admm_cfg, subset, truth)
-    sgd_cfg = _replace(cfg, algorithm="pnp-sgd", accelerated=True,
-                       batch_size=budget, sample_mode="cycle")
+    sgd_cfg = dataclasses.replace(cfg, algorithm="pnp-sgd", accelerated=True,
+                                  batch_size=budget, sample_mode="cycle")
     runs["pnp-sgd"] = run_algorithm(sgd_cfg, model, truth)
 
     columns = ["k"] + [f"{name}_{what}" for name in runs

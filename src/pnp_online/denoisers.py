@@ -204,28 +204,19 @@ def shift_denoiser(z, sigma, c):
 
 
 class Denoiser:
-    """denoise(z, sigma) on 2D arrays, with an optional declared theta."""
-
-    kind = "Identity"
-    declared_theta = None
+    """denoise(z, sigma) on 2D arrays."""
 
     def denoise(self, z, sigma):
         raise NotImplementedError
 
 
 class IdentityDenoiser(Denoiser):
-    kind = "Identity"
-    declared_theta = 0.5  # I = (1-theta)I + theta*I for any theta
-
     def denoise(self, z, sigma):
         return np.asarray(z, dtype=float).copy()
 
 
 class TvProxDenoiser(Denoiser):
     """TV prox with strength read through sigma^2 = gamma*lambda."""
-
-    kind = "ProximalTV"
-    declared_theta = 0.5
 
     def __init__(self, inner_iters=200, inner_tol=1e-12, isotropic=False):
         self.inner_iters = inner_iters
@@ -238,9 +229,6 @@ class TvProxDenoiser(Denoiser):
 
 
 class AveragedFilterDenoiser(Denoiser):
-    kind = "AveragedLinearFilter"
-    declared_theta = 0.5
-
     def __init__(self, passes=None):
         self.passes = passes
 
@@ -250,9 +238,6 @@ class AveragedFilterDenoiser(Denoiser):
 
 class ShiftDenoiser(Denoiser):
     """Bounded denoiser that is not averaged (divergence counter-example)."""
-
-    kind = "ShiftCounterexample"
-    declared_theta = None
 
     def __init__(self, c=1.0):
         if c <= 0:
@@ -266,18 +251,16 @@ class ShiftDenoiser(Denoiser):
 class DampedDenoiser(Denoiser):
     """(1-theta) I + theta * inner; theta-averaged when inner is nonexpansive."""
 
-    kind = "DampedWrapper"
-
     def __init__(self, inner, theta):
         if not 0.0 < theta < 1.0:
             raise ConfigurationError("theta must lie in (0, 1)")
         self.inner = inner
-        self.declared_theta = theta
+        self.theta = theta
 
     def denoise(self, z, sigma):
         z = np.asarray(z, dtype=float)
-        return (1.0 - self.declared_theta) * z \
-            + self.declared_theta * self.inner.denoise(z, sigma)
+        return ((1.0 - self.theta) * z
+                + self.theta * self.inner.denoise(z, sigma))
 
 
 def damp(denoiser, theta):
@@ -293,7 +276,6 @@ class OperatorCertificate:
     max_violation: float
     alpha_tested: float
     passed: bool
-    bounded_constant_c: float | None = None
 
 
 def certify_averaged(denoiser, alpha, sigma, num_pairs=1000, domain_scale=2.0,
@@ -310,17 +292,12 @@ def certify_averaged(denoiser, alpha, sigma, num_pairs=1000, domain_scale=2.0,
     if num_pairs < 1:
         raise ConfigurationError("num_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    ratio = (1.0 - alpha) / alpha
     max_violation = -math.inf
     for _ in range(num_pairs):
         x = rng.uniform(-domain_scale, domain_scale, size=shape)
         y = rng.uniform(-domain_scale, domain_scale, size=shape)
-        dx = denoiser.denoise(x, sigma)
-        dy = denoiser.denoise(y, sigma)
-        lhs = float(np.sum((dx - dy) ** 2))
-        dist = float(np.sum((x - y) ** 2))
-        corr = float(np.sum((x - dx - y + dy) ** 2))
-        max_violation = max(max_violation, lhs - dist + ratio * corr)
+        max_violation = max(max_violation,
+                            certify_pair(denoiser, alpha, sigma, x, y))
     return OperatorCertificate(pairs_tested=num_pairs,
                                max_violation=max_violation,
                                alpha_tested=alpha,
@@ -340,6 +317,8 @@ def certify_pair(denoiser, alpha, sigma, x, y):
 
 def estimate_bounded_constant(denoiser, sigma, samples):
     """max over samples of (1/n)||D(x)-x||^2 / sigma^2: a lower bound on c."""
+    if sigma <= 0:
+        raise ConfigurationError("sigma must be positive")
     samples = list(samples)
     if not samples:
         raise ConfigurationError("sample set must be nonempty")

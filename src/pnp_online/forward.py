@@ -1,7 +1,7 @@
 """Measurement models: first-Born diffraction tomography and Gaussian baseline.
 
-A model is a collection of I component operators {H_i} with measurements
-{y_i}. The data fidelity is the 1/I-averaged least squares
+A model holds I component operators H_i and measurements y_i as arrays.
+The data fidelity is the 1/I-averaged least squares
 d(x) = (1/I) sum_i (1/2)||y_i - H_i x||^2, so minibatch gradients estimate
 the full gradient without rescaling.
 """
@@ -14,8 +14,7 @@ import numpy as np
 
 from pnp_online.bessel import hankel1_0, hankel1_0_array
 from pnp_online.errors import ConfigurationError
-from pnp_online.linops import (LinearOperator, MatrixOperator,
-                               cg_solve_regularized, lambda_max_bound)
+from pnp_online.linops import cg_solve_regularized, lambda_max_bound
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
@@ -125,19 +124,18 @@ def green_function_2d(k_b, r):
     return g
 
 
-class BornComponentOperator(LinearOperator):
+class BornComponentOperator:
     """H = S diag(u_in) for one illumination; S is shared across components.
 
-    A per-component view (`MeasurementModel.components`); perfbench/tracer.py
-    counts calls to its `apply` and `adjoint_apply`.
+    Nothing in the package uses it: `MeasurementModel` applies every H_i
+    from its arrays. It stays because perfbench/tracer.py counts calls to
+    its `apply` and `adjoint_apply` and reports a missing binding as
+    uncovered; it goes with the tracer's counter.
     """
 
     def __init__(self, scattering, incident_field):
         self.scattering = scattering            # (M, n) complex
         self.incident_field = incident_field    # (n,) complex
-        self.output_dim, self.input_dim = scattering.shape
-        if incident_field.shape != (self.input_dim,):
-            raise ConfigurationError("incident field length mismatch")
 
     def apply(self, x):
         return self.scattering @ (self.incident_field * x)
@@ -152,8 +150,7 @@ class MeasurementModel:
 
     A DT model keeps each H_i = S diag(u_i) factored: the shared scattering
     matrix S (M, n) and the incident fields U (I, n). Any other model keeps
-    the stacked matrices H (I, M, n), and may be given as a list of
-    (MatrixOperator, y_i) pairs instead. The measurements are Y (I, M).
+    the stacked matrices H (I, M, n). The measurements are Y (I, M).
     Products over a set of components take `rows`, a slice or an index
     array; a repeated index repeats its component.
 
@@ -163,13 +160,9 @@ class MeasurementModel:
     `truth_sha256` is the `Image.sha256` of the simulated truth, or None.
     """
 
-    def __init__(self, components=None, *, width, height,
-                 measurements=None, scattering=None, incident=None,
-                 matrices=None, geometry=None, seed=None,
+    def __init__(self, *, width, height, measurements, scattering=None,
+                 incident=None, matrices=None, geometry=None, seed=None,
                  input_snr_db=math.inf, lambdas=None, truth_sha256=None):
-        if components is not None:
-            matrices = np.array([op.matrix for op, _ in components])
-            measurements = [y for _, y in components]
         self.measurements = np.asarray(measurements)
         self.scattering, self.incident = scattering, incident
         self.matrices = matrices
@@ -201,39 +194,20 @@ class MeasurementModel:
         return (self.height, self.width)
 
     @property
-    def input_dim(self):
-        """Dimension for CG, which solves with this model's `gram_apply`."""
-        return self.n
-
-    @property
     def lambdas(self):
         if self._lambdas is None:
-            self._lambdas = self._component_lambdas()
+            if self.matrices is None:
+                self._lambdas = factored_lambdas(self.scattering,
+                                                 self.incident)
+            else:
+                self._lambdas = np.array([
+                    lambda_max_bound(lambda cols, h=h: h[:, cols], h.shape)
+                    for h in self.matrices])
         return self._lambdas
 
     @property
     def lipschitz(self):
         return float(self.lambdas.max())
-
-    @property
-    def components(self):
-        """(operator, y_i) pairs viewing the arrays, one per component."""
-        if self.matrices is not None:
-            ops = [MatrixOperator(h) for h in self.matrices]
-        else:
-            ops = [BornComponentOperator(self.scattering, u)
-                   for u in self.incident]
-        return list(zip(ops, self.measurements))
-
-    def _component_lambdas(self):
-        if self.matrices is not None:
-            columns = [lambda cols, h=h: h[:, cols] for h in self.matrices]
-        else:
-            s = self.scattering
-            columns = [lambda cols, u=u: s[:, cols] * u[cols]
-                       for u in self.incident]
-        return np.array([lambda_max_bound(c, (self.M, self.n))
-                         for c in columns])
 
     def select(self, indices):
         """The model of the listed components, with their lambda_i."""
@@ -270,6 +244,24 @@ class MeasurementModel:
     def gram_apply(self, x):
         """(1/I) sum_i Re(H_i^H H_i x): the averaged Gram matvec."""
         return self.adjoint_sum(self.apply(x)) / self.num_components
+
+
+def factored_lambdas(scattering, incident):
+    """lambda_max(H_i^H H_i) of every H_i = S diag(u_i), u_i the rows of U.
+
+    Each bound comes from `lambda_max_bound`. S and U may be complex64 (the
+    arrays a PNPM2 file stores) or complex128: each column chunk is widened
+    to complex128 as `lambda_max_bound` asks for it, so no full complex128
+    copy is made, and a complex128 chunk is not copied at all. Either way
+    the products are those of complex128 S and U, so the lambda_i of a
+    saved model equal those its loaded, widened arrays give, bit for bit.
+    """
+    return np.array([
+        lambda_max_bound(
+            lambda cols, u=u: (scattering[:, cols].astype(complex, copy=False)
+                               * u[cols].astype(complex, copy=False)),
+            scattering.shape)
+        for u in incident])
 
 
 def _apply_noise(clean, rng, input_snr_db, complex_noise):
@@ -324,8 +316,8 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
         incident = np.exp(1j * k_b * (directions @ pixels.T))
 
     rng = np.random.default_rng(seed)
-    # One product per component, as BornComponentOperator.apply forms it,
-    # so a noiseless y_i equals H_i x bit for bit.
+    # One product S (u_i * x) per component, so a noiseless y_i equals
+    # H_i x formed on its own bit for bit.
     clean = np.array([scattering @ (u * truth.pixels) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=True)
     return MeasurementModel(width=truth.width, height=truth.height,

@@ -1,8 +1,8 @@
-"""Matrix-free linear operators, spectral norm estimation, regularized solves.
+"""Spectral bounds and the regularized normal-equations solve.
 
-Operators may map real images to complex measurement vectors; gradients and
-normal-equation solves take the real part of Hermitian products, which is
-equivalent to identifying C^m with R^{2m}.
+Measurement operators may map real images to complex measurement vectors;
+gradients and normal-equation solves take the real part of Hermitian
+products, which is equivalent to identifying C^m with R^{2m}.
 """
 
 import logging
@@ -20,40 +20,6 @@ _GRAM_CHUNK = 256
 # The squaring stops once a step's term in the log of the bound is below
 # this, which bounds the bound's excess over lambda_max by the same amount.
 _SQUARING_TOL = 1e-16
-
-
-class LinearOperator:
-    """A linear map R^n (or C^n) -> C^m with an explicit adjoint."""
-
-    input_dim: int
-    output_dim: int
-
-    def apply(self, x):
-        raise NotImplementedError
-
-    def adjoint_apply(self, y):
-        raise NotImplementedError
-
-    def gram_apply(self, x):
-        """H^H H x, the normal-equations matvec."""
-        return self.adjoint_apply(self.apply(x))
-
-
-class MatrixOperator(LinearOperator):
-    """Dense matrix wrapped as an operator."""
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ConfigurationError("matrix operator needs a 2D array")
-        self.matrix = matrix
-        self.output_dim, self.input_dim = matrix.shape
-
-    def apply(self, x):
-        return self.matrix @ x
-
-    def adjoint_apply(self, y):
-        return self.matrix.conj().T @ y
 
 
 def smaller_gram(columns, shape):
@@ -127,32 +93,32 @@ class SpectralEstimate:
     residual: float
 
 
-# perfbench/tracer.py patches this binding and its imports elsewhere.
-def power_iteration_lipschitz(op, tol=1e-8, max_iter=5000, seed=0):
-    """Estimate the squared largest singular value of `op` by power iteration.
+# Nothing in the package calls this: perfbench/tracer.py patches this
+# binding and its imports in forward, modelio and cli, and goes with it.
+def power_iteration_lipschitz(gram_apply, n, tol=1e-8, max_iter=5000, seed=0):
+    """Estimate lambda_max of the Gram matvec `gram_apply` on R^n (or C^n).
 
-    Iterates v <- H^H H v with normalization; the returned value is the
+    Iterates v <- G v with normalization; the returned value is the
     Rayleigh quotient at the last iterate, a lower bound on the true
     lambda_max up to the reported residual (relative change between the last
-    two estimates). It needs only `gram_apply`, so it serves matrix-free
-    operators; measurement models use `lambda_max_bound` instead.
+    two estimates). Measurement models use `lambda_max_bound` instead.
     """
-    if op.input_dim <= 0 or op.output_dim <= 0:
-        raise ConfigurationError("operator dimensions must be positive")
+    if n <= 0:
+        raise ConfigurationError("operator dimension must be positive")
     if tol <= 0:
         raise ConfigurationError("tol must be positive")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be >= 1")
 
     rng = np.random.default_rng(seed)
-    v = rng.uniform(-1.0, 1.0, size=op.input_dim)
+    v = rng.uniform(-1.0, 1.0, size=n)
     v = v / np.linalg.norm(v)
 
     value = 0.0
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = op.gram_apply(v)
+        w = gram_apply(v)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
             # Zero operator (or v in the null space of a zero Gram matrix).
@@ -175,24 +141,25 @@ class CgInfo:
     relative_residual: float
 
 
-def cg_solve_regularized(op, gamma, rhs, tol=1e-10, max_iter=None,
+def cg_solve_regularized(model, gamma, rhs, tol=1e-10, max_iter=None,
                          return_info=False):
-    """Solve (I + gamma * Re(H^H H)) z = rhs by conjugate gradients.
+    """Solve (I + gamma * G) z = rhs by conjugate gradients, G = model's Gram.
 
-    The system is symmetric positive definite for any gamma > 0, so plain CG
-    applies. On real inputs with a complex operator the real part of the
-    Gram product is used, matching the gradient convention.
+    G x is `model.gram_apply(x)`, the real, symmetric positive semidefinite
+    averaged Gram (1/I) sum_i Re(H_i^H H_i) of a `MeasurementModel` on R^n,
+    n = `model.n`. The system is then positive definite for any gamma > 0,
+    so plain CG applies.
     """
     rhs = np.asarray(rhs, dtype=float)
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
-    if rhs.shape != (op.input_dim,):
-        raise ConfigurationError("rhs length must match operator input_dim")
+    if rhs.shape != (model.n,):
+        raise ConfigurationError("rhs length must match the model's n")
     if max_iter is None:
-        max_iter = 10 * op.input_dim
+        max_iter = 10 * model.n
 
     def matvec(z):
-        return z + gamma * np.real(op.gram_apply(z))
+        return z + gamma * model.gram_apply(z)
 
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:

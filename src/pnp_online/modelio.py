@@ -12,10 +12,11 @@ Layout, little-endian:
   incident field u_i and one measurement vector y_i per illumination.
 
 `save_model` computes the lambda_i from the complex64-rounded S and u_i it
-writes, widening one column chunk at a time, so they are certified for the
-very operator `load_model` returns. The loader widens each block to
-complex128 once, which is exact, so the solvers' products need no per-call
-upcast; saving a loaded model reproduces the file byte for byte.
+writes (`factored_lambdas`, which widens one column chunk at a time), so
+they are certified for the very operator `load_model` returns. The loader
+widens each block to complex128 once, which is exact, so the solvers'
+products need no per-call upcast; saving a loaded model reproduces the file
+byte for byte.
 
 The loader does no eigen work. It rejects a file whose magic or version is
 unknown, whose header holds an empty dimension or an invalid geometry,
@@ -42,8 +43,8 @@ import struct
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import DtGeometry, MeasurementModel
-from pnp_online.linops import lambda_max_bound, rounding_margin
+from pnp_online.forward import DtGeometry, MeasurementModel, factored_lambdas
+from pnp_online.linops import rounding_margin
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
@@ -73,7 +74,7 @@ def save_model(path, model):
     n, M, I = model.n, model.M, model.num_components
     scattering = np.ascontiguousarray(model.scattering, dtype=np.complex64)
     incident = np.ascontiguousarray(model.incident, dtype=np.complex64)
-    lambdas = _rounded_lambdas(scattering, incident)
+    lambdas = factored_lambdas(scattering, incident)
     snr = model.input_snr_db if model.input_snr_db is not None else math.inf
     header = _HEADER.pack(VERSION, n, M, I,
                           geometry.domain_side, geometry.wavelength,
@@ -92,20 +93,6 @@ def save_model(path, model):
             fh.write(u_in.tobytes())
             fh.write(np.ascontiguousarray(y, dtype=np.complex64).tobytes())
     return lambdas
-
-
-def _rounded_lambdas(scattering, incident):
-    """lambda_i of H_i = S diag(u_i) for complex64 S and U.
-
-    Each column chunk is widened to complex128 as `lambda_max_bound` asks
-    for it, so no full complex128 copy is made; the products are those of
-    the loaded model's own lambda_i, bit for bit.
-    """
-    return np.array([
-        lambda_max_bound(lambda cols, u=u: (scattering[:, cols].astype(complex)
-                                            * u[cols].astype(complex)),
-                         scattering.shape)
-        for u in incident])
 
 
 def _check_lambdas(lambdas, scattering, incident):

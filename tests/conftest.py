@@ -6,14 +6,23 @@ import sys
 import numpy as np
 import pytest
 
-from pnp_online.forward import (DtGeometry, Image, build_dt_model,
-                                build_gaussian_model)
+from pnp_online.forward import (DtGeometry, Image, MeasurementModel,
+                                build_dt_model, build_gaussian_model)
 from pnp_online.phantoms import phantom_generate
 
 
 def make_truth(grid, seed=0, contrast=0.05):
     phantom = phantom_generate("blobs", grid, seed=seed)
     return Image(pixels=phantom.pixels * contrast, width=grid, height=grid)
+
+
+def stacked_model(h, y=None):
+    """The one-component stacked model of the dense h; y defaults to 0."""
+    h = np.asarray(h)
+    if y is None:
+        y = np.zeros(h.shape[0], dtype=h.dtype)
+    return MeasurementModel(width=h.shape[1], height=1,
+                            measurements=np.asarray(y)[None], matrices=h[None])
 
 
 @pytest.fixture(scope="session")

@@ -444,7 +444,7 @@ def test_cli_commands_run_no_power_iteration(tmp_path, monkeypatch):
 
 
 def test_cli_reconstruct_of_pnpm2_does_no_eigen_work(tmp_path, monkeypatch):
-    bindings = (linops, forward, modelio)
+    bindings = (linops, forward)
     original = linops.lambda_max_bound
     shapes = []
 
@@ -640,6 +640,19 @@ def test_cli_certify_outputs(tmp_path):
     assert by_name["shift"][columns.index("passed")] == "False"
 
 
+@pytest.mark.parametrize("override", ["lam=0", "sigma=0"])
+def test_cli_certify_zero_sigma_is_config_error(tmp_path, capsys, override):
+    # sigma = 0, given or as sqrt(lam) with lam = 0, must stop with exit 2
+    # before estimate_bounded_constant divides by sigma^2
+    out = tmp_path / "cert"
+    assert main(["certify", "-o", str(out), "--set", "cert_pairs=2",
+                 "--set", "grid=8", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert "config error: sigma must be positive" in err
+    assert "Traceback" not in err
+    assert not (out / "certificates.csv").exists()
+
+
 def test_cli_sweep_small(tmp_path):
     out = str(tmp_path / "sw")
     assert main(["sweep", *SMALL, "-o", out,
@@ -655,7 +668,7 @@ def test_cli_sweep_records_failed_cells(tmp_path, monkeypatch):
     def diverge(*args, **kwargs):
         raise DivergenceError("iterate norm exceeded safety bound")
 
-    monkeypatch.setattr(cli, "_sweep_cell", diverge)
+    monkeypatch.setattr(cli, "run_algorithm", diverge)
     out = str(tmp_path / "sw")
     assert main(["sweep", *SMALL, "-o", out, "--set", "sweep_gammas=1",
                  "--set", "sweep_batches=2"]) == 0

@@ -14,7 +14,6 @@ from pnp_online.denoisers import (AveragedFilterDenoiser, DampedDenoiser,
                                   estimate_bounded_constant, shift_denoiser,
                                   tv_objective, tv_prox)
 from pnp_online.errors import ConfigurationError
-from pnp_online.linops import LinearOperator, power_iteration_lipschitz
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -288,19 +287,15 @@ def test_filter_zero_is_zero():
 
 
 def test_filter_reflection_is_nonexpansive():
-    # 2W - I must have spectral norm <= 1 for W to be 1/2-averaged
-    class Reflection(LinearOperator):
-        input_dim = output_dim = 256
-
-        def apply(self, x):
-            w = averaged_linear_filter(x.reshape(16, 16), 0.1)
-            return (2.0 * w - x.reshape(16, 16)).ravel()
-
-        def adjoint_apply(self, y):
-            return self.apply(y)          # symmetric operator
-
-    est = power_iteration_lipschitz(Reflection())
-    assert est.value <= 1.0 + 1e-12
+    # 2W - I must have spectral norm <= 1 for W to be 1/2-averaged; the
+    # dense 256 x 256 matrix of the symmetric 2W - I gives it exactly
+    eye = np.eye(256)
+    reflection = np.column_stack([
+        2.0 * averaged_linear_filter(e.reshape(16, 16), 0.1).ravel() - e
+        for e in eye])
+    assert np.allclose(reflection, reflection.T, rtol=0, atol=1e-15)
+    eigenvalues = np.linalg.eigvalsh(reflection)
+    assert np.max(np.abs(eigenvalues)) <= 1.0 + 1e-12
 
 
 def test_filter_passes_mapping():
@@ -408,6 +403,13 @@ def test_certify_rejects_bad_alpha():
 def test_bounded_constant_identity_zero():
     assert estimate_bounded_constant(IdentityDenoiser(), 0.5,
                                      [np.ones((3, 3))]) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.1])
+def test_bounded_constant_rejects_nonpositive_sigma(sigma):
+    # the estimate divides by sigma^2
+    with pytest.raises(ConfigurationError):
+        estimate_bounded_constant(IdentityDenoiser(), sigma, [np.ones((3, 3))])
 
 
 def test_bounded_constant_shift_exact_c():

@@ -14,16 +14,14 @@ from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
                                 grad_full, grad_minibatch,
                                 gradient_from_indices, green_function_2d,
                                 prox_datafit)
-from conftest import make_truth
+from conftest import make_truth, stacked_model
 
 
-def dense_matrix(op):
-    n = op.input_dim
-    A = np.zeros((op.output_dim, n), dtype=complex)
-    eye = np.eye(n)
-    for j in range(n):
-        A[:, j] = op.apply(eye[:, j])
-    return A
+def dense_matrices(model):
+    """Every H_i as a dense (M, n) matrix, stacked: S diag(u_i) or H_i."""
+    if model.matrices is not None:
+        return model.matrices
+    return np.array([model.scattering * u for u in model.incident])
 
 
 # ---------------------------------------------------------------- geometry
@@ -79,8 +77,7 @@ def test_dt_zero_truth_yields_zero_measurements():
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = Image(pixels=np.zeros(64), width=8, height=8)
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
-    for _, y in model.components:
-        assert np.all(y == 0)
+    assert np.all(model.measurements == 0)
 
 
 def test_dt_noiseless_deterministic():
@@ -88,18 +85,17 @@ def test_dt_noiseless_deterministic():
     truth = make_truth(8, seed=2)
     a = build_dt_model(geometry, truth, seed=5, input_snr_db=math.inf)
     b = build_dt_model(geometry, truth, seed=5, input_snr_db=math.inf)
-    for (_, ya), (_, yb) in zip(a.components, b.components):
-        assert np.array_equal(ya, yb)
-    # noiseless: y equals the clean forward projection exactly
-    clean = a.components[0][0].apply(truth.pixels)
-    assert np.array_equal(a.components[0][1], clean)
+    assert np.array_equal(a.measurements, b.measurements)
+    # noiseless: each y_i equals its clean forward projection exactly
+    for u, y in zip(a.incident, a.measurements):
+        assert np.array_equal(y, a.scattering @ (u * truth.pixels))
 
 
 def test_dt_achieved_input_snr_is_exact(small_dt_model):
     model, truth = small_dt_model
     signal = noise = 0.0
-    for op, y in model.components:
-        clean = op.apply(truth.pixels)
+    for h, y in zip(dense_matrices(model), model.measurements):
+        clean = h @ truth.pixels
         signal += float(np.sum(np.abs(clean) ** 2))
         noise += float(np.sum(np.abs(y - clean) ** 2))
     achieved = 10.0 * math.log10(signal / noise)
@@ -109,18 +105,20 @@ def test_dt_achieved_input_snr_is_exact(small_dt_model):
 def test_dt_adjoint_consistency(small_dt_model):
     model, _ = small_dt_model
     rng = np.random.default_rng(0)
-    for op, _ in model.components[:2]:
-        x = rng.standard_normal(op.input_dim)
-        y = rng.standard_normal(op.output_dim) + 1j * rng.standard_normal(op.output_dim)
-        assert np.vdot(y, op.apply(x)) == pytest.approx(
-            np.vdot(op.adjoint_apply(y), x), rel=1e-12, abs=1e-12)
+    for i in range(2):
+        x = rng.standard_normal(model.n)
+        y = rng.standard_normal(model.M) + 1j * rng.standard_normal(model.M)
+        hx = model.apply(x, [i])[0]
+        # on real x, Re <y, H x> = <Re(H^H y), x>; y and iy give both parts
+        for r in (y, 1j * y):
+            assert np.vdot(r, hx).real == pytest.approx(
+                model.adjoint_sum(r[None], [i]) @ x, rel=1e-12, abs=1e-12)
 
 
 def test_dt_lipschitz_matches_dense_oracle(small_dt_model):
     model, truth = small_dt_model
-    oracle = max(
-        float(np.linalg.svd(dense_matrix(op), compute_uv=False)[0]) ** 2
-        for op, _ in model.components)
+    oracle = max(float(np.linalg.svd(h, compute_uv=False)[0]) ** 2
+                 for h in dense_matrices(model))
     assert model.lipschitz >= oracle
     assert model.lipschitz <= oracle * (1.0 + 1e-9)
     # L is exact, so it no longer depends on a power-iteration start
@@ -145,25 +143,23 @@ def test_gaussian_single_component_adjoint():
     truth = Image(pixels=np.zeros(9), width=3, height=3)
     model = build_gaussian_model(n=9, M=9, I=1, seed=0, truth=truth)
     assert model.num_components == 1
-    op = model.components[0][0]
     rng = np.random.default_rng(1)
     x, y = rng.standard_normal(9), rng.standard_normal(9)
-    assert np.vdot(y, op.apply(x)) == pytest.approx(
-        np.vdot(op.adjoint_apply(y), x), rel=1e-12)
+    assert np.vdot(y, model.apply(x)[0]) == pytest.approx(
+        model.adjoint_sum(y[None]) @ x, rel=1e-12)
 
 
 def test_gaussian_deterministic():
     truth = Image(pixels=np.zeros(16), width=4, height=4)
     a = build_gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
     b = build_gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
-    for (opa, _), (opb, _) in zip(a.components, b.components):
-        assert np.array_equal(dense_matrix(opa), dense_matrix(opb))
+    assert np.array_equal(a.matrices, b.matrices)
 
 
 def test_gaussian_entry_variance_close_to_1_over_M():
     truth = Image(pixels=np.zeros(144), width=12, height=12)
     model = build_gaussian_model(n=144, M=100, I=1, seed=0, truth=truth)
-    A = np.real(dense_matrix(model.components[0][0]))
+    A = model.matrices[0]
     assert A.size >= 10_000
     assert float(np.var(A)) == pytest.approx(1.0 / 100, rel=0.05)
 
@@ -182,10 +178,7 @@ def test_gradient_identity_operator_zero_measurement():
     truth = Image(pixels=np.zeros(4), width=2, height=2)
     model = build_gaussian_model(n=4, M=4, I=1, seed=0, truth=truth)
     # replace with an exact identity component
-    from pnp_online.linops import MatrixOperator
-    model = type(model)(components=[(MatrixOperator(np.eye(4)),
-                                     np.zeros(4, dtype=complex))],
-                        width=2, height=2)
+    model = stacked_model(np.eye(4))
     x = np.array([1.0, -2.0, 3.0, 0.5])
     assert np.allclose(grad_full(model, x), x, atol=1e-14)
 
@@ -251,19 +244,20 @@ def test_minibatch_draws_with_replacement_deterministic(small_dt_model):
 # --------------------------------------- array engine vs per-component loop
 
 def reference_gradient(model, indices, x):
-    """The per-component loop the batched products replaced: the oracle."""
-    components = model.components
+    """The per-component loop over dense H_i that the batched products
+    replaced: the oracle."""
+    dense = dense_matrices(model)
     total = np.zeros(model.n)
     for i in indices:
-        op, y = components[i]
-        total += np.real(op.adjoint_apply(op.apply(x) - y))
+        h = dense[i]
+        total += np.real(h.conj().T @ (h @ x - model.measurements[i]))
     return total / len(indices)
 
 
 def reference_datafit(model, x):
     total = 0.0
-    for op, y in model.components:
-        r = op.apply(x) - y
+    for h, y in zip(dense_matrices(model), model.measurements):
+        r = h @ x - y
         total += 0.5 * float(np.vdot(r, r).real)
     return total / model.num_components
 
@@ -332,8 +326,7 @@ def test_prox_datafit_matches_dense_solve_dt(small_dt_model):
     x = np.random.default_rng(13).standard_normal(model.n) * 0.01
     gram = np.zeros((model.n, model.n))
     rhs = x.copy()
-    for op, y in model.components:
-        A = dense_matrix(op)
+    for A, y in zip(dense_matrices(model), model.measurements):
         gram += np.real(A.conj().T @ A)
         rhs += (gamma / model.num_components) * np.real(A.conj().T @ y)
     oracle = np.linalg.solve(
@@ -346,22 +339,14 @@ def test_prox_datafit_matches_dense_solve_dt(small_dt_model):
 # ---------------------------------------------------------------- data prox
 
 def test_prox_datafit_zero_operator_returns_x():
-    from pnp_online.linops import MatrixOperator
-    from pnp_online.forward import MeasurementModel
-    model = MeasurementModel(components=[(MatrixOperator(np.zeros((3, 3))),
-                                          np.zeros(3, dtype=complex))],
-                             width=3, height=1)
+    model = stacked_model(np.zeros((3, 3)))
     assert model.lipschitz == 0.0
     x = np.array([1.0, 2.0, 3.0])
     assert np.allclose(prox_datafit(model, 0.5, x), x, atol=1e-12)
 
 
 def test_prox_datafit_identity_closed_form():
-    from pnp_online.linops import MatrixOperator
-    from pnp_online.forward import MeasurementModel
-    model = MeasurementModel(components=[(MatrixOperator(np.eye(3)),
-                                          np.zeros(3, dtype=complex))],
-                             width=3, height=1)
+    model = stacked_model(np.eye(3))
     x = np.array([2.0, -4.0, 6.0])
     assert np.allclose(prox_datafit(model, 1.0, x), x / 2.0, atol=1e-10)
 
@@ -374,10 +359,9 @@ def test_prox_datafit_matches_dense_solve():
     gamma = 0.7
     G = np.zeros((12, 12))
     rhs = x.copy()
-    for op, y in model.components:
-        A = dense_matrix(op)
+    for A, y in zip(dense_matrices(model), model.measurements):
         G += np.real(A.conj().T @ A)
-        rhs += (gamma / model.num_components) * np.real(op.adjoint_apply(y))
+        rhs += (gamma / model.num_components) * np.real(A.conj().T @ y)
     G /= model.num_components
     oracle = np.linalg.solve(np.eye(12) + gamma * G, rhs)
     z = prox_datafit(model, gamma, x, tol=1e-13)

@@ -43,10 +43,9 @@ def test_dist_to_fix_matches_dense_recomputation(small_dt_model):
     x = rng.standard_normal(model.n) * 0.01
     # independent recomputation via dense matrices
     n = model.n
-    eye = np.eye(n)
     grad = np.zeros(n)
-    for op, y in model.components:
-        A = np.column_stack([op.apply(eye[:, j]) for j in range(n)])
+    for u, y in zip(model.incident, model.measurements):
+        A = model.scattering * u
         grad += np.real(A.conj().T @ (A @ x - y))
     grad /= model.num_components
     stepped = (x - gamma * grad).reshape(model.shape)

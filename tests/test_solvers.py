@@ -10,9 +10,8 @@ from hypothesis import given, settings, strategies as st
 from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
                                   TvProxDenoiser, tv_objective, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import (Image, build_gaussian_model, datafit_value,
-                                grad_full)
-from pnp_online.linops import MatrixOperator
+from pnp_online.forward import (Image, MeasurementModel, build_gaussian_model,
+                                datafit_value, grad_full)
 from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 corollary1_constant, estimate_gradient_noise,
@@ -20,6 +19,7 @@ from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 prop2_bound, run_admm, run_counterexample,
                                 run_ista, run_pnp_admm, run_pnp_ista,
                                 run_pnp_sgd, sgd_bound)
+from conftest import stacked_model
 
 
 def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
@@ -28,9 +28,10 @@ def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
     model = build_gaussian_model(n=n, M=M, I=I, seed=seed, truth=truth)
     if noisy:
         # perturb measurements so the least-squares solution is nontrivial
-        comps = [(op, y + 0.01 * rng.standard_normal(y.shape))
-                 for op, y in model.components]
-        model = type(model)(components=comps, width=n, height=1)
+        y = model.measurements
+        model = MeasurementModel(
+            width=n, height=1, matrices=model.matrices,
+            measurements=y + 0.01 * rng.standard_normal(y.shape))
     return model, truth
 
 
@@ -38,9 +39,7 @@ def least_squares_solution(model):
     n = model.n
     G = np.zeros((n, n))
     b = np.zeros(n)
-    eye = np.eye(n)
-    for op, y in model.components:
-        A = np.column_stack([op.apply(eye[:, j]) for j in range(n)])
+    for A, y in zip(model.matrices, model.measurements):
         G += np.real(A.conj().T @ A)
         b += np.real(A.conj().T @ y)
     return np.linalg.solve(G, b)
@@ -200,10 +199,7 @@ def test_fista_beats_ista_at_fifty_iterations():
 # ---------------------------------------------------------------- run_admm
 
 def test_admm_zero_model_keeps_x0():
-    model = type(quadratic_model()[0])(
-        components=[(MatrixOperator(np.zeros((4, 4))),
-                     np.zeros(4, dtype=complex))],
-        width=4, height=1)
+    model = stacked_model(np.zeros((4, 4)))
     cfg = SolverConfig(gamma=1.0, iterations=20, seed=0, record_timing=False)
     x, _ = run_admm(model, lambda z: z, cfg)
     assert np.allclose(x, np.zeros(4), atol=1e-12)
@@ -219,7 +215,8 @@ def test_admm_identity_prox_least_squares():
 
 def test_admm_matches_ista_on_tv_problem():
     model, _ = quadratic_model(n=9, M=12, I=3, seed=3)
-    model = type(model)(components=model.components, width=3, height=3)
+    model = MeasurementModel(width=3, height=3, matrices=model.matrices,
+                             measurements=model.measurements)
     lam = 1e-3
     gamma = 1.0 / model.lipschitz
 
