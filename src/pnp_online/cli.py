@@ -37,12 +37,15 @@ from pnp_online.svgplot import line_plot
 # ---------------------------------------------------------------------------
 # CSV with a versioned schema header line; re-parseable by read_csv below.
 
-def write_csv(path, schema, columns, rows):
+def write_csv(path, schema, columns, rows, comments=()):
+    """Write the rows, then one `# <comment>` line each; read_csv skips them."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# schema={schema}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_cell(v) for v in row) + "\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
 
 
 def _cell(value):
@@ -51,14 +54,6 @@ def _cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def append_comments(path, comments):
-    """Append `# <comment>` lines to a CSV; read_csv skips them."""
-    if comments:
-        with open(path, "a", encoding="ascii") as fh:
-            for comment in comments:
-                fh.write(f"# {comment}\n")
 
 
 def read_csv(path):
@@ -114,6 +109,9 @@ def denoiser_from_config(cfg):
 
 
 def resolve_gamma_sigma(cfg, lipschitz):
+    if cfg.gamma is None and lipschitz == 0.0:
+        raise ConfigurationError("the model's operator is zero (L = 0); "
+                                 "set gamma, as gamma_scale / L is undefined")
     gamma = cfg.gamma if cfg.gamma is not None else cfg.gamma_scale / lipschitz
     sigma = cfg.sigma if cfg.sigma is not None else math.sqrt(gamma * cfg.lam)
     return gamma, sigma
@@ -129,19 +127,14 @@ def achieved_input_snr_db(model, truth):
     return 10.0 * math.log10(signal / noise)
 
 
-def solver_config(cfg, gamma, sigma, **kwargs):
-    options = dict(gamma=gamma, sigma=sigma, iterations=cfg.iterations,
-                   batch_size=cfg.batch_size,
-                   q_schedule="fista" if cfg.accelerated else "constant",
-                   seed=cfg.seed, record_timing=cfg.record_timing,
-                   dist_stride=cfg.dist_stride, sample_mode=cfg.sample_mode)
-    options.update(kwargs)
-    return SolverConfig(**options)
-
-
-def run_algorithm(cfg, model, truth, **overrides):
+def run_algorithm(cfg, model, truth):
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
-    sconf = solver_config(cfg, gamma, sigma, **overrides)
+    sconf = SolverConfig(
+        gamma=gamma, sigma=sigma, iterations=cfg.iterations,
+        batch_size=cfg.batch_size,
+        q_schedule="fista" if cfg.accelerated else "constant",
+        seed=cfg.seed, record_timing=cfg.record_timing,
+        dist_stride=cfg.dist_stride, sample_mode=cfg.sample_mode)
     denoiser = denoiser_from_config(cfg)
     truth_pixels = truth.pixels if truth is not None else None
     if cfg.algorithm == "ista":
@@ -161,8 +154,7 @@ def _tv_regularizer_prox(model, lambda_scaled):
     from pnp_online.denoisers import tv_prox
 
     def prox(z):
-        return tv_prox(z.reshape(model.shape), lambda_scaled,
-                       inner_iters=200, inner_tol=1e-12).ravel()
+        return tv_prox(z.reshape(model.shape), lambda_scaled).ravel()
     return prox
 
 
@@ -182,10 +174,10 @@ TRACE_COLUMNS = ["k", "dist", "snr_db", "elapsed_s", "minibatch_indices"]
 # Commands.
 
 def cmd_simulate(cfg, out_path):
-    truth = phantom_from_config(cfg)
-    model = model_from_config(cfg, truth)
     if cfg.model != "dt":
         raise ConfigurationError("simulate writes PNPM2 containers; use model=dt")
+    truth = phantom_from_config(cfg)
+    model = model_from_config(cfg, truth)
     # L of the stored, complex64-rounded operator: the L reconstruct uses
     lipschitz = float(save_model(out_path, model).max())
     achieved = achieved_input_snr_db(model, truth)
@@ -234,13 +226,12 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
         partial = err.trace
         rows = trace_rows(partial) if partial is not None else []
         warnings = partial.warnings if partial is not None else []
-        write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, rows)
-        append_comments(csv_path, step + [f"warning: {w}" for w in warnings]
-                        + [f"diverged: {err}"])
+        write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, rows,
+                  step + [f"warning: {w}" for w in warnings]
+                  + [f"diverged: {err}"])
         raise
-    write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, trace_rows(trace))
-    append_comments(csv_path,
-                    step + [f"warning: {w}" for w in trace.warnings])
+    write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, trace_rows(trace),
+              step + [f"warning: {w}" for w in trace.warnings])
     data, lo, hi = image_to_pgm16(x.reshape(model.shape))
     write_pgm(pgm_path, data, maxval=65535)
     with open(pgm_path + ".meta.txt", "w", encoding="ascii") as fh:
@@ -289,9 +280,8 @@ def cmd_sweep(cfg, outdir):
                + [f"gamma_{g:g}_over_L" for g in gammas]
                + [f"B_{b}" for b in batches])
     summary_path = os.path.join(outdir, "summary.csv")
-    write_csv(summary_path, "pnp-sweep-v1", columns, summary_rows)
-    append_comments(summary_path, [f"failed: {tag}: {message}"
-                                   for tag, message in failures])
+    write_csv(summary_path, "pnp-sweep-v1", columns, summary_rows,
+              [f"failed: {tag}: {message}" for tag, message in failures])
     return summary_path
 
 
@@ -347,10 +337,9 @@ def cmd_compare(cfg, outdir):
                 row.extend(["", ""])
         rows.append(row)
     csv_path = os.path.join(outdir, "compare.csv")
-    write_csv(csv_path, "pnp-compare-v1", columns, rows)
-    append_comments(csv_path, [f"warning: {name}: {w}"
-                               for name, (_, trace) in runs.items()
-                               for w in trace.warnings])
+    write_csv(csv_path, "pnp-compare-v1", columns, rows,
+              [f"warning: {name}: {w}" for name, (_, trace) in runs.items()
+               for w in trace.warnings])
     plot_compare_csv(csv_path, os.path.join(outdir, "compare_iterations.svg"),
                      against="iterations")
     plot_compare_csv(csv_path, os.path.join(outdir, "compare_wallclock.svg"),

@@ -3,10 +3,11 @@
 The file format is deliberately diff-friendly: one `key = value` per line,
 '#' comments. Unknown keys are rejected so typos fail loudly at parse time,
 and `validate` rejects values no command can use: a non-finite float (only
-`input_snr_db` may be inf, for noiseless data), a grid outside
-[GRID_MIN, GRID_MAX], a step (`gamma`, `gamma_scale`, `sweep_gammas`)
-that is not positive, a negative `lam` or `sigma`, a `dist_stride`
-below 1, and a `seed` or `cert_seed` outside [0, SEED_MAX].
+`input_snr_db` may be inf, for noiseless data), a finite `input_snr_db`
+outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside [GRID_MIN, GRID_MAX],
+a step (`gamma`, `gamma_scale`, `sweep_gammas`) that is not positive, a
+negative `lam` or `sigma`, a `dist_stride` below 1, and a `seed` or
+`cert_seed` outside [0, SEED_MAX].
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ GRID_MIN, GRID_MAX = 8, 256
 # numpy's generators take no negative seed, and PNPM files store the seed
 # as an int64.
 SEED_MAX = 2 ** 63 - 1
+# The largest finite |input_snr_db|: 10^(snr/10) is a finite, nonzero double
+SNR_DB_MAX = 3000.0
 
 
 @dataclass
@@ -75,8 +78,6 @@ class ExperimentConfig:
     cert_domain_scale: float = 2.0
     cert_tol: float = 1e-9
     cert_seed: int = 0
-    # output
-    outdir: str = "out"
 
     def validate(self):
         if self.model not in ("dt", "gaussian"):
@@ -107,6 +108,10 @@ class ExperimentConfig:
                 continue                      # noiseless measurements
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
+        if SNR_DB_MAX < abs(self.input_snr_db) < math.inf:
+            raise ConfigurationError(
+                f"a finite input_snr_db must lie in [-{SNR_DB_MAX:g}, "
+                f"{SNR_DB_MAX:g}], got {self.input_snr_db}")
         for name in ("gamma", "gamma_scale"):
             value = getattr(self, name)
             if value is not None and value <= 0:

@@ -54,16 +54,17 @@ class _PaddedDual:
         self.py_flat, self.py_prev = flat_y[w + 1:n + w + 1], flat_y[:n]
 
 
-def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
-            isotropic=False, return_info=False):
+def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
+            return_info=False):
     """Proximal operator of lambda_scaled * ||D x||_1 at the 2D array z.
 
-    Accelerated dual projection (FGP, Beck & Teboulle 2009): projected FISTA
-    on the dual variable p = (px, py) with step 1/8 (an upper bound on
-    ||D||^2), returning x = z + div p once the duality gap is <= inner_tol
-    or after inner_iters iterations. With return_info=True the result is
-    (x, TvInfo): iterations run, the last gap (inf if none was evaluated)
-    and whether it met inner_tol.
+    Anisotropic TV, by accelerated dual projection (FGP, Beck & Teboulle
+    2009): projected FISTA on the dual variable p = (px, py) with step 1/8
+    (an upper bound on ||D||^2), returning x = z + div p once the duality
+    gap is <= inner_tol or after inner_iters iterations. The defaults are
+    the inner-solve policy of every TV call the package makes. With
+    return_info=True the result is (x, TvInfo): iterations run, the last
+    gap (inf if none was evaluated) and whether it met inner_tol.
 
     The dual iterates, the momentum point and grad x live in zero-padded
     (2, h+1, w+1) buffers (_PaddedDual), and x and z in (h, w+1) arrays
@@ -95,7 +96,6 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
     t_flat = np.empty(n)
     gy_flat = g.buf[1].reshape(-1)[w + 1:n]   # gy rows 0..h-2, pad column too
     t1 = np.empty_like(z)
-    t2 = np.empty_like(z)
 
     def div_plus_z(d):
         """x = z + div p, summed as the reference: x part + y part, then z."""
@@ -118,20 +118,7 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
         grad()
         np.multiply(g.buf, tau, out=p_new.buf)
         np.add(q.buf, p_new.buf, out=p_new.buf)
-        if isotropic and lam < math.inf:
-            # at lam = inf the factor lam / max(|p|, lam) is inf / inf; the
-            # projection is the identity there, as the clip below is
-            np.multiply(p_new.px, p_new.px, out=t1)
-            np.multiply(p_new.py, p_new.py, out=t2)
-            np.add(t1, t2, out=t2)
-            np.sqrt(t2, out=t2)
-            np.maximum(t2, lam, out=t2)
-            np.divide(lam, t2, out=t2)
-            # scale the live entries only; the padding stays zero
-            np.multiply(p_new.px_live, t2[:, :-1], out=p_new.px_live)
-            np.multiply(p_new.py_live, t2[:-1, :], out=p_new.py_live)
-        else:
-            np.clip(p_new.buf, -lam, lam, out=p_new.buf)
+        np.clip(p_new.buf, -lam, lam, out=p_new.buf)
         q_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * q_prev * q_prev))
         beta = (q_prev - 1.0) / q_new
         np.subtract(p_new.buf, p.buf, out=q.buf)
@@ -142,14 +129,8 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
 
         div_plus_z(p)
         grad()
-        if isotropic:
-            np.multiply(g.px, g.px, out=t1)
-            np.multiply(g.py, g.py, out=t2)
-            np.add(t1, t2, out=t1)
-            penalty = lam * float(np.sqrt(t1, out=t1).sum())
-        else:
-            abs_x = np.abs(g.px, out=t1).sum()
-            penalty = lam * float(abs_x + np.abs(g.py, out=t1).sum())
+        abs_x = np.abs(g.px, out=t1).sum()
+        penalty = lam * float(abs_x + np.abs(g.py, out=t1).sum())
         pg_x = np.multiply(p.px, g.px, out=t1).sum()
         gap = penalty - float(pg_x + np.multiply(p.py, g.py, out=t1).sum())
         if gap <= inner_tol:
@@ -163,13 +144,10 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
     return x
 
 
-def tv_objective(x, z, lambda_scaled, isotropic=False):
+def tv_objective(x, z, lambda_scaled):
     """(1/2)||x - z||^2 + lambda_scaled * TV(x); used by tests and oracles."""
     gx, gy = _grad2d(np.asarray(x, dtype=float))
-    if isotropic:
-        tv = float(np.sum(np.sqrt(gx * gx + gy * gy)))
-    else:
-        tv = float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+    tv = float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
     return 0.5 * float(np.sum((x - z) ** 2)) + lambda_scaled * tv
 
 
@@ -218,22 +196,13 @@ class IdentityDenoiser(Denoiser):
 class TvProxDenoiser(Denoiser):
     """TV prox with strength read through sigma^2 = gamma*lambda."""
 
-    def __init__(self, inner_iters=200, inner_tol=1e-12, isotropic=False):
-        self.inner_iters = inner_iters
-        self.inner_tol = inner_tol
-        self.isotropic = isotropic
-
     def denoise(self, z, sigma):
-        return tv_prox(z, sigma * sigma, inner_iters=self.inner_iters,
-                       inner_tol=self.inner_tol, isotropic=self.isotropic)
+        return tv_prox(z, sigma * sigma)
 
 
 class AveragedFilterDenoiser(Denoiser):
-    def __init__(self, passes=None):
-        self.passes = passes
-
     def denoise(self, z, sigma):
-        return averaged_linear_filter(z, sigma, passes=self.passes)
+        return averaged_linear_filter(z, sigma)
 
 
 class ShiftDenoiser(Denoiser):
@@ -262,10 +231,6 @@ class DampedDenoiser(Denoiser):
         return ((1.0 - self.theta) * z
                 + self.theta * self.inner.denoise(z, sigma))
 
-
-def damp(denoiser, theta):
-    """Damping wrapper; preserves the fixed points of the wrapped denoiser."""
-    return DampedDenoiser(denoiser, theta)
 
 
 @dataclass

@@ -38,9 +38,6 @@ class Image:
     def n(self):
         return self.pixels.size
 
-    def grid(self):
-        return self.pixels.reshape(self.height, self.width)
-
     def sha256(self):
         """SHA-256 digest (32 bytes) of the pixels as little-endian float64."""
         return hashlib.sha256(self.pixels.astype("<f8").tobytes()).digest()
@@ -72,6 +69,9 @@ class DtGeometry:
             if not 0.0 < value < math.inf:
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value}")
+        if not math.isfinite(self.wavenumber * self.wavenumber):
+            raise ConfigurationError("wavelength and eps_background give a "
+                                     "wavenumber whose square overflows")
         if self.ring_radius <= self.domain_side / math.sqrt(2.0):
             raise ConfigurationError(
                 "ring_radius must exceed domain_side/sqrt(2) so sources sit "
@@ -175,13 +175,17 @@ class MeasurementModel:
         if matrices is not None:
             ok = matrices.shape == (num, self.M, self.n)
         else:
-            ok = (scattering.shape == (self.M, self.n)
+            ok = (scattering is not None and incident is not None
+                  and scattering.shape == (self.M, self.n)
                   and incident.shape == (num, self.n))
         if not ok:
             raise ConfigurationError("component arrays must match the "
                                      "measurements and the grid")
         self._lambdas = (None if lambdas is None
                          else np.asarray(lambdas, dtype=float))
+        if lambdas is not None and self._lambdas.shape != (num,):
+            raise ConfigurationError("lambdas must hold one value per "
+                                     f"component ({num})")
         # (1/I) sum_i Re(H_i^H y_i): the data term of every prox right side
         self.back_projection = self.adjoint_sum(self.measurements) / num
 
@@ -346,11 +350,6 @@ def build_gaussian_model(n, M, I, seed, truth, input_snr_db=math.inf):
 def _gradient(model, rows, x):
     residuals = model.apply(x, rows) - model.measurements[rows]
     return model.adjoint_sum(residuals, rows) / len(residuals)
-
-
-def component_gradient(model, index, x):
-    """grad of d_i(x) = (1/2)||y_i - H_i x||^2, real part convention."""
-    return gradient_from_indices(model, [index], x)
 
 
 def gradient_from_indices(model, indices, x):

@@ -61,7 +61,8 @@ _INCIDENT_NAMES = {v: k for k, v in _INCIDENT_CODES.items()}
 def save_model(path, model):
     """Write a DT MeasurementModel as PNPM2; returns the lambda_i it stored.
 
-    Raises for non-DT models and for a model without a truth fingerprint.
+    Raises for non-DT models, models without a truth fingerprint, and NaN
+    or Inf in the complex64 blocks, which load_model would reject.
     """
     geometry = model.geometry
     if geometry is None:
@@ -74,6 +75,12 @@ def save_model(path, model):
     n, M, I = model.n, model.M, model.num_components
     scattering = np.ascontiguousarray(model.scattering, dtype=np.complex64)
     incident = np.ascontiguousarray(model.incident, dtype=np.complex64)
+    measurements = np.ascontiguousarray(model.measurements,
+                                        dtype=np.complex64)
+    if not all(np.all(np.isfinite(block))
+               for block in (scattering, incident, measurements)):
+        raise ConfigurationError("S, u_i or y_i hold NaN or Inf in "
+                                 "complex64; no PNPM2 file written")
     lambdas = factored_lambdas(scattering, incident)
     snr = model.input_snr_db if model.input_snr_db is not None else math.inf
     header = _HEADER.pack(VERSION, n, M, I,
@@ -89,9 +96,9 @@ def save_model(path, model):
         fh.write(header)
         fh.write(lambdas.astype("<f8").tobytes())
         fh.write(scattering.tobytes())
-        for u_in, y in zip(incident, model.measurements):
+        for u_in, y in zip(incident, measurements):
             fh.write(u_in.tobytes())
-            fh.write(np.ascontiguousarray(y, dtype=np.complex64).tobytes())
+            fh.write(y.tobytes())
     return lambdas
 
 

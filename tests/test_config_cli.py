@@ -1,6 +1,7 @@
 """Configuration parsing and the experiment CLI end to end."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online import cli, forward, linops, modelio, solvers
 from pnp_online.cli import main, read_csv, write_csv
-from pnp_online.config import (GRID_MAX, GRID_MIN, ExperimentConfig,
-                               dump_config, load_config, parse_overrides)
+from pnp_online.config import (ALGORITHMS, DENOISERS, GRID_MAX, GRID_MIN,
+                               SEED_MAX, ExperimentConfig, dump_config,
+                               load_config, parse_overrides)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
 from pnp_online.linops import CgInfo
@@ -91,11 +93,13 @@ def test_dump_config_round_trips(tmp_path):
 
 def test_csv_schema_header_round_trip(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, "demo-v1", ["a", "b"], [[1, 2.5], [3, "x"]])
+    write_csv(path, "demo-v1", ["a", "b"], [[1, 2.5], [3, "x"]],
+              comments=["note: one"])
     schema, columns, rows = read_csv(path)
     assert schema == "demo-v1"
     assert columns == ["a", "b"]
-    assert rows[0][0] == "1" and rows[1][1] == "x"
+    assert rows == [["1", "2.5"], ["3", "x"]]
+    assert path.read_text().splitlines()[-1] == "# note: one"
 
 
 def test_csv_floats_round_trip_exactly(tmp_path):
@@ -273,6 +277,139 @@ def test_cli_simulate_rejects_nonpositive_geometry(tmp_path, capsys,
     assert main(["simulate", *SMALL, "--set", override, "-o", model]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not os.path.exists(model)
+
+
+TINY = ["--set", "grid=8", "--set", "transmitters=2", "--set", "receivers=4"]
+
+
+@pytest.mark.parametrize("override", [
+    "input_snr_db=4000",       # OverflowError in 10 ** (snr / 10)
+    "input_snr_db=-4000",      # ZeroDivisionError: 10 ** (snr / 10) == 0
+    "wavelength=1e-300",       # OverflowError in k_b ** 2
+    "ring_radius=1e308",       # exit 0, NaN in S and lipschitz = nan
+    "f_max=1e308",             # exit 0, Inf in y_i
+    "outdir=/nonexistent/zzz"])    # nothing read it: an unknown key
+def test_cli_simulate_rejects_unrepresentable_model(tmp_path, capsys,
+                                                    override):
+    assert main(["simulate", *TINY, "--set", override,
+                 "-o", str(tmp_path / "m.pnpm")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_reconstruct_rejects_zero_operator_without_gamma(tmp_path,
+                                                              capsys):
+    # S underflows to zero at this pixel size, so L = 0 and gamma_scale / L
+    # raised ZeroDivisionError
+    model = str(tmp_path / "m.pnpm")
+    tiny = [*TINY, "--set", "domain_side=5e-324", "--set", "iterations=2"]
+    assert main(["simulate", *tiny, "-o", model]) == 0
+    assert load_model(model).lipschitz == 0.0
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *tiny, "-o", out]) == 2
+    assert "set gamma" in capsys.readouterr().err
+    assert not os.path.exists(out + ".trace.csv")
+    assert main(["reconstruct", model, *tiny, "-o", out,
+                 "--set", "gamma=0.5"]) == 0
+
+
+def test_cli_simulate_checks_model_kind_before_building(tmp_path,
+                                                        monkeypatch, capsys):
+    built = []
+    for name in ("phantom_from_config", "build_gaussian_model",
+                 "build_dt_model"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, name=name, **k: built.append(name))
+    assert main(["simulate", *TINY, "--set", "model=gaussian",
+                 "-o", str(tmp_path / "m.pnpm")]) == 2
+    assert "use model=dt" in capsys.readouterr().err
+    assert built == []
+    assert os.listdir(tmp_path) == []
+
+
+# every key and its type; outdir was removed and must be an unknown key
+FUZZ_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+FUZZ_TYPES["outdir"] = "str"
+# valid values of the keys that size what simulate builds stay small
+FUZZ_SIZES = {"grid": st.integers(GRID_MIN, 12),
+              "transmitters": st.integers(1, 3),
+              "receivers": st.integers(1, 6)}
+FUZZ_WORDS = {"model": ["dt", "gaussian"], "phantom": ["blobs", "checker",
+                                                       "missing.pgm"],
+              "algorithm": list(ALGORITHMS), "denoiser": list(DENOISERS),
+              "incident": ["point", "plane"],
+              "sample_mode": ["replacement", "cycle", "full"],
+              "sweep_gammas": ["1,0.5", "0", "-1", "1,nan", "1,inf", ","],
+              "sweep_batches": ["2,4", "0", "x", ","]}
+FUZZ_MALFORMED = st.sampled_from(["", "abc", "1.5.2", "0x10", "1e", "--1",
+                                  "none", "true"])
+FUZZ_NONFINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999"])
+
+
+def _fuzz_value(key):
+    kind = FUZZ_TYPES[key]
+    if kind.startswith("int"):
+        valid = FUZZ_SIZES.get(key, st.integers(0, 2 ** 64))
+        boundary = st.sampled_from([-1, 0, 1, GRID_MIN - 1, GRID_MAX + 1,
+                                    SEED_MAX, SEED_MAX + 1, 10 ** 30])
+        if key in FUZZ_SIZES:       # no large valid size: it only costs
+            boundary = st.sampled_from([-1, 0, GRID_MIN - 1, GRID_MAX + 1])
+        drawn = st.one_of(valid, boundary).map(str)
+    elif kind.startswith("float"):
+        default = getattr(ExperimentConfig(), key)
+        near = (st.floats(0.5, 2.0).map(lambda f: repr(default * f))
+                if isinstance(default, float) else st.just("0.5"))
+        drawn = st.one_of(near, st.floats(allow_nan=False,
+                                          allow_infinity=False).map(repr),
+                          st.sampled_from(["0", "-0.0", "5e-324", "1e-300",
+                                           "1e308", "-1e308", "3000",
+                                           "-3000", "3000.1"]),
+                          FUZZ_NONFINITE)
+    elif kind == "bool":
+        drawn = st.sampled_from(["true", "false", "1", "0", "yes", "off"])
+    else:
+        drawn = st.one_of(st.sampled_from(FUZZ_WORDS.get(key, ["x"])),
+                          st.text("abcxyz.,;:/-0123456789 ", max_size=8))
+    return st.one_of(drawn, FUZZ_MALFORMED) if kind != "str" else drawn
+
+
+def _meta_is_finite(path):
+    """Every number is finite, but an input SNR may be inf: no noise added
+    (noiseless data, or the zero-signal convention)."""
+    values = dict(line.split(" = ", 1)
+                  for line in open(path).read().splitlines())
+    numbers = {key: float(value) for key, value in values.items()
+               if key not in ("incident", "phantom")}
+    return all(math.isfinite(value)
+               or (key.endswith("input_snr_db") and value == math.inf)
+               for key, value in numbers.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_simulate_config_fuzz(tmp_path_factory, data):
+    """Every config key, the removed outdir too, with any kind of value."""
+    pairs = data.draw(st.lists(st.sampled_from(sorted(FUZZ_TYPES)),
+                               min_size=1, max_size=2, unique=True))
+    overrides = [f"{key}={data.draw(_fuzz_value(key), label=key)}"
+                 for key in pairs]
+    work = tmp_path_factory.mktemp("config-fuzz")
+    model = work / "m.pnpm"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", *TINY,
+                     *[arg for o in overrides for arg in ("--set", o)],
+                     "-o", str(model)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert os.listdir(work) == []
+        return
+    # load_model rejects NaN or Inf blocks and lambda_i
+    assert np.isfinite(load_model(str(model)).lipschitz)
+    assert _meta_is_finite(str(model) + ".meta.txt")
 
 
 @pytest.mark.parametrize("override", [

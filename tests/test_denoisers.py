@@ -10,7 +10,7 @@ from pnp_online.denoisers import (AveragedFilterDenoiser, DampedDenoiser,
                                   IdentityDenoiser, ShiftDenoiser, TvInfo,
                                   TvProxDenoiser, _grad2d,
                                   averaged_linear_filter, certify_averaged,
-                                  certify_pair, damp,
+                                  certify_pair,
                                   estimate_bounded_constant, shift_denoiser,
                                   tv_objective, tv_prox)
 from pnp_online.errors import ConfigurationError
@@ -32,8 +32,7 @@ def _div2d(px, py):
     return div
 
 
-def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
-                      isotropic=False):
+def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12):
     """The textbook FGP loop: a fresh array for every step.
 
     tv_prox must reproduce it bit for bit; it is the oracle for the
@@ -53,14 +52,8 @@ def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
         gx, gy = _grad2d(x)
         nx = qx + tau * gx
         ny = qy + tau * gy
-        if isotropic and lam < math.inf:
-            mag = np.sqrt(nx * nx + ny * ny)
-            factor = lam / np.maximum(mag, lam)
-            px_new = nx * factor
-            py_new = ny * factor
-        else:
-            px_new = np.clip(nx, -lam, lam)
-            py_new = np.clip(ny, -lam, lam)
+        px_new = np.clip(nx, -lam, lam)
+        py_new = np.clip(ny, -lam, lam)
         q_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * q_prev * q_prev))
         beta = (q_prev - 1.0) / q_new
         qx = px_new + beta * (px_new - px)
@@ -70,10 +63,7 @@ def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-10,
 
         x = z + _div2d(px, py)
         gx, gy = _grad2d(x)
-        if isotropic:
-            penalty = lam * float(np.sum(np.sqrt(gx * gx + gy * gy)))
-        else:
-            penalty = lam * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+        penalty = lam * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
         gap = penalty - float(np.sum(px * gx) + np.sum(py * gy))
         if gap <= inner_tol:
             break
@@ -171,50 +161,29 @@ def test_tv_prox_vs_dual_oracle(lam):
     assert np.max(np.abs(ours - oracle)) < 1e-7
 
 
-def test_tv_prox_isotropic_objective_not_worse_than_start():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((8, 8))
-    out = tv_prox(z, 0.2, isotropic=True)
-    assert tv_objective(out, z, 0.2, isotropic=True) <= \
-        tv_objective(z, z, 0.2, isotropic=True) + 1e-12
-
-
 SIDES = [1, 2, 3, 5, 8, 13, 32, 48]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SIDES), st.sampled_from(SIDES),
-       st.sampled_from([0.0, 1e-5, 0.05, 1.0, math.inf]), st.booleans(),
+       st.sampled_from([0.0, 1e-5, 0.05, 1.0, math.inf]),
        st.sampled_from([0, 1, 5, 200]), st.sampled_from([0.0, 1e-12]),
        st.sampled_from([1.0, 0.05]), st.integers(0, 2**32 - 1))
-@example(1, 1, math.inf, True, 200, 0.0, 1.0, 0)
-@example(1, 48, 0.05, True, 200, 1e-12, 1.0, 1)
-@example(48, 1, 0.05, False, 200, 0.0, 1.0, 2)
-@example(2, 2, 1.0, False, 5, 0.0, 1.0, 3)
-@example(48, 48, 1e-5, True, 200, 1e-12, 0.05, 4)
-@example(32, 32, 0.05, False, 200, 1e-12, 0.05, 5)
-def test_tv_prox_bit_identical_to_reference(h, w, lam, isotropic, iters, tol,
-                                            scale, seed):
+@example(1, 1, math.inf, 200, 0.0, 1.0, 0)
+@example(1, 48, 0.05, 200, 1e-12, 1.0, 1)
+@example(48, 1, 0.05, 200, 0.0, 1.0, 2)
+@example(2, 2, 1.0, 5, 0.0, 1.0, 3)
+@example(48, 48, 1e-5, 200, 1e-12, 0.05, 4)
+@example(32, 32, 0.05, 200, 1e-12, 0.05, 5)
+def test_tv_prox_bit_identical_to_reference(h, w, lam, iters, tol, scale,
+                                            seed):
     z = np.random.default_rng(seed).standard_normal((h, w)) * scale
     before = z.copy()
-    ours = tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
-                   isotropic=isotropic)
-    ref = reference_tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
-                            isotropic=isotropic)
+    ours = tv_prox(z, lam, inner_iters=iters, inner_tol=tol)
+    ref = reference_tv_prox(z, lam, inner_iters=iters, inner_tol=tol)
     assert ours.shape == (h, w) and ours.flags.c_contiguous
     assert np.array_equal(ours, ref)
     assert np.array_equal(z, before)
-
-
-def test_tv_prox_isotropic_infinite_lambda_matches_anisotropic():
-    # lam / max(|p|, lam) is inf / inf at lam = inf: the isotropic
-    # projection is skipped there, as the anisotropic clip is a no-op
-    z = np.random.default_rng(7).standard_normal((4, 5))
-    with np.errstate(all="raise"):
-        iso = tv_prox(z, math.inf, isotropic=True)
-        aniso = tv_prox(z, math.inf, isotropic=False)
-    assert np.all(np.isfinite(iso))
-    assert np.array_equal(iso, aniso)
 
 
 def test_tv_prox_non_c_ordered_input_matches_reference():
@@ -335,14 +304,14 @@ def test_shift_denoiser_boundedness_equality():
 # ---------------------------------------------------------- damping wrapper
 
 def test_damped_identity_is_identity():
-    d = damp(IdentityDenoiser(), 0.5)
+    d = DampedDenoiser(IdentityDenoiser(), 0.5)
     z = np.random.default_rng(0).standard_normal((4, 4))
     assert np.allclose(d.denoise(z, 0.1), z, atol=1e-14)
 
 
 def test_damping_preserves_fixed_points():
     base = TvProxDenoiser()
-    damped = damp(base, 0.3)
+    damped = DampedDenoiser(base, 0.3)
     z = np.full((5, 5), 2.0)                     # constant: TV fixed point
     assert np.allclose(damped.denoise(z, 0.1), z, atol=1e-12)
 
@@ -359,9 +328,9 @@ def test_damped_reflection_maps_to_zero():
 
 def test_damping_rejects_bad_theta():
     with pytest.raises(ConfigurationError):
-        damp(IdentityDenoiser(), 0.0)
+        DampedDenoiser(IdentityDenoiser(), 0.0)
     with pytest.raises(ConfigurationError):
-        damp(IdentityDenoiser(), 1.5)
+        DampedDenoiser(IdentityDenoiser(), 1.5)
 
 
 # -------------------------------------------------------------- certificates

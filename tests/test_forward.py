@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from pnp_online.bessel import bessel_j0, bessel_y0
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
-                                build_dt_model, build_gaussian_model,
-                                component_gradient, datafit_value,
+                                MeasurementModel, build_dt_model,
+                                build_gaussian_model, datafit_value,
                                 grad_full, grad_minibatch,
                                 gradient_from_indices, green_function_2d,
                                 prox_datafit)
@@ -42,6 +42,14 @@ def test_geometry_rejects_ring_inside_domain():
 def test_geometry_rejects_unknown_incident():
     with pytest.raises(ConfigurationError):
         DtGeometry(incident="spherical")
+
+
+@pytest.mark.parametrize("override", [{"wavelength": 1e-300},
+                                      {"eps_background": 1e308}])
+def test_geometry_rejects_wavenumber_whose_square_overflows(override):
+    # build_dt_model's k_b ** 2 raised OverflowError
+    with pytest.raises(ConfigurationError, match="overflows"):
+        DtGeometry(**override)
 
 
 # ----------------------------------------------------------- Green function
@@ -269,15 +277,13 @@ def _engine_model_and_point(request, name):
 
 
 @pytest.mark.parametrize("name", ["small_dt_model", "small_gaussian_model"])
-@pytest.mark.parametrize("indices", [None, [2, 0, 2, 2], [1], 3])
+@pytest.mark.parametrize("indices", [None, [2, 0, 2, 2], [1],
+                                     pytest.param([3], id="3")])
 def test_gradient_matches_component_loop(request, name, indices):
     model, x = _engine_model_and_point(request, name)
     if indices is None:
         ours = grad_full(model, x)
         indices = range(model.num_components)
-    elif isinstance(indices, int):
-        ours = component_gradient(model, indices, x)
-        indices = [indices]
     else:
         ours = gradient_from_indices(model, indices, x)
     ref = reference_gradient(model, indices, x)
@@ -308,6 +314,24 @@ def test_selected_model_lipschitz_is_max_of_its_rows(request, name, rows):
     subset = model.select(rows)
     assert np.array_equal(subset.lambdas, model.lambdas[rows])
     assert subset.lipschitz == max(model.lambdas[i] for i in rows)
+
+
+def test_model_without_component_arrays_is_rejected():
+    # died with AttributeError on None.shape
+    for arrays in ({}, {"scattering": np.ones((2, 4))},
+                   {"incident": np.ones((1, 4))}):
+        with pytest.raises(ConfigurationError, match="component arrays"):
+            MeasurementModel(width=2, height=2,
+                             measurements=np.zeros((1, 2)), **arrays)
+
+
+@pytest.mark.parametrize("lambdas", [[1.0, 5.0], [], [[1.0]], 2.0])
+def test_model_rejects_lambdas_not_one_per_component(lambdas):
+    # a one-component model took [1.0, 5.0] and reported L = 5.0
+    h = np.eye(2)[None]
+    with pytest.raises(ConfigurationError, match="one value per component"):
+        MeasurementModel(width=2, height=1, measurements=np.zeros((1, 2)),
+                         matrices=h, lambdas=lambdas)
 
 
 def test_gaussian_lambdas_match_dense_oracle():

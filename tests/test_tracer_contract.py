@@ -1,26 +1,84 @@
-"""The bindings perfbench/tracer.py patches must exist in the package.
+"""perfbench/tracer.py must still see the calls it wraps.
 
-The tracer records a missing binding as uncovered instead of failing, so
-without this test a cleanup that deletes one shows only in a traced
-benchmark run.
+The tracer records a missing binding as uncovered instead of failing, and a
+call that no longer goes through a patched binding simply goes unseen, so
+without these tests a cleanup that deletes a binding, or hoists an import
+past it, shows only in a traced benchmark run.
 """
 
+import collections
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tracer_installs_with_no_uncovered_binding():
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")])
+    env.pop("PNP_SEED", None)
+    return env
+
+
+def test_tracer_installs_with_no_uncovered_binding():
     script = ("import json; from tracer import Tracer, install; "
               "t = Tracer(); install(t); print(json.dumps(t.uncovered))")
-    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          env=_env(), capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def _traced_span_counts(spans_json, argv):
+    """Run `pnp argv` through perfbench/traced_cli.py; count spans by name."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"),
+         str(spans_json), "--", *argv],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(spans_json.read_text())
+    assert record["uncovered"] == []
+    return collections.Counter(span[0] for span in record["spans"])
+
+
+COMMON = ["--set", "grid=8", "--set", "transmitters=2", "--set",
+          "receivers=4", "--set", "phantom=checker"]
+# the spans a refactor could bypass: the TV prox (through the denoiser or
+# the ISTA/ADMM regularizer prox), the CG data prox, the solver entry point
+# and the CSV/PGM writers
+EXPECTED_SPANS = {
+    "ista": {"denoisers.tv", "solvers.solve", "cli.output"},
+    "admm": {"denoisers.tv", "linops.cg", "solvers.solve", "cli.output"},
+    "pnp-ista": {"denoisers.tv", "solvers.solve", "cli.output"},
+    "pnp-admm": {"denoisers.tv", "linops.cg", "solvers.solve", "cli.output"},
+    "pnp-sgd": {"denoisers.tv", "solvers.solve", "cli.output"}}
+
+
+@pytest.fixture(scope="module")
+def traced_model(tmp_path_factory):
+    work = tmp_path_factory.mktemp("traced")
+    model = work / "m.pnpm"
+    counts = _traced_span_counts(work / "simulate.json",
+                                 ["simulate", *COMMON, "-o", str(model)])
+    assert counts["modelio.save"] == 1
+    return model
+
+
+@pytest.mark.parametrize("algorithm", sorted(EXPECTED_SPANS))
+def test_traced_reconstruct_sees_the_layers(traced_model, algorithm):
+    work = traced_model.parent
+    counts = _traced_span_counts(
+        work / f"{algorithm}.json",
+        ["reconstruct", str(traced_model), *COMMON, "-o",
+         str(work / algorithm), "--set", "iterations=3",
+         "--set", f"algorithm={algorithm}", "--set", "denoiser=tv"])
+    assert {name for name in EXPECTED_SPANS[algorithm]
+            if counts[name] == 0} == set()
+    assert counts["solvers.solve"] == 1
