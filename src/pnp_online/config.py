@@ -6,8 +6,10 @@ and `validate` rejects values no command can use: a non-finite float (only
 `input_snr_db` may be inf, for noiseless data), a finite `input_snr_db`
 outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside [GRID_MIN, GRID_MAX],
 a step (`gamma`, `gamma_scale`, `sweep_gammas`) that is not positive, a
-negative `lam` or `sigma`, a `dist_stride` below 1, and a `seed` or
-`cert_seed` outside [0, SEED_MAX].
+negative `lam` or `sigma`, a `dist_stride` below 1, a `seed` or
+`cert_seed` outside [0, SEED_MAX], `transmitters` or `receivers` outside
+[1, TRANSMITTERS_MAX] or [1, RECEIVERS_MAX], and a minibatch size
+(`batch_size`, `sweep_batches`) outside [1, BATCH_MAX].
 """
 
 from __future__ import annotations
@@ -29,6 +31,14 @@ GRID_MIN, GRID_MAX = 8, 256
 SEED_MAX = 2 ** 63 - 1
 # The largest finite |input_snr_db|: 10^(snr/10) is a finite, nonzero double
 SNR_DB_MAX = 3000.0
+# Ring elements. S holds receivers x grid^2 and the incident fields
+# transmitters x grid^2 complex values, 1 GiB each at 1024 elements and
+# GRID_MAX, and simulate certifies one lambda_i per transmitter.
+TRANSMITTERS_MAX = RECEIVERS_MAX = 1024
+# Components per minibatch gradient (batch_size, sweep_batches): a draw
+# forms batch x grid^2 complex products, 1 GiB at 1024 and GRID_MAX, and
+# the trace stores every drawn index.
+BATCH_MAX = 1024
 
 
 @dataclass
@@ -97,8 +107,15 @@ class ExperimentConfig:
             raise ConfigurationError("sweep_gammas must be nonempty")
         if not self.batch_list():
             raise ConfigurationError("sweep_batches must be nonempty")
-        if self.iterations < 0 or self.batch_size < 1 or self.budget < 1:
-            raise ConfigurationError("iteration/batch/budget values out of range")
+        if self.iterations < 0 or self.budget < 1:
+            raise ConfigurationError("iteration/budget values out of range")
+        for name, top in (("transmitters", TRANSMITTERS_MAX),
+                          ("receivers", RECEIVERS_MAX),
+                          ("batch_size", BATCH_MAX)):
+            value = getattr(self, name)
+            if not 1 <= value <= top:
+                raise ConfigurationError(
+                    f"{name} must lie in [1, {top}], got {value}")
         if not GRID_MIN <= self.grid <= GRID_MAX:
             raise ConfigurationError(
                 f"grid must lie in [{GRID_MIN}, {GRID_MAX}], got {self.grid}")
@@ -147,10 +164,16 @@ class ExperimentConfig:
 
     def batch_list(self):
         try:
-            return [int(v) for v in self.sweep_batches.split(",") if v.strip()]
+            batches = [int(v) for v in self.sweep_batches.split(",")
+                       if v.strip()]
         except ValueError:
             raise ConfigurationError(
                 f"bad sweep_batches {self.sweep_batches!r}") from None
+        if not all(1 <= b <= BATCH_MAX for b in batches):
+            raise ConfigurationError(
+                f"sweep_batches must lie in [1, {BATCH_MAX}], "
+                f"got {self.sweep_batches!r}")
+        return batches
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

@@ -32,26 +32,27 @@ class TvInfo:
     converged: bool
 
 
-class _PaddedDual:
-    """A dual pair (px, py) in one zero-padded (2, h+1, w+1) buffer.
+class _DualPair:
+    """A dual pair (px, py) in one flat zero-initialised buffer.
 
-    px[i, j] is buf[0, i, j+1] and py[i, j] is buf[1, i+1, j]: the column
-    left of px and the row above py are zero padding, and under _grad2d's
-    Neumann boundary the last column of px and the last row of py stay
-    zero too (the `*_live` views leave them out). Read with a row length of
-    w+1, pixel (i, j) is the flat index k = i(w+1) + j, and px[k] - px[k-1]
-    and py[k] - py[k-(w+1)] become subtractions of contiguous slices
-    (`*_flat` minus `*_prev`) over h(w+1) values, the last of each row zero.
+    The buffer holds a zero, px (h*w values, row-major), a zero row of w
+    values, py, and w zeros. Under _grad2d's Neumann boundary the last
+    column of px and the last row of py stay zero (`gx_live` and `gy_live`
+    leave them out), so read flat, px[k] - px[k-1] and py[k] - py[k-w] are
+    the divergence terms of the textbook loop at every pixel k: the zero
+    column of px ends each row, and the leading zero and the zero row stand
+    in for px[-1] and the row above py. `cur` and `prev` are two (2, h*w)
+    views, so both fields' differences take one ufunc call. Every value
+    outside px and py stays zero, so whole-buffer steps run on `flat`.
     """
 
     def __init__(self, h, w):
-        n = h * (w + 1)
-        self.buf = np.zeros((2, h + 1, w + 1))
-        flat_x, flat_y = self.buf.reshape(2, -1)
-        self.px, self.py = self.buf[0, :h, 1:], self.buf[1, 1:, :w]
-        self.px_live, self.py_live = self.buf[0, :h, 1:w], self.buf[1, 1:h, :w]
-        self.px_flat, self.px_prev = flat_x[1:n + 1], flat_x[:n]
-        self.py_flat, self.py_prev = flat_y[w + 1:n + w + 1], flat_y[:n]
+        m = h * w
+        self.flat = np.zeros(1 + 2 * (m + w))
+        self.cur = self.flat[1:].reshape(2, m + w)[:, :m]
+        self.prev = self.flat[:2 * (m + 1)].reshape(2, m + 1)[:, :m]
+        self.gx_live = self.cur[0].reshape(h, w)[:, :w - 1]
+        self.gy_live = self.cur[1, :m - w]
 
 
 def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
@@ -66,15 +67,15 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
     return_info=True the result is (x, TvInfo): iterations run, the last
     gap (inf if none was evaluated) and whether it met inner_tol.
 
-    The dual iterates, the momentum point and grad x live in zero-padded
-    (2, h+1, w+1) buffers (_PaddedDual), and x and z in (h, w+1) arrays
-    whose last column is zero, so div p is two contiguous shifted
-    subtractions and an add, every step is a ufunc writing into a buffer
-    allocated once per call, and the x of the last gap test is the result.
-    The floating-point operations and their order are those of the
-    textbook loop kept in the tests as the bitwise oracle, so for a
-    C-ordered z the output is bit-identical to it; other layouts are
-    copied to C order first.
+    The dual iterates, the momentum point and grad x live in flat buffers
+    (_DualPair), so each step is one ufunc call over both fields: div p is
+    one subtraction of shifted views and two adds, the projection an
+    in-place maximum and minimum, and the gap's four sums one reduction of
+    a contiguous (4, h*w) scratch. Buffers are allocated once per call, and
+    the x of the last gap test is the result. The floating-point
+    operations and their order are those of the textbook loop kept in the
+    tests as the bitwise oracle, so for a C-ordered z the output is
+    bit-identical to it; other layouts are copied to C order first.
     """
     z = np.ascontiguousarray(z, dtype=float)
     if z.ndim != 2:
@@ -87,26 +88,25 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
 
     lam = lambda_scaled
     h, w = z.shape
-    n = h * (w + 1)
-    p, p_new, q, g = (_PaddedDual(h, w) for _ in range(4))
-    x_pad = np.zeros((h, w + 1))
-    z_pad = np.zeros((h, w + 1))
-    z_pad[:, :w] = z
-    x_flat, z_flat = x_pad.reshape(-1), z_pad.reshape(-1)
-    t_flat = np.empty(n)
-    gy_flat = g.buf[1].reshape(-1)[w + 1:n]   # gy rows 0..h-2, pad column too
-    t1 = np.empty_like(z)
+    m = h * w
+    p, p_new, q, g = (_DualPair(h, w) for _ in range(4))
+    x = np.empty((h, w))
+    x_flat, z_flat = x.reshape(-1), z.reshape(-1)
+    x_right, x_left = x[:, 1:], x[:, :w - 1]
+    x_down, x_up = x_flat[w:], x_flat[:m - w]
+    div = np.empty((2, m))
+    div_x, div_y = div
+    sums = np.empty((4, m))            # |gx|, |gy|, px*gx, py*gy
+    abs_g, p_times_g = sums[:2], sums[2:]
 
-    def div_plus_z(d):
-        """x = z + div p, summed as the reference: x part + y part, then z."""
-        np.subtract(d.px_flat, d.px_prev, out=x_flat)
-        np.subtract(d.py_flat, d.py_prev, out=t_flat)
-        np.add(x_flat, t_flat, out=x_flat)
-        np.add(z_flat, x_flat, out=x_flat)
-
-    def grad():
-        np.subtract(x_pad[:, 1:w], x_pad[:, :w - 1], out=g.px_live)
-        np.subtract(x_flat[w + 1:], x_flat[:n - w - 1], out=gy_flat)
+    def x_and_grad(d):
+        """x = z + div d, summed as the reference (x part + y part, then
+        z), and g = grad x."""
+        np.subtract(d.cur, d.prev, out=div)
+        np.add(div_x, div_y, out=div_x)
+        np.add(z_flat, div_x, out=x_flat)
+        np.subtract(x_right, x_left, out=g.gx_live)
+        np.subtract(x_down, x_up, out=g.gy_live)
 
     tau = 0.125
     q_prev = 1.0
@@ -114,30 +114,28 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
     done = 0
     while done < inner_iters:
         done += 1
-        div_plus_z(q)
-        grad()
-        np.multiply(g.buf, tau, out=p_new.buf)
-        np.add(q.buf, p_new.buf, out=p_new.buf)
-        np.clip(p_new.buf, -lam, lam, out=p_new.buf)
+        x_and_grad(q)
+        np.multiply(g.flat, tau, out=p_new.flat)
+        np.add(q.flat, p_new.flat, out=p_new.flat)
+        np.maximum(p_new.flat, -lam, out=p_new.flat)
+        np.minimum(p_new.flat, lam, out=p_new.flat)
         q_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * q_prev * q_prev))
         beta = (q_prev - 1.0) / q_new
-        np.subtract(p_new.buf, p.buf, out=q.buf)
-        np.multiply(q.buf, beta, out=q.buf)
-        np.add(p_new.buf, q.buf, out=q.buf)
+        np.subtract(p_new.flat, p.flat, out=q.flat)
+        np.multiply(q.flat, beta, out=q.flat)
+        np.add(p_new.flat, q.flat, out=q.flat)
         p, p_new = p_new, p
         q_prev = q_new
 
-        div_plus_z(p)
-        grad()
-        abs_x = np.abs(g.px, out=t1).sum()
-        penalty = lam * float(abs_x + np.abs(g.py, out=t1).sum())
-        pg_x = np.multiply(p.px, g.px, out=t1).sum()
-        gap = penalty - float(pg_x + np.multiply(p.py, g.py, out=t1).sum())
+        x_and_grad(p)
+        np.abs(g.cur, out=abs_g)
+        np.multiply(p.cur, g.cur, out=p_times_g)
+        abs_x, abs_y, pg_x, pg_y = np.add.reduce(sums, axis=1).tolist()
+        gap = lam * (abs_x + abs_y) - (pg_x + pg_y)
         if gap <= inner_tol:
             break
     if done == 0:
-        div_plus_z(p)
-    x = x_pad[:, :w].copy()
+        x_and_grad(p)
     if return_info:
         return x, TvInfo(iterations=done, gap=gap,
                          converged=bool(gap <= inner_tol))

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online import cli, forward, linops, modelio, solvers
 from pnp_online.cli import main, read_csv, write_csv
-from pnp_online.config import (ALGORITHMS, DENOISERS, GRID_MAX, GRID_MIN,
-                               SEED_MAX, ExperimentConfig, dump_config,
-                               load_config, parse_overrides)
+from pnp_online.config import (ALGORITHMS, BATCH_MAX, DENOISERS, GRID_MAX,
+                               GRID_MIN, RECEIVERS_MAX, SEED_MAX,
+                               TRANSMITTERS_MAX, ExperimentConfig,
+                               dump_config, load_config, parse_overrides)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
 from pnp_online.linops import CgInfo
@@ -288,7 +289,11 @@ TINY = ["--set", "grid=8", "--set", "transmitters=2", "--set", "receivers=4"]
     "wavelength=1e-300",       # OverflowError in k_b ** 2
     "ring_radius=1e308",       # exit 0, NaN in S and lipschitz = nan
     "f_max=1e308",             # exit 0, Inf in y_i
-    "outdir=/nonexistent/zzz"])    # nothing read it: an unknown key
+    "outdir=/nonexistent/zzz",     # nothing read it: an unknown key
+    "transmitters=1" + "0" * 30,   # ValueError in np.arange
+    "receivers=1" + "0" * 30,
+    f"transmitters={TRANSMITTERS_MAX + 1}",
+    f"receivers={RECEIVERS_MAX + 1}"])
 def test_cli_simulate_rejects_unrepresentable_model(tmp_path, capsys,
                                                     override):
     assert main(["simulate", *TINY, "--set", override,
@@ -342,7 +347,8 @@ FUZZ_WORDS = {"model": ["dt", "gaussian"], "phantom": ["blobs", "checker",
               "incident": ["point", "plane"],
               "sample_mode": ["replacement", "cycle", "full"],
               "sweep_gammas": ["1,0.5", "0", "-1", "1,nan", "1,inf", ","],
-              "sweep_batches": ["2,4", "0", "x", ","]}
+              "sweep_batches": ["2,4", "0", "x", ",", f"2,{BATCH_MAX + 1}",
+                                f"{BATCH_MAX},1"]}
 FUZZ_MALFORMED = st.sampled_from(["", "abc", "1.5.2", "0x10", "1e", "--1",
                                   "none", "true"])
 FUZZ_NONFINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999"])
@@ -353,9 +359,12 @@ def _fuzz_value(key):
     if kind.startswith("int"):
         valid = FUZZ_SIZES.get(key, st.integers(0, 2 ** 64))
         boundary = st.sampled_from([-1, 0, 1, GRID_MIN - 1, GRID_MAX + 1,
-                                    SEED_MAX, SEED_MAX + 1, 10 ** 30])
+                                    BATCH_MAX, BATCH_MAX + 1, SEED_MAX,
+                                    SEED_MAX + 1, 10 ** 30])
         if key in FUZZ_SIZES:       # no large valid size: it only costs
-            boundary = st.sampled_from([-1, 0, GRID_MIN - 1, GRID_MAX + 1])
+            boundary = st.sampled_from([-1, 0, GRID_MIN - 1, GRID_MAX + 1,
+                                        TRANSMITTERS_MAX + 1,
+                                        RECEIVERS_MAX + 1, 10 ** 30])
         drawn = st.one_of(valid, boundary).map(str)
     elif kind.startswith("float"):
         default = getattr(ExperimentConfig(), key)
@@ -441,12 +450,16 @@ def test_cli_reconstruct_rejects_infinite_step_or_weight(tmp_path, override):
     ("lam=-1", "lam must be >= 0"),
     ("sigma=-1", "sigma must be >= 0"),
     ("dist_stride=0", "dist_stride must be >= 1"),
-    ("dist_stride=-3", "dist_stride must be >= 1")])
+    ("dist_stride=-3", "dist_stride must be >= 1"),
+    ("batch_size=1000000000000", f"batch_size must lie in [1, {BATCH_MAX}]"),
+    (f"batch_size={BATCH_MAX + 1}",
+     f"batch_size must lie in [1, {BATCH_MAX}]")])
 def test_cli_reconstruct_rejects_negative_step_weight_or_stride(
         small_model_bytes, tmp_path, capsys, override, message):
     # the first three died in resolve_gamma_sigma with "math domain error"
     # and dist_stride=0 with a ZeroDivisionError (exit 1); sigma=-1 and
-    # dist_stride=-3 ran and exited 0
+    # dist_stride=-3 ran and exited 0; batch_size=10**12 asked numpy for
+    # 7.28 TiB (exit 1)
     model = tmp_path / "m.pnpm"
     model.write_bytes(small_model_bytes)
     out = str(tmp_path / "r")
@@ -467,6 +480,32 @@ def test_cli_sweep_rejects_negative_gamma(tmp_path, capsys):
     assert "sweep_gammas must be > 0" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key,top", [("transmitters", TRANSMITTERS_MAX),
+                                     ("receivers", RECEIVERS_MAX),
+                                     ("batch_size", BATCH_MAX)])
+def test_validate_bounds_ring_and_batch_sizes(key, top):
+    for value in (1, top):
+        assert getattr(ExperimentConfig(**{key: value}).validate(),
+                       key) == value
+    for value in (0, top + 1, 10 ** 30):
+        with pytest.raises(ConfigurationError, match=f"{key} must lie in"):
+            ExperimentConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("batches", ["0,2", f"2,{BATCH_MAX + 1}"])
+def test_cli_sweep_checks_batches_before_writing(tmp_path, capsys, batches):
+    # sweep_batches=0,2 used to write the 12 gamma-sweep CSV/SVG files and
+    # then exit 2 with "batch_size must be >= 1"
+    out = tmp_path / "sw"
+    out.mkdir()
+    assert main(["sweep", *SMALL, "-o", str(out), "--set", "iterations=5",
+                 "--set", f"sweep_batches={batches}"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep_batches must lie in" in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == []
 
 
 def test_validate_accepts_grid_bounds_and_noiseless_snr():

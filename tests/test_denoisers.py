@@ -175,6 +175,10 @@ SIDES = [1, 2, 3, 5, 8, 13, 32, 48]
 @example(2, 2, 1.0, 5, 0.0, 1.0, 3)
 @example(48, 48, 1e-5, 200, 1e-12, 0.05, 4)
 @example(32, 32, 0.05, 200, 1e-12, 0.05, 5)
+# The benchmark operating points: sgd-tv (32^2) and setup-48 at their
+# lambda = sigma^2, with z at the spread of a workload iterate
+@example(32, 32, 1.1723e-5, 200, 1e-12, 0.02, 6)
+@example(48, 48, 2.8011e-5, 200, 1e-12, 0.014, 7)
 def test_tv_prox_bit_identical_to_reference(h, w, lam, iters, tol, scale,
                                             seed):
     z = np.random.default_rng(seed).standard_normal((h, w)) * scale
@@ -184,6 +188,9 @@ def test_tv_prox_bit_identical_to_reference(h, w, lam, iters, tol, scale,
     assert ours.shape == (h, w) and ours.flags.c_contiguous
     assert np.array_equal(ours, ref)
     assert np.array_equal(z, before)
+    with_info = tv_prox(z, lam, inner_iters=iters, inner_tol=tol,
+                        return_info=True)[0]
+    assert with_info.tobytes() == ours.tobytes()
 
 
 def test_tv_prox_non_c_ordered_input_matches_reference():
