@@ -6,8 +6,9 @@ Hankel asymptotic expansion with optimal truncation. The crossover at
 giving roughly 1e-10 absolute accuracy on both sides.
 
 `hankel1_0_array` evaluates the same recurrences over a whole array, each
-element stopping at the term where the scalar loop stops; the scalar
-functions stay the reference that the tests check it against.
+element stopping at the term where the scalar loop stops. The scalar
+`hankel1_0` is the reference that the tests check it against; nothing in
+the package calls it, and perfbench/tracer.py counts its binding.
 """
 
 import math
@@ -71,24 +72,6 @@ def _hankel1_0_asymptotic(x):
     amplitude = math.sqrt(2.0 / (math.pi * x))
     phase = x - 0.25 * math.pi
     return amplitude * complex(math.cos(phase), math.sin(phase)) * total
-
-
-def bessel_j0(x):
-    """J0(x) for real x."""
-    x = abs(float(x))
-    if x < _SERIES_CUTOFF:
-        return _j0_series(x)
-    return _hankel1_0_asymptotic(x).real
-
-
-def bessel_y0(x):
-    """Y0(x) for real x > 0."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("Y0 requires x > 0")
-    if x < _SERIES_CUTOFF:
-        return _y0_series(x)
-    return _hankel1_0_asymptotic(x).imag
 
 
 def hankel1_0(x):

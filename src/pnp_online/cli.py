@@ -3,7 +3,8 @@ counterexample, certify.
 
 Every command is reproducible bytewise from (config file, master seed);
 SVG plots are regenerated purely from the CSVs they sit next to.
-Exit codes: 0 success, 2 config error, 3 numerical divergence, 4 I/O error.
+Exit codes: 0 success, 2 config error or out of memory, 3 numerical
+divergence, 4 I/O error.
 """
 
 import argparse
@@ -240,7 +241,6 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
 
 
 def cmd_sweep(cfg, outdir):
-    os.makedirs(outdir, exist_ok=True)
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
     gammas = cfg.gamma_list()
@@ -270,6 +270,7 @@ def cmd_sweep(cfg, outdir):
                         row.append(math.nan)
                     continue
                 csv_path = os.path.join(outdir, tag + ".csv")
+                os.makedirs(outdir, exist_ok=True)
                 write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS,
                           trace_rows(trace))
                 plot_trace_csv(csv_path, os.path.join(outdir, tag + ".svg"))
@@ -280,6 +281,7 @@ def cmd_sweep(cfg, outdir):
                + [f"gamma_{g:g}_over_L" for g in gammas]
                + [f"B_{b}" for b in batches])
     summary_path = os.path.join(outdir, "summary.csv")
+    os.makedirs(outdir, exist_ok=True)
     write_csv(summary_path, "pnp-sweep-v1", columns, summary_rows,
               [f"failed: {tag}: {message}" for tag, message in failures])
     return summary_path
@@ -307,7 +309,10 @@ def _subset_model(model, budget):
 
 
 def cmd_compare(cfg, outdir):
-    os.makedirs(outdir, exist_ok=True)
+    # compare.csv and its plots hold SNR and elapsed time only, so each run
+    # computes dist, a full gradient and a denoiser call, at its last
+    # iteration alone
+    cfg = dataclasses.replace(cfg, dist_stride=max(1, cfg.iterations))
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
     budget = min(cfg.budget, model.num_components)
@@ -337,6 +342,7 @@ def cmd_compare(cfg, outdir):
                 row.extend(["", ""])
         rows.append(row)
     csv_path = os.path.join(outdir, "compare.csv")
+    os.makedirs(outdir, exist_ok=True)
     write_csv(csv_path, "pnp-compare-v1", columns, rows,
               [f"warning: {name}: {w}" for name, (_, trace) in runs.items()
                for w in trace.warnings])
@@ -367,9 +373,9 @@ def plot_compare_csv(csv_path, svg_path, against="iterations"):
 
 
 def cmd_counterexample(cfg, outdir):
-    os.makedirs(outdir, exist_ok=True)
     z = run_counterexample(cfg.ce_gamma, cfg.ce_sigma, cfg.ce_c, cfg.ce_z0,
                            cfg.ce_iters)
+    os.makedirs(outdir, exist_ok=True)
     # dist here is the squared distance to the fidelity minimizer 0; the
     # fixed-point set of the counter-example operator is empty.
     rows = [[k, float(v), abs(float(v)), float(v) * float(v)]
@@ -386,7 +392,6 @@ def cmd_counterexample(cfg, outdir):
 
 
 def cmd_certify(cfg, outdir):
-    os.makedirs(outdir, exist_ok=True)
     gamma_sigma_probe = math.sqrt(cfg.lam)  # sigma at gamma = 1 reference
     sigma = cfg.sigma if cfg.sigma is not None else gamma_sigma_probe
     rows = []
@@ -414,6 +419,7 @@ def cmd_certify(cfg, outdir):
               f"straddling_pair_violation={straddle:.3e} "
               f"bounded_c={bounded:.3e}")
     csv_path = os.path.join(outdir, "certificates.csv")
+    os.makedirs(outdir, exist_ok=True)
     write_csv(csv_path, "pnp-certify-v1",
               ["denoiser", "pairs", "max_violation", "alpha", "passed",
                "straddling_violation", "bounded_constant"], rows)
@@ -480,6 +486,9 @@ def main(argv=None):
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return 4
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,7 +3,8 @@
 Shipped plug-ins are the anisotropic-TV proximal operator (a true proximal
 operator, hence 1/2-averaged) and a symmetric unit-DC-gain convolution
 filter whose spectrum lies in [0, 1] (also 1/2-averaged). The shift
-denoiser is the bounded-but-divergent counter-example.
+denoiser is the bounded-but-divergent counter-example. A denoiser is any
+object with a `denoise(z, sigma)` method on 2D arrays.
 """
 
 import math
@@ -12,15 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-
-
-def _grad2d(u):
-    """Forward differences with Neumann boundary: last row/column zero."""
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[:, :-1] = u[:, 1:] - u[:, :-1]
-    dy[:-1, :] = u[1:, :] - u[:-1, :]
-    return dx, dy
 
 
 @dataclass
@@ -36,7 +28,7 @@ class _DualPair:
     """A dual pair (px, py) in one flat zero-initialised buffer.
 
     The buffer holds a zero, px (h*w values, row-major), a zero row of w
-    values, py, and w zeros. Under _grad2d's Neumann boundary the last
+    values, py, and w zeros. Under the Neumann boundary of grad the last
     column of px and the last row of py stay zero (`gx_live` and `gy_live`
     leave them out), so read flat, px[k] - px[k-1] and py[k] - py[k-w] are
     the divergence terms of the textbook loop at every pixel k: the zero
@@ -142,14 +134,7 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
     return x
 
 
-def tv_objective(x, z, lambda_scaled):
-    """(1/2)||x - z||^2 + lambda_scaled * TV(x); used by tests and oracles."""
-    gx, gy = _grad2d(np.asarray(x, dtype=float))
-    tv = float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
-    return 0.5 * float(np.sum((x - z) ** 2)) + lambda_scaled * tv
-
-
-def averaged_linear_filter(z, sigma, passes=None):
+def averaged_linear_filter(z, sigma):
     """Symmetric circular binomial smoothing W z with spectrum in [0, 1].
 
     One pass convolves each axis with [1/4, 1/2, 1/4] (periodic boundary);
@@ -162,8 +147,7 @@ def averaged_linear_filter(z, sigma, passes=None):
         raise ConfigurationError("averaged_linear_filter expects a 2D array")
     if sigma <= 0:
         raise ConfigurationError("sigma must be positive")
-    if passes is None:
-        passes = max(1, int(round(100.0 * sigma * sigma)))
+    passes = max(1, int(round(100.0 * sigma * sigma)))
     out = z
     for _ in range(passes):
         for axis in (0, 1):
@@ -179,31 +163,24 @@ def shift_denoiser(z, sigma, c):
     return z + sigma * math.sqrt(c) * np.sign(z)
 
 
-class Denoiser:
-    """denoise(z, sigma) on 2D arrays."""
-
-    def denoise(self, z, sigma):
-        raise NotImplementedError
-
-
-class IdentityDenoiser(Denoiser):
+class IdentityDenoiser:
     def denoise(self, z, sigma):
         return np.asarray(z, dtype=float).copy()
 
 
-class TvProxDenoiser(Denoiser):
+class TvProxDenoiser:
     """TV prox with strength read through sigma^2 = gamma*lambda."""
 
     def denoise(self, z, sigma):
         return tv_prox(z, sigma * sigma)
 
 
-class AveragedFilterDenoiser(Denoiser):
+class AveragedFilterDenoiser:
     def denoise(self, z, sigma):
         return averaged_linear_filter(z, sigma)
 
 
-class ShiftDenoiser(Denoiser):
+class ShiftDenoiser:
     """Bounded denoiser that is not averaged (divergence counter-example)."""
 
     def __init__(self, c=1.0):
@@ -213,22 +190,6 @@ class ShiftDenoiser(Denoiser):
 
     def denoise(self, z, sigma):
         return shift_denoiser(z, sigma, self.c)
-
-
-class DampedDenoiser(Denoiser):
-    """(1-theta) I + theta * inner; theta-averaged when inner is nonexpansive."""
-
-    def __init__(self, inner, theta):
-        if not 0.0 < theta < 1.0:
-            raise ConfigurationError("theta must lie in (0, 1)")
-        self.inner = inner
-        self.theta = theta
-
-    def denoise(self, z, sigma):
-        z = np.asarray(z, dtype=float)
-        return ((1.0 - self.theta) * z
-                + self.theta * self.inner.denoise(z, sigma))
-
 
 
 @dataclass

@@ -5,15 +5,12 @@ gradients and normal-equation solves take the real part of Hermitian
 products, which is equivalent to identifying C^m with R^{2m}.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-
-logger = logging.getLogger(__name__)
 
 # Columns per chunk in `smaller_gram`: bounds its temporaries at (M, chunk).
 _GRAM_CHUNK = 256
@@ -186,10 +183,6 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-10, max_iter=None,
         p = r + (rs_new / rs) * p
         rs = rs_new
 
-    rel_res = float(np.sqrt(rs) / rhs_norm)
-    if not converged:
-        logger.warning("CG did not reach tol=%.2e in %d iterations "
-                       "(relative residual %.2e)", tol, max_iter, rel_res)
     info = CgInfo(converged=converged, iterations=iterations,
-                  relative_residual=rel_res)
+                  relative_residual=float(np.sqrt(rs) / rhs_norm))
     return (z, info) if return_info else z

@@ -72,23 +72,19 @@ def _tick_label(value, log_scale):
     return f"{value:g}"
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", log_y=True,
-              log_x=False):
+def line_plot(path, series, title="", xlabel="", ylabel="", log_y=True):
     """Write an SVG line plot.
 
-    series: list of (label, xs, ys); non-finite (and, on log scales,
+    series: list of (label, xs, ys); non-finite (and, on a log y scale,
     non-positive) points are dropped from the polylines.
     """
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
-    x_lo, x_hi = _axis_range(all_x, log_x)
+    x_lo, x_hi = _axis_range(all_x, False)
     y_lo, y_hi = _axis_range(all_y, log_y)
 
     def sx(x):
-        if log_x:
-            frac = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            frac = (x - x_lo) / (x_hi - x_lo)
+        frac = (x - x_lo) / (x_hi - x_lo)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
     def sy(y):
@@ -109,12 +105,12 @@ def line_plot(path, series, title="", xlabel="", ylabel="", log_y=True,
     if title:
         parts.append(f'<text x="{WIDTH // 2}" y="18" text-anchor="middle">'
                      f'{title}</text>')
-    for tick in _ticks(x_lo, x_hi, log_x):
+    for tick in _ticks(x_lo, x_hi, False):
         px = sx(tick)
         parts.append(f'<line x1="{_fmt(px)}" y1="{HEIGHT - MARGIN_B}" '
                      f'x2="{_fmt(px)}" y2="{HEIGHT - MARGIN_B + 5}" stroke="black"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 18}" '
-                     f'text-anchor="middle">{_tick_label(tick, log_x)}</text>')
+                     f'text-anchor="middle">{_tick_label(tick, False)}</text>')
     for tick in _ticks(y_lo, y_hi, log_y):
         py = sy(tick)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{_fmt(py)}" '
@@ -135,7 +131,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="", log_y=True,
         for x, y in zip(xs, ys):
             if not (math.isfinite(x) and math.isfinite(y)):
                 continue
-            if (log_x and x <= 0) or (log_y and y <= 0):
+            if log_y and y <= 0:
                 continue
             points.append(f"{_fmt(sx(x))},{_fmt(sy(y))}")
         if points:

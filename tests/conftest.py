@@ -1,4 +1,5 @@
-"""Shared fixtures: small measurement models and phantoms."""
+"""Shared fixtures: small measurement models and phantoms, and the test
+oracles: forward differences, the TV objective and the data fit."""
 
 import struct
 import sys
@@ -14,6 +15,28 @@ from pnp_online.phantoms import phantom_generate
 def make_truth(grid, seed=0, contrast=0.05):
     phantom = phantom_generate("blobs", grid, seed=seed)
     return Image(pixels=phantom.pixels * contrast, width=grid, height=grid)
+
+
+def _grad2d(u):
+    """Forward differences with Neumann boundary: last row/column zero."""
+    dx = np.zeros_like(u)
+    dy = np.zeros_like(u)
+    dx[:, :-1] = u[:, 1:] - u[:, :-1]
+    dy[:-1, :] = u[1:, :] - u[:-1, :]
+    return dx, dy
+
+
+def tv_objective(x, z, lambda_scaled):
+    """(1/2)||x - z||^2 + lambda_scaled * TV(x); used by tests and oracles."""
+    gx, gy = _grad2d(np.asarray(x, dtype=float))
+    tv = float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+    return 0.5 * float(np.sum((x - z) ** 2)) + lambda_scaled * tv
+
+
+def datafit_value(model, x):
+    """d(x) = (1/I) sum_i (1/2)||y_i - H_i x||^2."""
+    residuals = model.apply(x) - model.measurements
+    return 0.5 * float(np.vdot(residuals, residuals).real) / model.num_components
 
 
 def stacked_model(h, y=None):

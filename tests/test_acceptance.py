@@ -510,14 +510,18 @@ def test_criterion_11_determinism(ctx, tmp_path):
         first = ctx.artifact_dir("first", name)
         second = ctx.artifact_dir("second", name)
         gen(second)
-        for fname in sorted(os.listdir(first)):
-            if not (fname.endswith(".csv") or fname.endswith(".pnpm")):
-                continue
-            a = open(os.path.join(first, fname), "rb").read()
-            b_path = os.path.join(second, fname)
-            if not os.path.exists(b_path):
-                ok = False
-                continue
-            if a != open(b_path, "rb").read():
-                ok = False
+        # every artifact, subdirectories included (criterion 8 writes
+        # quarter/ and full/), compared by its path relative to the run
+        for dirpath, _, fnames in os.walk(first):
+            for fname in sorted(fnames):
+                if not (fname.endswith(".csv") or fname.endswith(".pnpm")):
+                    continue
+                a_path = os.path.join(dirpath, fname)
+                a = open(a_path, "rb").read()
+                b_path = os.path.join(second, os.path.relpath(a_path, first))
+                if not os.path.exists(b_path):
+                    ok = False
+                    continue
+                if a != open(b_path, "rb").read():
+                    ok = False
     report(11, "bit-identical artifacts on rerun", ok)

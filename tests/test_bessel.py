@@ -5,25 +5,31 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from pnp_online.bessel import (bessel_j0, bessel_y0, hankel1_0,
-                                hankel1_0_array)
+from pnp_online.bessel import hankel1_0, hankel1_0_array
+
+# J0 and Y0 are the real and imaginary parts of H0^(1) for x > 0.
 
 
 def test_j0_y0_published_ten_digit_values():
     # classical 10-digit table values at x = 1
-    assert bessel_j0(1.0) == pytest.approx(0.7651976866, abs=1e-9)
-    assert bessel_y0(1.0) == pytest.approx(0.0882569642, abs=1e-9)
+    h = hankel1_0(1.0)
+    assert h.real == pytest.approx(0.7651976866, abs=1e-9)
+    assert h.imag == pytest.approx(0.0882569642, abs=1e-9)
 
 
 def test_j0_at_zero():
-    assert bessel_j0(0.0) == 1.0
+    # H0^(1) is singular at 0, so J0(0) = 1 is checked as the limit: once
+    # x^2 / 4 underflows, the series is exactly its first term
+    assert hankel1_0(1e-300).real == 1.0
+    assert np.all(hankel1_0_array(np.array([1e-300, 1e-200])).real == 1.0)
 
 
 def test_y0_rejects_nonpositive():
+    # Y0, and with it H0^(1), is singular at 0
     with pytest.raises(ValueError):
-        bessel_y0(0.0)
+        hankel1_0(0.0)
     with pytest.raises(ValueError):
-        bessel_y0(-1.0)
+        hankel1_0(-1.0)
 
 
 @pytest.mark.parametrize("x", np.concatenate([
@@ -32,16 +38,18 @@ def test_y0_rejects_nonpositive():
     [11.999999, 12.000001, 500.0, 1000.0],
 ]).tolist())
 def test_j0_y0_vs_mpmath(x):
-    assert bessel_j0(x) == pytest.approx(float(mpmath.besselj(0, x)),
-                                         abs=5e-11, rel=5e-11)
-    assert bessel_y0(x) == pytest.approx(float(mpmath.bessely(0, x)),
-                                         abs=5e-11, rel=5e-11)
+    h = hankel1_0(x)
+    assert h.real == pytest.approx(float(mpmath.besselj(0, x)),
+                                   abs=5e-11, rel=5e-11)
+    assert h.imag == pytest.approx(float(mpmath.bessely(0, x)),
+                                   abs=5e-11, rel=5e-11)
 
 
 def test_hankel_combines_j0_y0():
+    # H0^(1) = J0 + i Y0, not J0 - i Y0
     for x in (0.3, 1.7, 25.0):
-        h = hankel1_0(x)
-        assert h == complex(bessel_j0(x), bessel_y0(x))
+        assert hankel1_0(x) == pytest.approx(complex(mpmath.hankel1(0, x)),
+                                             abs=5e-11, rel=5e-11)
 
 
 def test_hankel_magnitude_asymptotic_decay():
@@ -53,7 +61,7 @@ def test_hankel_magnitude_asymptotic_decay():
 
 def test_determinism_bit_identical():
     assert hankel1_0(3.7) == hankel1_0(3.7)
-    assert bessel_j0(77.7) == bessel_j0(77.7)
+    assert hankel1_0(77.7) == hankel1_0(77.7)
 
 
 def test_hankel_array_matches_scalar_elementwise():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_online import cli, forward, linops, modelio, solvers
+from pnp_online import cli, forward, linops, metrics, modelio, solvers
 from pnp_online.cli import main, read_csv, write_csv
 from pnp_online.config import (ALGORITHMS, BATCH_MAX, DENOISERS, GRID_MAX,
                                GRID_MIN, RECEIVERS_MAX, SEED_MAX,
@@ -115,6 +115,7 @@ def test_csv_floats_round_trip_exactly(tmp_path):
 
 SMALL = ["--set", "grid=16", "--set", "transmitters=4",
          "--set", "receivers=12"]
+TINY = ["--set", "grid=8", "--set", "transmitters=2", "--set", "receivers=4"]
 
 
 def test_cli_exit_code_config_error():
@@ -144,6 +145,38 @@ def test_cli_exit_code_io_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")
     assert main(["counterexample", "-o", str(blocker / "sub")]) == 4
+
+
+def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
+    # a grid or ring too large for the memory at hand used to end in a
+    # numpy _ArrayMemoryError traceback and exit 1
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB")
+
+    monkeypatch.setattr(cli, "build_dt_model", out_of_memory)
+    model = tmp_path / "m.pnpm"
+    assert main(["simulate", *SMALL, "-o", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 1.00 GiB\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # domain_side=5e-324 gives a zero operator, so gamma_scale / L fails
+    ["sweep", *TINY, "--set", "domain_side=5e-324", "--set", "iterations=2"],
+    ["compare", *TINY, "--set", "domain_side=5e-324",
+     "--set", "iterations=2"],
+    ["counterexample", "--set", "ce_gamma=1.5"],
+    ["certify", "--set", "grid=8", "--set", "sigma=0",
+     "--set", "cert_pairs=1"]], ids=lambda argv: argv[0])
+def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys,
+                                                     argv):
+    # each command used to create its output directory first and leave it
+    # empty when a later check exited 2
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["grid=abc", "lam=small",
@@ -840,6 +873,18 @@ def test_cli_sweep_small(tmp_path):
     assert svgs
 
 
+def test_cli_sweep_deterministic_reruns(tmp_path):
+    def sweep(tag):
+        out = tmp_path / tag
+        assert main(["sweep", *TINY, "-o", str(out), "--set", "iterations=4",
+                     "--set", "record_timing=false"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    first = sweep("one")
+    assert "summary.csv" in first and len(first) == 49  # 24 runs x CSV+SVG
+    assert sweep("two") == first
+
+
 def test_cli_sweep_records_failed_cells(tmp_path, monkeypatch):
     def diverge(*args, **kwargs):
         raise DivergenceError("iterate norm exceeded safety bound")
@@ -865,6 +910,22 @@ def test_cli_compare_small(tmp_path):
     assert len(rows) == 30
     assert os.path.exists(os.path.join(out, "compare_iterations.svg"))
     assert os.path.exists(os.path.join(out, "compare_wallclock.svg"))
+
+
+def test_cli_compare_computes_dist_at_the_last_iteration_only(tmp_path,
+                                                             monkeypatch):
+    # compare.csv holds no dist, so its three runs each compute it once
+    calls = []
+    original = metrics.dist_to_fix
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(metrics, "dist_to_fix", counting)
+    assert main(["compare", *TINY, "-o", str(tmp_path / "cmp"),
+                 "--set", "iterations=5", "--set", "budget=2"]) == 0
+    assert len(calls) == 3
 
 
 def test_cli_compare_writes_solver_warnings(tmp_path, monkeypatch):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pnp_online.denoisers import (AveragedFilterDenoiser, DampedDenoiser,
-                                  IdentityDenoiser, ShiftDenoiser, TvInfo,
-                                  TvProxDenoiser, _grad2d,
+from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
+                                  ShiftDenoiser, TvInfo, TvProxDenoiser,
                                   averaged_linear_filter, certify_averaged,
-                                  certify_pair,
-                                  estimate_bounded_constant, shift_denoiser,
-                                  tv_objective, tv_prox)
+                                  certify_pair, estimate_bounded_constant,
+                                  shift_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError
+from conftest import _grad2d, tv_objective
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
@@ -275,11 +274,15 @@ def test_filter_reflection_is_nonexpansive():
 
 
 def test_filter_passes_mapping():
+    # round(100 sigma^2) passes, at least one: sigma = 0.05 gives one pass
+    # and sigma = 0.2 four, so the latter is the former applied four times
     z = np.random.default_rng(0).standard_normal((6, 6))
-    assert np.array_equal(averaged_linear_filter(z, 0.05),
-                          averaged_linear_filter(z, 0.05, passes=1))
-    assert np.array_equal(averaged_linear_filter(z, 0.2),
-                          averaged_linear_filter(z, 0.2, passes=4))
+    one_pass = averaged_linear_filter(z, 0.05)
+    assert not np.array_equal(one_pass, z)
+    four_passes = z
+    for _ in range(4):
+        four_passes = averaged_linear_filter(four_passes, 0.05)
+    assert np.array_equal(averaged_linear_filter(z, 0.2), four_passes)
 
 
 def test_filter_rejects_bad_sigma():
@@ -306,38 +309,6 @@ def test_shift_denoiser_boundedness_equality():
     out = shift_denoiser(z, sigma, c)
     assert np.sum((out - z) ** 2) / z.size == pytest.approx(
         sigma * sigma * c, rel=1e-12)
-
-
-# ---------------------------------------------------------- damping wrapper
-
-def test_damped_identity_is_identity():
-    d = DampedDenoiser(IdentityDenoiser(), 0.5)
-    z = np.random.default_rng(0).standard_normal((4, 4))
-    assert np.allclose(d.denoise(z, 0.1), z, atol=1e-14)
-
-
-def test_damping_preserves_fixed_points():
-    base = TvProxDenoiser()
-    damped = DampedDenoiser(base, 0.3)
-    z = np.full((5, 5), 2.0)                     # constant: TV fixed point
-    assert np.allclose(damped.denoise(z, 0.1), z, atol=1e-12)
-
-
-def test_damped_reflection_maps_to_zero():
-    class Reflect(IdentityDenoiser):
-        def denoise(self, z, sigma):
-            return -z
-
-    damped = DampedDenoiser(Reflect(), 0.5)
-    z = np.random.default_rng(1).standard_normal((4, 4))
-    assert np.allclose(damped.denoise(z, 0.1), np.zeros_like(z), atol=1e-14)
-
-
-def test_damping_rejects_bad_theta():
-    with pytest.raises(ConfigurationError):
-        DampedDenoiser(IdentityDenoiser(), 0.0)
-    with pytest.raises(ConfigurationError):
-        DampedDenoiser(IdentityDenoiser(), 1.5)
 
 
 # -------------------------------------------------------------- certificates

@@ -192,6 +192,18 @@ def test_cg_info_reports_convergence():
     assert info.relative_residual <= 1e-12
 
 
+def test_cg_stall_is_reported_by_info_alone(caplog):
+    # a stalled solve also logged a warning, which Python's last-resort
+    # handler printed to the CLI's stderr next to the trace's warning
+    rng = np.random.default_rng(2)
+    H = rng.standard_normal((8, 8))
+    _, info = cg_solve_regularized(stacked_model(H), 0.2,
+                                   rng.standard_normal(8), tol=1e-12,
+                                   max_iter=1, return_info=True)
+    assert not info.converged and info.iterations == 1
+    assert caplog.records == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
 def test_adjoint_consistency_property(n, seed):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
-                                  TvProxDenoiser, tv_objective, tv_prox)
+                                  TvProxDenoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import (Image, MeasurementModel, build_gaussian_model,
-                                datafit_value, grad_full)
+                                grad_full)
 from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 corollary1_constant, estimate_gradient_noise,
@@ -19,7 +19,7 @@ from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 prop2_bound, run_admm, run_counterexample,
                                 run_ista, run_pnp_admm, run_pnp_ista,
                                 run_pnp_sgd, sgd_bound)
-from conftest import stacked_model
+from conftest import datafit_value, stacked_model
 
 
 def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
