@@ -20,7 +20,7 @@ from pnp_online.config import load_config
 from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
                                   ShiftDenoiser, TvProxDenoiser,
                                   certify_averaged, certify_pair,
-                                  estimate_bounded_constant)
+                                  estimate_bounded_constant, filter_passes)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import (DtGeometry, Image, build_dt_model,
                                 build_gaussian_model)
@@ -241,18 +241,22 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
 
 
 def cmd_sweep(cfg, outdir):
+    if cfg.iterations < 1:
+        raise ConfigurationError("sweep needs iterations >= 1")
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
     gammas = cfg.gamma_list()
     batches = cfg.batch_list()
+    cells = ([("gamma", scale, cfg.batch_size) for scale in gammas]
+             + [("batch", 1.0, batch) for batch in batches])
+    # every filter cell's sigma, before the tv cells write anything
+    for _, scale, _ in cells:
+        filter_passes(resolve_gamma_sigma(
+            dataclasses.replace(cfg, gamma_scale=scale, gamma=None),
+            model.lipschitz)[1])
     summary_rows = []
     failures = []
     for denoiser_name in ("tv", "filter"):
-        cells = []
-        for scale in gammas:
-            cells.append(("gamma", scale, cfg.batch_size))
-        for batch in batches:
-            cells.append(("batch", 1.0, batch))
         row = [denoiser_name]
         for kind, scale, batch in cells:
             for accelerated in (False, True):
@@ -275,7 +279,7 @@ def cmd_sweep(cfg, outdir):
                           trace_rows(trace))
                 plot_trace_csv(csv_path, os.path.join(outdir, tag + ".svg"))
                 if not accelerated:
-                    row.append(metrics.summarize(trace).min_dist)
+                    row.append(metrics.min_dist(trace.dist))
         summary_rows.append(row)
     columns = (["denoiser"]
                + [f"gamma_{g:g}_over_L" for g in gammas]

@@ -303,15 +303,11 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     transmitters = geometry.transmitter_positions()
 
     dist_rx = np.linalg.norm(receivers[:, None, :] - pixels[None, :, :], axis=2)
-    if np.any(dist_rx <= 0):
-        raise ConfigurationError("receiver coincides with a grid point")
     scattering = (k_b ** 2) * (delta ** 2) * green_function_2d(k_b, dist_rx)
 
     if geometry.incident == "point":
         dist_tx = np.linalg.norm(pixels[None, :, :] - transmitters[:, None, :],
                                  axis=2)
-        if np.any(dist_tx <= 0):
-            raise ConfigurationError("transmitter coincides with a grid point")
         incident = green_function_2d(k_b, dist_tx)
     else:
         directions = -transmitters / np.linalg.norm(transmitters, axis=1,
@@ -369,13 +365,12 @@ def grad_minibatch(model, x, B, rng):
     return gradient_from_indices(model, indices, x), indices
 
 
-def prox_datafit(model, gamma, x, tol=1e-10, max_iter=None, return_info=False):
-    """prox of gamma*d at x: solve (I + (gamma/I) sum H_i^H H_i) z = rhs by CG."""
+def prox_datafit(model, gamma, x, tol=1e-12, max_iter=None):
+    """prox of gamma*d at x: (z, CgInfo) from CG on (I + gamma G) z = rhs."""
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     rhs = np.asarray(x, dtype=float) + gamma * model.back_projection
-    return cg_solve_regularized(model, gamma, rhs, tol=tol, max_iter=max_iter,
-                                return_info=return_info)
+    return cg_solve_regularized(model, gamma, rhs, tol=tol, max_iter=max_iter)
 
 
 class CyclingSampler:

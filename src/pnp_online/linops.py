@@ -138,14 +138,14 @@ class CgInfo:
     relative_residual: float
 
 
-def cg_solve_regularized(model, gamma, rhs, tol=1e-10, max_iter=None,
-                         return_info=False):
+def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None):
     """Solve (I + gamma * G) z = rhs by conjugate gradients, G = model's Gram.
 
     G x is `model.gram_apply(x)`, the real, symmetric positive semidefinite
     averaged Gram (1/I) sum_i Re(H_i^H H_i) of a `MeasurementModel` on R^n,
     n = `model.n`. The system is then positive definite for any gamma > 0,
-    so plain CG applies.
+    so plain CG applies. Returns (z, CgInfo); the defaults are the one
+    inner-solve policy of the package's data prox.
     """
     rhs = np.asarray(rhs, dtype=float)
     if gamma <= 0:
@@ -160,9 +160,8 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-10, max_iter=None,
 
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        z = np.zeros_like(rhs)
-        info = CgInfo(converged=True, iterations=0, relative_residual=0.0)
-        return (z, info) if return_info else z
+        return np.zeros_like(rhs), CgInfo(converged=True, iterations=0,
+                                          relative_residual=0.0)
 
     z = np.zeros_like(rhs)
     r = rhs.copy()
@@ -183,6 +182,5 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-10, max_iter=None,
         p = r + (rs_new / rs) * p
         rs = rs_new
 
-    info = CgInfo(converged=converged, iterations=iterations,
-                  relative_residual=float(np.sqrt(rs) / rhs_norm))
-    return (z, info) if return_info else z
+    return z, CgInfo(converged=converged, iterations=iterations,
+                     relative_residual=float(np.sqrt(rs) / rhs_norm))

@@ -1,7 +1,6 @@
-"""Reconstruction diagnostics: fixed-point distance, SNR, trace summaries."""
+"""Reconstruction diagnostics: fixed-point distance, SNR, least dist."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,33 +31,6 @@ def snr_db(reference, estimate):
     return min(SNR_CAP_DB, 20.0 * math.log10(ref_norm / err_norm))
 
 
-@dataclass
-class TraceSummary:
-    min_dist: float
-    running_avg_dist: np.ndarray
-    final_snr_db: float
-    iterations: int
-    per_iteration_seconds: float
-
-
-def summarize(trace):
-    """Aggregate a trace: min dist, running averages, final SNR, timing.
-
-    NaN dist entries (skipped by the recording stride) are ignored; the
-    running average at t is the mean of the recorded dist values up to t.
-    """
-    if len(trace) == 0:
-        raise ConfigurationError("trace must be nonempty")
-    dist = np.asarray(trace.dist, dtype=float)
-    recorded = ~np.isnan(dist)
-    if not np.any(recorded):
-        raise ConfigurationError("trace has no recorded dist values")
-    cumsum = np.cumsum(np.where(recorded, dist, 0.0))
-    counts = np.cumsum(recorded)
-    running = np.where(counts > 0, cumsum / np.maximum(counts, 1), math.nan)
-    elapsed = trace.elapsed[-1] if trace.elapsed else 0.0
-    return TraceSummary(min_dist=float(np.nanmin(dist)),
-                        running_avg_dist=running,
-                        final_snr_db=float(trace.snr[-1]) if trace.snr else math.nan,
-                        iterations=len(trace),
-                        per_iteration_seconds=float(elapsed) / len(trace))
+def min_dist(dist):
+    """The least dist of a trace, skipping the NaN of steps off the stride."""
+    return float(np.nanmin(dist))

@@ -20,7 +20,8 @@ from pnp_online.forward import (CyclingSampler, grad_full,
                                 gradient_from_indices, prox_datafit)
 
 DIVERGENCE_FACTOR = 1e6
-ITERATE_SNAPSHOT_LIMIT = 4096
+# The default dist_stride is 1 up to this many pixels, and 10 above.
+DIST_EVERY_ITERATION_MAX_N = 4096
 
 
 @dataclass
@@ -31,7 +32,6 @@ class SolverConfig:
     batch_size: int = 1
     q_schedule: str = "constant"   # "constant" (q_k = 1) or "fista"
     seed: int = 0
-    record_trace: bool = True
     record_timing: bool = True
     dist_stride: int | None = None
     sample_mode: str = "replacement"  # "replacement", "cycle", or "full"
@@ -57,7 +57,6 @@ class IterateTrace:
     snr: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
     indices: list = field(default_factory=list)
-    iterates: list | None = None
     warnings: list = field(default_factory=list)
 
     def __len__(self):
@@ -141,13 +140,10 @@ class _TraceRecorder:
         self.config = config
         self.truth = truth
         self.x0_norm = float(np.linalg.norm(x0))
-        stride = config.dist_stride
-        if stride is None:
-            stride = 1 if model.n <= ITERATE_SNAPSHOT_LIMIT else 10
-        self.stride = stride
+        self.stride = config.dist_stride
+        if self.stride is None:
+            self.stride = 1 if model.n <= DIST_EVERY_ITERATION_MAX_N else 10
         self.trace = IterateTrace()
-        if config.record_trace and model.n <= ITERATE_SNAPSHOT_LIMIT:
-            self.trace.iterates = []
         self.start = time.perf_counter()
 
     def check_divergence(self, x):
@@ -159,8 +155,6 @@ class _TraceRecorder:
 
     def record(self, k, x, indices=None):
         config = self.config
-        if not config.record_trace:
-            return
         entered = time.perf_counter()
         if k % self.stride == 0 or k == config.iterations:
             dist = self.metrics.dist_to_fix(self.model, self.denoiser,
@@ -174,8 +168,6 @@ class _TraceRecorder:
                                   if config.record_timing else 0.0)
         self.trace.indices.append(None if indices is None
                                   else np.asarray(indices).copy())
-        if self.trace.iterates is not None:
-            self.trace.iterates.append(x.copy())
         self.start += time.perf_counter() - entered
 
 
@@ -249,8 +241,7 @@ def run_pnp_admm(model, denoiser, config, truth=None):
     s = np.zeros(model.n)
     recorder = _TraceRecorder(model, denoiser, config, x, truth)
     for k in range(1, config.iterations + 1):
-        z, info = prox_datafit(model, config.gamma, x - s, tol=1e-12,
-                               return_info=True)
+        z, info = prox_datafit(model, config.gamma, x - s)
         if not info.converged:
             recorder.trace.warnings.append(
                 f"iteration {k}: inner CG stopped at relative residual "

@@ -48,6 +48,15 @@ def stacked_model(h, y=None):
                             measurements=np.asarray(y)[None], matrices=h[None])
 
 
+def recording(fn, outputs):
+    """fn, appending each result to `outputs`. Around a denoiser or a prox
+    it records every output in call order, the solver's and dist's alike."""
+    def wrapped(*args):
+        outputs.append(fn(*args))
+        return outputs[-1]
+    return wrapped
+
+
 @pytest.fixture(scope="session")
 def small_dt_model():
     """16x16 DT model with 4 illuminations and 12 receivers, 40 dB noise."""

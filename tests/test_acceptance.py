@@ -27,6 +27,7 @@ from pnp_online.solvers import (SolverConfig, estimate_gradient_noise,
                                 huber_gradient, prop2_bound, run_admm,
                                 run_counterexample, run_ista, run_pnp_admm,
                                 run_pnp_ista, run_pnp_sgd, sgd_bound)
+from conftest import recording
 
 
 ACCEPTANCE_LINES = []
@@ -92,7 +93,7 @@ class AcceptanceContext:
         def build():
             model, _ = self.model16()
             cfg = SolverConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
-                               iterations=10_000, seed=0, record_trace=False,
+                               iterations=10_000, seed=0, dist_stride=10_000,
                                record_timing=False)
             xstar, _ = run_pnp_ista(model, AveragedFilterDenoiser(), cfg)
             return xstar
@@ -157,16 +158,22 @@ def test_criterion_1_pnp_ista_equals_ista(ctx):
         sigma = math.sqrt(gamma * lam)
         cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=200, seed=0,
                            record_timing=False)
-        x_pnp, t_pnp = run_pnp_ista(model, TvProxDenoiser(), cfg)
+        # every denoiser and prox output: each iterate, then the P(x) that
+        # its dist denoised, in the same order in both runs
+        pnp_outputs, ista_outputs = [], []
+        denoiser = TvProxDenoiser()
+        denoiser.denoise = recording(denoiser.denoise, pnp_outputs)
+        x_pnp, t_pnp = run_pnp_ista(model, denoiser, cfg)
 
         def prox(z):
             return tv_prox(z.reshape(16, 16), gamma * lam,
                            inner_tol=1e-12).ravel()
 
-        x_ista, t_ista = run_ista(model, prox, cfg)
+        x_ista, _ = run_ista(model, recording(prox, ista_outputs), cfg)
+        assert len(pnp_outputs) == len(ista_outputs) == 400
         max_diff = max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(t_pnp.iterates, t_ista.iterates))
+            float(np.max(np.abs(a.ravel() - b)))
+            for a, b in zip(pnp_outputs, ista_outputs))
         max_diff = max(max_diff, float(np.max(np.abs(x_pnp - x_ista))))
         rows = [[k + 1, repr(d)] for k, d in enumerate(t_pnp.dist)]
         write_csv(os.path.join(outdir, "criterion1.csv"),
@@ -229,27 +236,27 @@ def test_criterion_3_ista_admm_fixed_point_agreement(ctx):
                 sigma = math.sqrt(gamma * lam)
                 warm = SolverConfig(gamma=gamma, sigma=sigma, iterations=1500,
                                     seed=0, q_schedule="fista",
-                                    record_trace=False, record_timing=False)
+                                    dist_stride=1500, record_timing=False)
                 xw, _ = run_pnp_ista(model, denoiser, warm)
                 polish = SolverConfig(gamma=gamma, sigma=sigma,
                                       iterations=800, seed=0, x0=xw,
-                                      record_trace=False,
+                                      dist_stride=800,
                                       record_timing=False)
                 x_ista, _ = run_pnp_ista(model, denoiser, polish)
                 admm_cfg = SolverConfig(gamma=gamma, sigma=sigma,
                                         iterations=1500, seed=0,
-                                        record_trace=False,
+                                        dist_stride=1500,
                                         record_timing=False)
             else:
                 denoiser = AveragedFilterDenoiser()
                 sigma = 0.1
                 cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=3000,
-                                   seed=0, record_trace=False,
+                                   seed=0, dist_stride=3000,
                                    record_timing=False)
                 x_ista, _ = run_pnp_ista(model, denoiser, cfg)
                 admm_cfg = SolverConfig(gamma=gamma, sigma=sigma,
                                         iterations=1500, seed=0,
-                                        record_trace=False,
+                                        dist_stride=1500,
                                         record_timing=False)
             x_admm, _ = run_pnp_admm(model, denoiser, admm_cfg)
             rel = float(np.linalg.norm(x_ista - x_admm)

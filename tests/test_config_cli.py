@@ -168,7 +168,18 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
      "--set", "iterations=2"],
     ["counterexample", "--set", "ce_gamma=1.5"],
     ["certify", "--set", "grid=8", "--set", "sigma=0",
-     "--set", "cert_pairs=1"]], ids=lambda argv: argv[0])
+     "--set", "cert_pairs=1"],
+    # a sweep without iterations wrote its first tv cell, then stopped
+    pytest.param(["sweep", *TINY, "--set", "iterations=0"],
+                 id="sweep-iterations-0"),
+    # the filter cells' sigma used to be checked only once the tv cells
+    # had written theirs: 0 (lam=0), or past the filter's pass bound
+    pytest.param(["sweep", *TINY, "--set", "iterations=2",
+                  "--set", "lam=0"], id="sweep-filter-sigma-0"),
+    pytest.param(["sweep", *TINY, "--set", "iterations=2",
+                  "--set", "sweep_gammas=1e300"],
+                 id="sweep-filter-sigma-past-bound")],
+    ids=lambda argv: argv[0])
 def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys,
                                                      argv):
     # each command used to create its output directory first and leave it
@@ -454,6 +465,56 @@ def test_cli_simulate_config_fuzz(tmp_path_factory, data):
     assert _meta_is_finite(str(model) + ".meta.txt")
 
 
+# the keys a reconstruct run reads; iterations and the sizes stay fixed
+RECONSTRUCT_FUZZ_KEYS = ["algorithm", "denoiser", "sigma", "lam", "gamma",
+                         "gamma_scale", "accelerated", "batch_size",
+                         "sample_mode", "dist_stride"]
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    model = tmp_path_factory.mktemp("tiny") / "m.pnpm"
+    assert main(["simulate", *TINY, "-o", str(model)]) == 0
+    return model
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_reconstruct_config_fuzz(tiny_model, tmp_path_factory, data):
+    """The solver keys through reconstruct; a filter sigma past the pass
+    bound used to run for minutes, or exit 1 with an OverflowError."""
+    keys = data.draw(st.lists(st.sampled_from(RECONSTRUCT_FUZZ_KEYS),
+                              min_size=1, max_size=4, unique=True))
+    overrides = [f"{key}={data.draw(_fuzz_value(key), label=key)}"
+                 for key in keys]
+    out = str(tmp_path_factory.mktemp("reconstruct-fuzz") / "r")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["reconstruct", str(tiny_model), *TINY,
+                     "--set", "iterations=2", "--set", "record_timing=false",
+                     *[arg for o in overrides for arg in ("--set", o)],
+                     "-o", out])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not os.path.exists(out + ".trace.csv")
+
+
+@pytest.mark.parametrize("sigma", ["100", "1e200"])
+def test_cli_reconstruct_rejects_filter_sigma_past_pass_bound(
+        tiny_model, tmp_path, capsys, sigma):
+    # sigma = 100 (10^6 passes a call) ran for minutes, and sigma = 1e200
+    # exited 1 with an OverflowError traceback from round(100 sigma^2)
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(tiny_model), *TINY, "-o", out,
+                 "--set", "iterations=2", "--set", "algorithm=pnp-ista",
+                 "--set", "denoiser=filter", "--set", f"sigma={sigma}"]) == 2
+    err = capsys.readouterr().err
+    assert "at most 10000 passes" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out + ".trace.csv")
+
+
 @pytest.mark.parametrize("override", [
     "lam=inf", "gamma_scale=inf", "wavelength=inf", "domain_side=-inf",
     "sigma=inf", "gamma=inf", "cert_tol=inf", "input_snr_db=-inf",
@@ -559,10 +620,9 @@ def test_cli_exit_code_grid_out_of_range(grid, capsys):
     assert "Traceback" not in err
 
 
-def _stalled_prox(model, gamma, x, tol=1e-10, return_info=False):
+def _stalled_prox(model, gamma, x):
     """A data prox whose inner CG never converges (one CG iteration)."""
-    return prox_datafit(model, gamma, x, tol=tol, max_iter=1,
-                        return_info=return_info)
+    return prox_datafit(model, gamma, x, max_iter=1)
 
 
 def test_cli_reconstruct_writes_solver_warnings(tmp_path, monkeypatch):
@@ -588,7 +648,7 @@ def test_cli_diverged_trace_keeps_solver_warnings(tmp_path, monkeypatch):
     model = str(tmp_path / "m.pnpm")
     assert main(["simulate", *SMALL, "-o", model]) == 0
 
-    def exploding_prox(model, gamma, x, tol=1e-10, return_info=False):
+    def exploding_prox(model, gamma, x):
         return np.full(model.n, 1e100), CgInfo(converged=False, iterations=1,
                                                relative_residual=0.5)
 

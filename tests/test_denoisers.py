@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
-                                  ShiftDenoiser, TvInfo, TvProxDenoiser,
-                                  averaged_linear_filter, certify_averaged,
-                                  certify_pair, estimate_bounded_constant,
+from pnp_online.denoisers import (FILTER_PASSES_MAX, AveragedFilterDenoiser,
+                                  IdentityDenoiser, ShiftDenoiser, TvInfo,
+                                  TvProxDenoiser, averaged_linear_filter,
+                                  certify_averaged, certify_pair,
+                                  estimate_bounded_constant, filter_passes,
                                   shift_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError
 from conftest import _grad2d, tv_objective
@@ -288,6 +289,16 @@ def test_filter_passes_mapping():
 def test_filter_rejects_bad_sigma():
     with pytest.raises(ConfigurationError):
         averaged_linear_filter(np.zeros((4, 4)), 0.0)
+
+
+def test_filter_pass_count_is_bounded():
+    # sigma = 10 is the largest sigma within the bound; a larger one, or one
+    # whose square overflows, used to run for minutes or raise OverflowError
+    assert filter_passes(10.0) == FILTER_PASSES_MAX == 10_000
+    assert filter_passes(0.05) == 1
+    for sigma in (10.01, 100.0, 1e200, math.inf):
+        with pytest.raises(ConfigurationError, match="at most 10000 passes"):
+            averaged_linear_filter(np.zeros((4, 4)), sigma)
 
 
 # ------------------------------------------------------------ shift denoiser

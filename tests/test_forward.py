@@ -354,7 +354,7 @@ def test_prox_datafit_matches_dense_solve_dt(small_dt_model):
         rhs += (gamma / model.num_components) * np.real(A.conj().T @ y)
     oracle = np.linalg.solve(
         np.eye(model.n) + (gamma / model.num_components) * gram, rhs)
-    z = prox_datafit(model, gamma, x, tol=1e-13)
+    z, _ = prox_datafit(model, gamma, x, tol=1e-13)
     np.testing.assert_allclose(z, oracle, rtol=0,
                                atol=1e-10 * np.max(np.abs(oracle)))
 
@@ -365,13 +365,13 @@ def test_prox_datafit_zero_operator_returns_x():
     model = stacked_model(np.zeros((3, 3)))
     assert model.lipschitz == 0.0
     x = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(prox_datafit(model, 0.5, x), x, atol=1e-12)
+    assert np.allclose(prox_datafit(model, 0.5, x)[0], x, atol=1e-12)
 
 
 def test_prox_datafit_identity_closed_form():
     model = stacked_model(np.eye(3))
     x = np.array([2.0, -4.0, 6.0])
-    assert np.allclose(prox_datafit(model, 1.0, x), x / 2.0, atol=1e-10)
+    assert np.allclose(prox_datafit(model, 1.0, x)[0], x / 2.0, atol=1e-10)
 
 
 def test_prox_datafit_matches_dense_solve():
@@ -387,7 +387,7 @@ def test_prox_datafit_matches_dense_solve():
         rhs += (gamma / model.num_components) * np.real(A.conj().T @ y)
     G /= model.num_components
     oracle = np.linalg.solve(np.eye(12) + gamma * G, rhs)
-    z = prox_datafit(model, gamma, x, tol=1e-13)
+    z, _ = prox_datafit(model, gamma, x, tol=1e-13)
     assert np.max(np.abs(z - oracle)) < 1e-8
 
 
@@ -396,7 +396,7 @@ def test_prox_datafit_is_prox_of_datafit():
     truth = Image(pixels=np.zeros(8), width=4, height=2)
     model = build_gaussian_model(n=8, M=8, I=2, seed=1, truth=truth)
     x = np.random.default_rng(2).standard_normal(8)
-    z = prox_datafit(model, 0.4, x, tol=1e-13)
+    z, _ = prox_datafit(model, 0.4, x, tol=1e-13)
     assert np.max(np.abs(z + 0.4 * grad_full(model, z) - x)) < 1e-9
 
 

@@ -152,13 +152,13 @@ def test_born_adjoint_matches_conjugate_transpose(small_dt_model):
 
 def test_cg_zero_operator_returns_rhs():
     rhs = np.arange(4.0)
-    z = cg_solve_regularized(stacked_model(np.zeros((4, 4))), 0.5, rhs)
+    z, _ = cg_solve_regularized(stacked_model(np.zeros((4, 4))), 0.5, rhs)
     assert np.array_equal(z, rhs)
 
 
 def test_cg_identity_halves_rhs():
     rhs = np.linspace(-1.0, 1.0, 5)
-    z = cg_solve_regularized(stacked_model(np.eye(5)), 1.0, rhs)
+    z, _ = cg_solve_regularized(stacked_model(np.eye(5)), 1.0, rhs)
     assert np.allclose(z, rhs / 2.0, atol=1e-12)
 
 
@@ -167,7 +167,7 @@ def test_cg_random_vs_dense_lu():
     H = rng.standard_normal((10, 10))
     gamma = 0.3
     rhs = rng.standard_normal(10)
-    z = cg_solve_regularized(stacked_model(H), gamma, rhs, tol=1e-14)
+    z, _ = cg_solve_regularized(stacked_model(H), gamma, rhs, tol=1e-14)
     oracle = np.linalg.solve(np.eye(10) + gamma * H.T @ H, rhs)
     assert np.max(np.abs(z - oracle)) < 1e-9
 
@@ -177,7 +177,7 @@ def test_cg_complex_operator_real_system():
     H = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     gamma = 0.7
     rhs = rng.standard_normal(6)
-    z = cg_solve_regularized(stacked_model(H), gamma, rhs, tol=1e-14)
+    z, _ = cg_solve_regularized(stacked_model(H), gamma, rhs, tol=1e-14)
     oracle = np.linalg.solve(np.eye(6) + gamma * np.real(H.conj().T @ H), rhs)
     assert np.max(np.abs(z - oracle)) < 1e-9
 
@@ -185,9 +185,9 @@ def test_cg_complex_operator_real_system():
 def test_cg_info_reports_convergence():
     rng = np.random.default_rng(1)
     H = rng.standard_normal((8, 8))
-    z, info = cg_solve_regularized(stacked_model(H), 0.2,
-                                   rng.standard_normal(8), tol=1e-12,
-                                   return_info=True)
+    # the default tolerance is the data prox's policy, 1e-12
+    _, info = cg_solve_regularized(stacked_model(H), 0.2,
+                                   rng.standard_normal(8))
     assert info.converged
     assert info.relative_residual <= 1e-12
 
@@ -199,7 +199,7 @@ def test_cg_stall_is_reported_by_info_alone(caplog):
     H = rng.standard_normal((8, 8))
     _, info = cg_solve_regularized(stacked_model(H), 0.2,
                                    rng.standard_normal(8), tol=1e-12,
-                                   max_iter=1, return_info=True)
+                                   max_iter=1)
     assert not info.converged and info.iterations == 1
     assert caplog.records == []
 

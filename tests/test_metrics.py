@@ -1,4 +1,4 @@
-"""Metrics: fixed-point distance, SNR formula, trace summaries."""
+"""Metrics: fixed-point distance, SNR formula, least recorded dist."""
 
 import math
 
@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online.denoisers import AveragedFilterDenoiser, IdentityDenoiser
 from pnp_online.errors import ConfigurationError
-from pnp_online.metrics import (SNR_CAP_DB, TraceSummary, dist_to_fix, snr_db,
-                                summarize)
+from pnp_online.metrics import SNR_CAP_DB, dist_to_fix, min_dist, snr_db
 from pnp_online.solvers import SolverConfig, operator_P, run_pnp_ista
 
 
@@ -18,7 +17,7 @@ def test_dist_to_fix_converged_iterate(small_dt_model):
     gamma = 1.0 / model.lipschitz
     den = AveragedFilterDenoiser()
     cfg = SolverConfig(gamma=gamma, sigma=0.1, iterations=5000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=5000, record_timing=False)
     x, _ = run_pnp_ista(model, den, cfg)
     assert dist_to_fix(model, den, gamma, 0.1, x) <= 1e-12
 
@@ -96,60 +95,22 @@ def test_snr_strictly_decreasing_in_error_norm(scale, factor):
     assert snr_db(ref, ref + err * factor) < snr_db(ref, ref + err)
 
 
-# ------------------------------------------------------------------ summary
-
-class _FakeTrace:
-    def __init__(self, dist, elapsed=None, snr=None):
-        self.dist = list(dist)
-        self.elapsed = list(elapsed or [])
-        self.snr = list(snr or [float("nan")] * len(self.dist))
-
-    def __len__(self):
-        return len(self.dist)
-
+# --------------------------------------------- sweep summary: least dist
 
 def test_summarize_single_iteration():
-    s = summarize(_FakeTrace([0.7]))
-    assert s.min_dist == 0.7
-    assert s.running_avg_dist.tolist() == [0.7]
-    assert s.iterations == 1
+    assert min_dist([0.7]) == 0.7
 
 
 def test_summarize_monotone_sequence_min_is_last():
-    s = summarize(_FakeTrace([5.0, 3.0, 1.0, 0.5]))
-    assert s.min_dist == 0.5
-
-
-def test_summarize_hand_arithmetic():
-    s = summarize(_FakeTrace([4.0, 2.0, 6.0]))
-    assert np.allclose(s.running_avg_dist, [4.0, 3.0, 4.0])
-    assert s.min_dist == 2.0
-
-
-def test_summarize_min_le_mean_property():
-    rng = np.random.default_rng(0)
-    dist = rng.uniform(0.1, 5.0, size=40).tolist()
-    s = summarize(_FakeTrace(dist))
-    for avg in s.running_avg_dist:
-        assert s.min_dist <= avg + 1e-12
+    assert min_dist([5.0, 3.0, 1.0, 0.5]) == 0.5
 
 
 def test_summarize_skips_nan_strides():
-    dist = [4.0, float("nan"), 2.0]
-    s = summarize(_FakeTrace(dist))
-    assert s.min_dist == 2.0
-    # NaN entries are excluded from the running averages
-    assert s.running_avg_dist[-1] == pytest.approx(3.0)
-
-
-def test_summarize_reports_timing():
-    s = summarize(_FakeTrace([1.0, 0.5], elapsed=[0.1, 0.3]))
-    assert s.per_iteration_seconds == pytest.approx(0.15)
+    assert min_dist([4.0, float("nan"), 2.0]) == 2.0
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
                 max_size=50))
 def test_summarize_min_is_global_min(dist):
-    s = summarize(_FakeTrace(dist))
-    assert s.min_dist == min(dist)
+    assert min_dist(dist) == min(dist)

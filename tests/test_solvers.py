@@ -19,7 +19,7 @@ from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 prop2_bound, run_admm, run_counterexample,
                                 run_ista, run_pnp_admm, run_pnp_ista,
                                 run_pnp_sgd, sgd_bound)
-from conftest import datafit_value, stacked_model
+from conftest import datafit_value, recording, stacked_model
 
 
 def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
@@ -151,7 +151,7 @@ def test_converged_run_is_fixed_point(small_dt_model):
     sigma = 0.1
     den = AveragedFilterDenoiser()
     cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=5000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=5000, record_timing=False)
     x, _ = run_pnp_ista(model, den, cfg)
     residual = x - operator_P(model, den, gamma, sigma, x)
     assert float(np.sum(residual ** 2)) <= 1e-10
@@ -170,7 +170,7 @@ def test_ista_no_iterations_returns_x0():
 def test_ista_identity_prox_converges_to_least_squares():
     model, _ = quadratic_model()
     cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=4000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=4000, record_timing=False)
     x, _ = run_ista(model, lambda z: z, cfg)
     assert np.max(np.abs(grad_full(model, x))) < 1e-6
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-5
@@ -208,7 +208,7 @@ def test_admm_zero_model_keeps_x0():
 def test_admm_identity_prox_least_squares():
     model, _ = quadratic_model(seed=2)
     cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=3000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=3000, record_timing=False)
     x, _ = run_admm(model, lambda z: z, cfg)
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-6
 
@@ -230,7 +230,7 @@ def test_admm_matches_ista_on_tv_problem():
             + float(np.sum(np.abs(np.diff(g, axis=1)))))
 
     long_cfg = SolverConfig(gamma=gamma, iterations=6000, seed=0,
-                            record_trace=False, record_timing=False)
+                            dist_stride=6000, record_timing=False)
     x_ista, _ = run_ista(model, prox, long_cfg)
     x_admm, _ = run_admm(model, prox, long_cfg)
     assert objective(x_admm) == pytest.approx(objective(x_ista), rel=1e-5)
@@ -274,7 +274,7 @@ def test_pnp_ista_prop2_bound_filter(small_dt_model):
     sigma = 0.1
     den = AveragedFilterDenoiser()
     ref = SolverConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=10_000, record_timing=False)
     xstar, _ = run_pnp_ista(model, den, ref)
     d0 = float(np.sum(xstar ** 2))               # x0 = 0
     cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=300, seed=0,
@@ -291,7 +291,7 @@ def test_pnp_ista_prop2_bound_filter(small_dt_model):
 def test_pnp_admm_identity_least_squares():
     model, _ = quadratic_model(seed=5)
     cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=3000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=3000, record_timing=False)
     x, _ = run_pnp_admm(model, IdentityDenoiser(), cfg)
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-6
 
@@ -302,7 +302,7 @@ def test_pnp_admm_converges_to_fix_P(small_dt_model):
     sigma = 0.1
     den = AveragedFilterDenoiser()
     cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=4000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=4000, record_timing=False)
     x, _ = run_pnp_admm(model, den, cfg)
     assert np.max(np.abs(x - operator_P(model, den, gamma, sigma, x))) < 1e-8
 
@@ -352,7 +352,7 @@ def test_pnp_sgd_prop5_bound_seed_averaged(small_dt_model):
     sigma = 0.1
     den = AveragedFilterDenoiser()
     ref = SolverConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
-                       record_trace=False, record_timing=False)
+                       dist_stride=10_000, record_timing=False)
     xstar, _ = run_pnp_ista(model, den, ref)
     x0_dist = math.sqrt(float(np.sum(xstar ** 2)))
     nu = estimate_gradient_noise(model, np.zeros(model.n), num_draws=1000,
@@ -391,21 +391,26 @@ def test_trace_dist_is_dist_to_fix(small_dt_model, algorithm):
     cfg = SolverConfig(gamma=gamma, sigma=math.sqrt(gamma * lam),
                        iterations=6, seed=2, batch_size=2,
                        record_timing=False)
+    # every denoiser (or prox) output: each iteration's iterate, then the
+    # P(x) that its dist denoised
+    outputs = []
     if algorithm in ("ista", "admm"):
         def prox(z):
             return tv_prox(z.reshape(model.shape), gamma * lam,
                            inner_tol=1e-12).ravel()
 
         run = run_ista if algorithm == "ista" else run_admm
-        _, trace = run(model, prox, cfg)
+        _, trace = run(model, recording(prox, outputs), cfg)
         denoiser = FlatProxDenoiser(prox)
     else:
         denoiser = TvProxDenoiser()
+        recorded = TvProxDenoiser()
+        recorded.denoise = recording(recorded.denoise, outputs)
         run = {"pnp-ista": run_pnp_ista, "pnp-admm": run_pnp_admm,
                "pnp-sgd": run_pnp_sgd}[algorithm]
-        _, trace = run(model, denoiser, cfg)
-    assert len(trace.iterates) == len(trace.dist) == 6
-    for dist, x in zip(trace.dist, trace.iterates):
+        _, trace = run(model, recorded, cfg)
+    assert len(outputs) == 2 * len(trace.dist) == 12
+    for dist, x in zip(trace.dist, outputs[::2]):
         assert dist == dist_to_fix(model, denoiser, cfg.gamma, cfg.sigma, x)
 
 
