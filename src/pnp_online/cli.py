@@ -22,8 +22,7 @@ from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
                                   certify_averaged, certify_pair,
                                   estimate_bounded_constant, filter_passes)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import (DtGeometry, Image, build_dt_model,
-                                build_gaussian_model)
+from pnp_online.forward import DtGeometry, Image, build_dt_model
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 from pnp_online.modelio import load_model, save_model
@@ -94,11 +93,8 @@ def phantom_from_config(cfg):
 
 
 def model_from_config(cfg, truth):
-    if cfg.model == "dt":
-        return build_dt_model(geometry_from_config(cfg), truth, seed=cfg.seed,
-                              input_snr_db=cfg.input_snr_db)
-    return build_gaussian_model(truth.n, cfg.receivers, cfg.transmitters,
-                                cfg.seed, truth, input_snr_db=cfg.input_snr_db)
+    return build_dt_model(geometry_from_config(cfg), truth, seed=cfg.seed,
+                          input_snr_db=cfg.input_snr_db)
 
 
 def denoiser_from_config(cfg):
@@ -132,8 +128,7 @@ def run_algorithm(cfg, model, truth):
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
     sconf = SolverConfig(
         gamma=gamma, sigma=sigma, iterations=cfg.iterations,
-        batch_size=cfg.batch_size,
-        q_schedule="fista" if cfg.accelerated else "constant",
+        batch_size=cfg.batch_size, accelerated=cfg.accelerated,
         seed=cfg.seed, record_timing=cfg.record_timing,
         dist_stride=cfg.dist_stride, sample_mode=cfg.sample_mode)
     denoiser = denoiser_from_config(cfg)
@@ -159,24 +154,24 @@ def _tv_regularizer_prox(model, lambda_scaled):
     return prox
 
 
-def trace_rows(trace):
-    rows = []
-    for k in range(len(trace)):
-        idx = trace.indices[k]
-        rows.append([k + 1, trace.dist[k], trace.snr[k], trace.elapsed[k],
-                     "" if idx is None else ";".join(str(i) for i in idx)])
-    return rows
+def write_trace(path, trace, head=(), tail=()):
+    """Write a run's IterateTrace as a pnp-trace-v1 CSV.
 
-
-TRACE_COLUMNS = ["k", "dist", "snr_db", "elapsed_s", "minibatch_indices"]
+    The comments are the head lines, then one `warning:` line per solver
+    warning, then the tail lines.
+    """
+    rows = [[k + 1, trace.dist[k], trace.snr[k], trace.elapsed[k],
+             "" if idx is None else ";".join(str(i) for i in idx)]
+            for k, idx in enumerate(trace.indices)]
+    write_csv(path, "pnp-trace-v1",
+              ["k", "dist", "snr_db", "elapsed_s", "minibatch_indices"], rows,
+              [*head, *(f"warning: {w}" for w in trace.warnings), *tail])
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 
 def cmd_simulate(cfg, out_path):
-    if cfg.model != "dt":
-        raise ConfigurationError("simulate writes PNPM2 containers; use model=dt")
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
     # L of the stored, complex64-rounded operator: the L reconstruct uses
@@ -224,15 +219,9 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     try:
         x, trace = run_algorithm(cfg, model, truth)
     except DivergenceError as err:
-        partial = err.trace
-        rows = trace_rows(partial) if partial is not None else []
-        warnings = partial.warnings if partial is not None else []
-        write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, rows,
-                  step + [f"warning: {w}" for w in warnings]
-                  + [f"diverged: {err}"])
+        write_trace(csv_path, err.trace, step, [f"diverged: {err}"])
         raise
-    write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS, trace_rows(trace),
-              step + [f"warning: {w}" for w in trace.warnings])
+    write_trace(csv_path, trace, step)
     data, lo, hi = image_to_pgm16(x.reshape(model.shape))
     write_pgm(pgm_path, data, maxval=65535)
     with open(pgm_path + ".meta.txt", "w", encoding="ascii") as fh:
@@ -275,8 +264,7 @@ def cmd_sweep(cfg, outdir):
                     continue
                 csv_path = os.path.join(outdir, tag + ".csv")
                 os.makedirs(outdir, exist_ok=True)
-                write_csv(csv_path, "pnp-trace-v1", TRACE_COLUMNS,
-                          trace_rows(trace))
+                write_trace(csv_path, trace)
                 plot_trace_csv(csv_path, os.path.join(outdir, tag + ".svg"))
                 if not accelerated:
                     row.append(metrics.min_dist(trace.dist))
@@ -469,18 +457,21 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.command == "simulate":
-            cmd_simulate(cfg, args.output)
-        elif args.command == "reconstruct":
-            cmd_reconstruct(cfg, args.model, args.output)
-        elif args.command == "sweep":
-            cmd_sweep(cfg, args.output)
-        elif args.command == "compare":
-            cmd_compare(cfg, args.output)
-        elif args.command == "counterexample":
-            cmd_counterexample(cfg, args.output)
-        elif args.command == "certify":
-            cmd_certify(cfg, args.output)
+        # A diverging run overflows before check_divergence sees the
+        # non-finite or too-large iterate; that check reports it, not numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "simulate":
+                cmd_simulate(cfg, args.output)
+            elif args.command == "reconstruct":
+                cmd_reconstruct(cfg, args.model, args.output)
+            elif args.command == "sweep":
+                cmd_sweep(cfg, args.output)
+            elif args.command == "compare":
+                cmd_compare(cfg, args.output)
+            elif args.command == "counterexample":
+                cmd_counterexample(cfg, args.output)
+            elif args.command == "certify":
+                cmd_certify(cfg, args.output)
     except ConfigurationError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -44,7 +44,6 @@ BATCH_MAX = 1024
 @dataclass
 class ExperimentConfig:
     # forward model
-    model: str = "dt"                  # "dt" or "gaussian"
     grid: int = 32
     domain_side: float = 0.18
     wavelength: float = 0.0084
@@ -90,8 +89,6 @@ class ExperimentConfig:
     cert_seed: int = 0
 
     def validate(self):
-        if self.model not in ("dt", "gaussian"):
-            raise ConfigurationError(f"unknown model {self.model!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
         if self.denoiser not in DENOISERS:

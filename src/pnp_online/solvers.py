@@ -11,7 +11,7 @@ inside stochastic runs.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class SolverConfig:
     sigma: float = 0.0
     iterations: int = 100
     batch_size: int = 1
-    q_schedule: str = "constant"   # "constant" (q_k = 1) or "fista"
+    accelerated: bool = False      # FISTA momentum; q_k = 1 if False
     seed: int = 0
     record_timing: bool = True
     dist_stride: int | None = None
@@ -44,23 +44,9 @@ class SolverConfig:
             raise ConfigurationError("iterations must be nonnegative")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.q_schedule not in ("constant", "fista"):
-            raise ConfigurationError("q_schedule must be 'constant' or 'fista'")
         if self.sample_mode not in ("replacement", "cycle", "full"):
             raise ConfigurationError(
                 "sample_mode must be 'replacement', 'cycle', or 'full'")
-
-
-@dataclass
-class IterateTrace:
-    dist: list = field(default_factory=list)
-    snr: list = field(default_factory=list)
-    elapsed: list = field(default_factory=list)
-    indices: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.dist)
 
 
 def fista_q_update(q_prev):
@@ -124,8 +110,8 @@ class _ProxDenoiser:
         return self.prox(z.ravel()).reshape(z.shape)
 
 
-class _TraceRecorder:
-    """Per-iteration bookkeeping shared by both loops.
+class IterateTrace:
+    """A run's per-iteration record, kept by both loops as they go.
 
     The recorded distance is metrics.dist_to_fix for the run's denoiser,
     gamma and sigma. The clock stops while a record is taken, so elapsed
@@ -134,41 +120,45 @@ class _TraceRecorder:
 
     def __init__(self, model, denoiser, config, x0, truth):
         from pnp_online import metrics  # metrics imports operator_P from here
-        self.metrics = metrics
-        self.model = model
-        self.denoiser = denoiser
-        self.config = config
-        self.truth = truth
-        self.x0_norm = float(np.linalg.norm(x0))
-        self.stride = config.dist_stride
-        if self.stride is None:
-            self.stride = 1 if model.n <= DIST_EVERY_ITERATION_MAX_N else 10
-        self.trace = IterateTrace()
-        self.start = time.perf_counter()
+        self._metrics = metrics
+        self._model = model
+        self._denoiser = denoiser
+        self._config = config
+        self._truth = truth
+        self._x0_norm = float(np.linalg.norm(x0))
+        self._stride = config.dist_stride
+        if self._stride is None:
+            self._stride = 1 if model.n <= DIST_EVERY_ITERATION_MAX_N else 10
+        self.dist, self.snr, self.elapsed, self.indices = [], [], [], []
+        self.warnings = []
+        self._start = time.perf_counter()
+
+    def __len__(self):
+        return len(self.dist)
 
     def check_divergence(self, x):
         if not np.all(np.isfinite(x)):
-            raise DivergenceError("NaN or Inf in iterate", trace=self.trace)
-        if np.linalg.norm(x) > DIVERGENCE_FACTOR * (1.0 + self.x0_norm):
+            raise DivergenceError("NaN or Inf in iterate", trace=self)
+        if np.linalg.norm(x) > DIVERGENCE_FACTOR * (1.0 + self._x0_norm):
             raise DivergenceError("iterate norm exceeded safety bound",
-                                  trace=self.trace)
+                                  trace=self)
 
     def record(self, k, x, indices=None):
-        config = self.config
+        config = self._config
         entered = time.perf_counter()
-        if k % self.stride == 0 or k == config.iterations:
-            dist = self.metrics.dist_to_fix(self.model, self.denoiser,
-                                            config.gamma, config.sigma, x)
+        if k % self._stride == 0 or k == config.iterations:
+            dist = self._metrics.dist_to_fix(self._model, self._denoiser,
+                                             config.gamma, config.sigma, x)
         else:
             dist = math.nan
-        self.trace.dist.append(dist)
-        self.trace.snr.append(math.nan if self.truth is None
-                              else self.metrics.snr_db(self.truth, x))
-        self.trace.elapsed.append(entered - self.start
-                                  if config.record_timing else 0.0)
-        self.trace.indices.append(None if indices is None
-                                  else np.asarray(indices).copy())
-        self.start += time.perf_counter() - entered
+        self.dist.append(dist)
+        self.snr.append(math.nan if self._truth is None
+                        else self._metrics.snr_db(self._truth, x))
+        self.elapsed.append(entered - self._start
+                            if config.record_timing else 0.0)
+        self.indices.append(None if indices is None
+                            else np.asarray(indices).copy())
+        self._start += time.perf_counter() - entered
 
 
 def _initial_iterate(model, config):
@@ -209,7 +199,7 @@ def run_pnp_sgd(model, denoiser, config, truth=None):
     x = _initial_iterate(model, config)
     s = x.copy()
     q_prev = 1.0
-    recorder = _TraceRecorder(model, denoiser, config, x, truth)
+    trace = IterateTrace(model, denoiser, config, x, truth)
     for k in range(1, config.iterations + 1):
         if config.sample_mode == "full":
             indices, grad = None, grad_full(model, s)
@@ -221,13 +211,12 @@ def run_pnp_sgd(model, denoiser, config, truth=None):
             grad = gradient_from_indices(model, indices, s)
         x_new = _denoise_flat(model, denoiser, config.sigma,
                               s - config.gamma * grad)
-        recorder.check_divergence(x_new)
-        q_new = (fista_q_update(q_prev) if config.q_schedule == "fista"
-                 else 1.0)
+        trace.check_divergence(x_new)
+        q_new = fista_q_update(q_prev) if config.accelerated else 1.0
         s = x_new + (q_prev - 1.0) / q_new * (x_new - x)
         x, q_prev = x_new, q_new
-        recorder.record(k, x, indices)
-    return x, recorder.trace
+        trace.record(k, x, indices)
+    return x, trace
 
 
 def run_admm(model, regularizer_prox, config, truth=None):
@@ -239,18 +228,18 @@ def run_pnp_admm(model, denoiser, config, truth=None):
     """The ADMM loop, with the data prox solved by CG and the dual at zero."""
     x = _initial_iterate(model, config)
     s = np.zeros(model.n)
-    recorder = _TraceRecorder(model, denoiser, config, x, truth)
+    trace = IterateTrace(model, denoiser, config, x, truth)
     for k in range(1, config.iterations + 1):
         z, info = prox_datafit(model, config.gamma, x - s)
         if not info.converged:
-            recorder.trace.warnings.append(
+            trace.warnings.append(
                 f"iteration {k}: inner CG stopped at relative residual "
                 f"{info.relative_residual:.3e}")
         x = _denoise_flat(model, denoiser, config.sigma, z + s)
-        recorder.check_divergence(x)
+        trace.check_divergence(x)
         s = s + (z - x)
-        recorder.record(k, x)
-    return x, recorder.trace
+        trace.record(k, x)
+    return x, trace
 
 
 def huber_gradient(x):

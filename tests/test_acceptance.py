@@ -125,8 +125,7 @@ class AcceptanceContext:
                         cfg = SolverConfig(
                             gamma=gamma, sigma=sigma, iterations=iters,
                             seed=0, batch_size=B, sample_mode="cycle",
-                            q_schedule=("fista" if variant == "accelerated"
-                                        else "constant"),
+                            accelerated=variant == "accelerated",
                             record_timing=False)
                         _, trace = run_pnp_sgd(model, denoiser, cfg)
                         runs[(den_name, scale, B, variant)] = \
@@ -235,7 +234,7 @@ def test_criterion_3_ista_admm_fixed_point_agreement(ctx):
                 denoiser = TvProxDenoiser()
                 sigma = math.sqrt(gamma * lam)
                 warm = SolverConfig(gamma=gamma, sigma=sigma, iterations=1500,
-                                    seed=0, q_schedule="fista",
+                                    seed=0, accelerated=True,
                                     dist_stride=1500, record_timing=False)
                 xw, _ = run_pnp_ista(model, denoiser, warm)
                 polish = SolverConfig(gamma=gamma, sigma=sigma,

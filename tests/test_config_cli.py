@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from conftest import pnpm1_bytes
 
 def test_defaults_validate():
     cfg = ExperimentConfig().validate()
-    assert cfg.model == "dt"
     assert cfg.gamma_list() == [1.0, 0.25, 0.0625]
     assert cfg.batch_list() == [2, 4, 8]
 
@@ -364,17 +364,11 @@ def test_cli_reconstruct_rejects_zero_operator_without_gamma(tmp_path,
                  "--set", "gamma=0.5"]) == 0
 
 
-def test_cli_simulate_checks_model_kind_before_building(tmp_path,
-                                                        monkeypatch, capsys):
-    built = []
-    for name in ("phantom_from_config", "build_gaussian_model",
-                 "build_dt_model"):
-        monkeypatch.setattr(cli, name,
-                            lambda *a, name=name, **k: built.append(name))
+def test_cli_model_key_is_unknown(tmp_path, capsys):
+    """Every command builds the DT model; there is no key to pick another."""
     assert main(["simulate", *TINY, "--set", "model=gaussian",
                  "-o", str(tmp_path / "m.pnpm")]) == 2
-    assert "use model=dt" in capsys.readouterr().err
-    assert built == []
+    assert "unknown config key 'model'" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -385,8 +379,7 @@ FUZZ_TYPES["outdir"] = "str"
 FUZZ_SIZES = {"grid": st.integers(GRID_MIN, 12),
               "transmitters": st.integers(1, 3),
               "receivers": st.integers(1, 6)}
-FUZZ_WORDS = {"model": ["dt", "gaussian"], "phantom": ["blobs", "checker",
-                                                       "missing.pgm"],
+FUZZ_WORDS = {"phantom": ["blobs", "checker", "missing.pgm"],
               "algorithm": list(ALGORITHMS), "denoiser": list(DENOISERS),
               "incident": ["point", "plane"],
               "sample_mode": ["replacement", "cycle", "full"],
@@ -661,6 +654,26 @@ def test_cli_diverged_trace_keeps_solver_warnings(tmp_path, monkeypatch):
     assert lines[-2] == ("# warning: iteration 1: inner CG stopped at "
                          "relative residual 5.000e-01")
     assert lines[-1].startswith("# diverged: ")
+
+
+@pytest.mark.parametrize("algorithm,denoiser", [
+    ("ista", "tv"), ("admm", "tv"), ("pnp-ista", "tv"),
+    ("pnp-ista", "filter"), ("pnp-admm", "tv"), ("pnp-admm", "filter"),
+    ("pnp-sgd", "tv"), ("pnp-sgd", "filter")])
+def test_cli_divergence_prints_one_stderr_line(tiny_model, tmp_path, capsys,
+                                               algorithm, denoiser):
+    """numpy's overflow warnings stay silent; the divergence check speaks."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["reconstruct", str(tiny_model), *TINY, "-o",
+                     str(tmp_path / "r"), "--set", "gamma=1e308",
+                     "--set", "sigma=1",
+                     "--set", f"algorithm={algorithm}",
+                     "--set", f"denoiser={denoiser}"])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical divergence: ")
 
 
 def test_cli_simulate_reconstruct_pipeline(tmp_path):

@@ -190,7 +190,7 @@ def test_fista_beats_ista_at_fifty_iterations():
     basic = SolverConfig(gamma=gamma, iterations=50, seed=0,
                          record_timing=False)
     accel = SolverConfig(gamma=gamma, iterations=50, seed=0,
-                         q_schedule="fista", record_timing=False)
+                         accelerated=True, record_timing=False)
     xb, _ = run_ista(model, prox, basic)
     xa, _ = run_ista(model, prox, accel)
     assert objective(xa) <= objective(xb) + 1e-12
@@ -447,8 +447,6 @@ def test_solver_config_validation():
         SolverConfig(gamma=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(gamma=0.1, batch_size=0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(gamma=0.1, q_schedule="nesterov")
 
 
 # ----------------------------------------------------------- counter-example

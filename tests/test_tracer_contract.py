@@ -7,6 +7,7 @@ past it, shows only in a traced benchmark run.
 """
 
 import collections
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,3 +83,35 @@ def test_traced_reconstruct_sees_the_layers(traced_model, algorithm):
     assert {name for name in EXPECTED_SPANS[algorithm]
             if counts[name] == 0} == set()
     assert counts["solvers.solve"] == 1
+
+
+def _benchmark_run_module():
+    """perfbench/run.py, imported read-only for its workload table."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _benchmark_run_module()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+def test_traced_workload_meets_the_benchmark_self_test(tmp_path, workload):
+    """The call counts the benchmark's tracing self-test expects per cycle.
+
+    A change to how often a solver calls grad_full, tv_prox or CG fails the
+    traced benchmark run; this test shows it first.
+    """
+    spec = BENCH.WORKLOADS[workload]
+    args = BENCH.set_args(spec, BENCH.pnp_seeds(spec, 0)[0])
+    model = tmp_path / "model.pnpm"
+    counts = (_traced_span_counts(tmp_path / "simulate.json",
+                                  ["simulate", "-o", str(model), *args])
+              + _traced_span_counts(tmp_path / "reconstruct.json",
+                                    ["reconstruct", str(model), "-o",
+                                     str(tmp_path / "r"), *args]))
+    assert {metric: counts[metric.removesuffix("_calls")]
+            for metric in spec.expected_counts} == spec.expected_counts
