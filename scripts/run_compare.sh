@@ -5,6 +5,6 @@
 set -eu
 OUT=${1:-results/compare}
 
-pnp compare --set iterations=600 --set budget=4 -o "$OUT"
+pnp compare --set iterations=600 --set batch_size=4 -o "$OUT"
 
 echo "Comparison: $OUT/compare.csv"

@@ -2,7 +2,7 @@
 counterexample, certify.
 
 Every command is reproducible bytewise from (config file, master seed);
-SVG plots are regenerated purely from the CSVs they sit next to.
+each SVG plot is drawn from the same runs as the CSV it sits next to.
 Exit codes: 0 success, 2 config error or out of memory, 3 numerical
 divergence, 4 I/O error.
 """
@@ -265,7 +265,8 @@ def cmd_sweep(cfg, outdir):
                 csv_path = os.path.join(outdir, tag + ".csv")
                 os.makedirs(outdir, exist_ok=True)
                 write_trace(csv_path, trace)
-                plot_trace_csv(csv_path, os.path.join(outdir, tag + ".svg"))
+                _plot_dist(trace, os.path.join(outdir, tag + ".svg"),
+                           tag + ".csv")
                 if not accelerated:
                     row.append(metrics.min_dist(trace.dist))
         summary_rows.append(row)
@@ -279,18 +280,13 @@ def cmd_sweep(cfg, outdir):
     return summary_path
 
 
-def plot_trace_csv(csv_path, svg_path):
-    """Regenerate the dist-vs-iteration plot purely from a trace CSV."""
-    _, columns, rows = read_csv(csv_path)
-    k_idx, d_idx = columns.index("k"), columns.index("dist")
-    xs, ys = [], []
-    for row in rows:
-        if row[d_idx] == "" or row[d_idx] == "nan":
-            continue
-        xs.append(float(row[k_idx]))
-        ys.append(float(row[d_idx]))
-    line_plot(svg_path, [("dist", xs, ys)], title=os.path.basename(csv_path),
-              xlabel="iteration", ylabel="dist", log_y=True)
+def _plot_dist(trace, svg_path, title):
+    """The dist-vs-iteration plot; the NaN steps off the dist stride are
+    left out, so they do not stretch the x range."""
+    points = [(k, d) for k, d in enumerate(trace.dist, 1) if not math.isnan(d)]
+    line_plot(svg_path, [("dist", [float(k) for k, _ in points],
+                          [d for _, d in points])],
+              title=title, xlabel="iteration", ylabel="dist", log_y=True)
 
 
 def _subset_model(model, budget):
@@ -307,7 +303,7 @@ def cmd_compare(cfg, outdir):
     cfg = dataclasses.replace(cfg, dist_stride=max(1, cfg.iterations))
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
-    budget = min(cfg.budget, model.num_components)
+    budget = min(cfg.batch_size, model.num_components)
     subset = _subset_model(model, budget)
 
     runs = {}
@@ -338,35 +334,26 @@ def cmd_compare(cfg, outdir):
     write_csv(csv_path, "pnp-compare-v1", columns, rows,
               [f"warning: {name}: {w}" for name, (_, trace) in runs.items()
                for w in trace.warnings])
-    plot_compare_csv(csv_path, os.path.join(outdir, "compare_iterations.svg"),
-                     against="iterations")
-    plot_compare_csv(csv_path, os.path.join(outdir, "compare_wallclock.svg"),
-                     against="wallclock")
+    for svg_name, xlabel, x_of in (
+            ("compare_iterations.svg", "iteration",
+             lambda trace: [float(k) for k in range(1, len(trace) + 1)]),
+            ("compare_wallclock.svg", "seconds",
+             lambda trace: trace.elapsed)):
+        line_plot(os.path.join(outdir, svg_name),
+                  [(name, x_of(trace), trace.snr)
+                   for name, (_, trace) in runs.items()],
+                  title="batch vs online", xlabel=xlabel, ylabel="SNR (dB)",
+                  log_y=False)
     return csv_path
 
 
-def plot_compare_csv(csv_path, svg_path, against="iterations"):
-    _, columns, rows = read_csv(csv_path)
-    series = []
-    for name in ("pnp-fista", "pnp-admm", "pnp-sgd"):
-        s_idx = columns.index(f"{name}_snr_db")
-        t_idx = columns.index(f"{name}_elapsed_s")
-        xs, ys = [], []
-        for row in rows:
-            if row[s_idx] == "":
-                continue
-            xs.append(float(row[t_idx]) if against == "wallclock"
-                      else float(row[columns.index("k")]))
-            ys.append(float(row[s_idx]))
-        series.append((name, xs, ys))
-    xlabel = "seconds" if against == "wallclock" else "iteration"
-    line_plot(svg_path, series, title="batch vs online", xlabel=xlabel,
-              ylabel="SNR (dB)", log_y=False)
+# (gamma, sigma, c, z0) of the counter-example: sigma > gamma / sqrt(c), the
+# divergent regime, with the values ACCEPTANCE criterion 4 checks.
+COUNTEREXAMPLE = (0.5, 1.0, 1.0, 0.1)
 
 
 def cmd_counterexample(cfg, outdir):
-    z = run_counterexample(cfg.ce_gamma, cfg.ce_sigma, cfg.ce_c, cfg.ce_z0,
-                           cfg.ce_iters)
+    z = run_counterexample(*COUNTEREXAMPLE, cfg.iterations)
     os.makedirs(outdir, exist_ok=True)
     # dist here is the squared distance to the fidelity minimizer 0; the
     # fixed-point set of the counter-example operator is empty.
@@ -383,6 +370,12 @@ def cmd_counterexample(cfg, outdir):
     return csv_path
 
 
+# Both shipped denoisers are 1/2-averaged. Test pairs and the bounded-constant
+# samples are drawn from [-CERT_DOMAIN_SCALE, CERT_DOMAIN_SCALE].
+CERT_ALPHA = 0.5
+CERT_DOMAIN_SCALE = 2.0
+
+
 def cmd_certify(cfg, outdir):
     gamma_sigma_probe = math.sqrt(cfg.lam)  # sigma at gamma = 1 reference
     sigma = cfg.sigma if cfg.sigma is not None else gamma_sigma_probe
@@ -390,17 +383,16 @@ def cmd_certify(cfg, outdir):
     for name, denoiser in (("tv", TvProxDenoiser()),
                            ("filter", AveragedFilterDenoiser()),
                            ("shift", ShiftDenoiser(c=1.0))):
-        cert = certify_averaged(denoiser, cfg.cert_alpha, sigma,
+        cert = certify_averaged(denoiser, CERT_ALPHA, sigma,
                                 num_pairs=cfg.cert_pairs,
-                                domain_scale=cfg.cert_domain_scale,
-                                seed=cfg.cert_seed, tol=cfg.cert_tol,
+                                domain_scale=CERT_DOMAIN_SCALE, seed=cfg.seed,
                                 shape=(cfg.grid, cfg.grid))
         straddle = certify_pair(
-            denoiser, cfg.cert_alpha, sigma,
+            denoiser, CERT_ALPHA, sigma,
             np.full((cfg.grid, cfg.grid), 0.1),
             np.full((cfg.grid, cfg.grid), -0.1))
-        samples = [np.random.default_rng(cfg.cert_seed + i)
-                   .uniform(-cfg.cert_domain_scale, cfg.cert_domain_scale,
+        samples = [np.random.default_rng(cfg.seed + i)
+                   .uniform(-CERT_DOMAIN_SCALE, CERT_DOMAIN_SCALE,
                             size=(cfg.grid, cfg.grid)) for i in range(8)]
         bounded = estimate_bounded_constant(denoiser, sigma, samples)
         rows.append([name, cert.pairs_tested, repr(cert.max_violation),

@@ -2,14 +2,16 @@
 
 The file format is deliberately diff-friendly: one `key = value` per line,
 '#' comments. Unknown keys are rejected so typos fail loudly at parse time,
-and `validate` rejects values no command can use: a non-finite float (only
-`input_snr_db` may be inf, for noiseless data), a finite `input_snr_db`
-outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside [GRID_MIN, GRID_MAX],
-a step (`gamma`, `gamma_scale`, `sweep_gammas`) that is not positive, a
-negative `lam` or `sigma`, a `dist_stride` below 1, a `seed` or
-`cert_seed` outside [0, SEED_MAX], `transmitters` or `receivers` outside
-[1, TRANSMITTERS_MAX] or [1, RECEIVERS_MAX], and a minibatch size
-(`batch_size`, `sweep_batches`) outside [1, BATCH_MAX].
+and `validate` rejects values no command can use: an `algorithm`,
+`denoiser`, `sample_mode` or `incident` outside its list, a non-finite
+float (only `input_snr_db` may be inf, for noiseless data), a finite
+`input_snr_db` outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside
+[GRID_MIN, GRID_MAX], a negative `iterations`, a step (`gamma`,
+`gamma_scale`, `sweep_gammas`) that is not positive, a negative `lam` or
+`sigma`, a `dist_stride` below 1, a `seed` outside [0, SEED_MAX],
+`transmitters` or `receivers` outside [1, TRANSMITTERS_MAX] or
+[1, RECEIVERS_MAX], and a minibatch size (`batch_size`, `sweep_batches`)
+outside [1, BATCH_MAX].
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from pnp_online.errors import ConfigurationError
 
 ALGORITHMS = ("ista", "admm", "pnp-ista", "pnp-admm", "pnp-sgd")
 DENOISERS = ("tv", "filter", "identity")
+SAMPLE_MODES = ("replacement", "cycle", "full")
+INCIDENTS = ("point", "plane")
 # Pixels per side. A 256 x 256 DT model already holds a 48 x 65 536 complex
 # Green matrix (50 MB) with the default receivers; the phantoms need 8.
 GRID_MIN, GRID_MAX = 8, 256
@@ -65,7 +69,7 @@ class ExperimentConfig:
     gamma_scale: float = 1.0           # gamma = gamma_scale / L
     accelerated: bool = False
     iterations: int = 500
-    batch_size: int = 4
+    batch_size: int = 4                # also compare's per-iteration budget
     sample_mode: str = "replacement"
     seed: int = 0
     dist_stride: int | None = None
@@ -73,26 +77,17 @@ class ExperimentConfig:
     # sweeps (scales of 1/L, and minibatch sizes)
     sweep_gammas: str = "1,0.25,0.0625"
     sweep_batches: str = "2,4,8"
-    # batch-vs-online comparison
-    budget: int = 4
-    # counter-example demo
-    ce_gamma: float = 0.5
-    ce_sigma: float = 1.0
-    ce_c: float = 1.0
-    ce_z0: float = 0.1
-    ce_iters: int = 10000
     # certificates
-    cert_alpha: float = 0.5
     cert_pairs: int = 1000
-    cert_domain_scale: float = 2.0
-    cert_tol: float = 1e-9
-    cert_seed: int = 0
 
     def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-        if self.denoiser not in DENOISERS:
-            raise ConfigurationError(f"unknown denoiser {self.denoiser!r}")
+        for name, allowed in (("algorithm", ALGORITHMS),
+                              ("denoiser", DENOISERS),
+                              ("sample_mode", SAMPLE_MODES),
+                              ("incident", INCIDENTS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigurationError(f"unknown {name} {value!r}")
         if self.phantom not in ("blobs", "checker"):
             if not self.phantom.endswith(".pgm"):
                 raise ConfigurationError(
@@ -104,8 +99,9 @@ class ExperimentConfig:
             raise ConfigurationError("sweep_gammas must be nonempty")
         if not self.batch_list():
             raise ConfigurationError("sweep_batches must be nonempty")
-        if self.iterations < 0 or self.budget < 1:
-            raise ConfigurationError("iteration/budget values out of range")
+        if self.iterations < 0:
+            raise ConfigurationError(
+                f"iterations must be >= 0, got {self.iterations}")
         for name, top in (("transmitters", TRANSMITTERS_MAX),
                           ("receivers", RECEIVERS_MAX),
                           ("batch_size", BATCH_MAX)):
@@ -137,11 +133,9 @@ class ExperimentConfig:
         if self.dist_stride is not None and self.dist_stride < 1:
             raise ConfigurationError(
                 f"dist_stride must be >= 1, got {self.dist_stride}")
-        for name in ("seed", "cert_seed"):
-            value = getattr(self, name)
-            if not 0 <= value <= SEED_MAX:
-                raise ConfigurationError(
-                    f"{name} must lie in [0, {SEED_MAX}], got {value}")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigurationError(
+                f"seed must lie in [0, {SEED_MAX}], got {self.seed}")
         return self
 
     def gamma_list(self):

@@ -402,9 +402,9 @@ def test_criterion_8_online_vs_batch_snr(ctx):
 
     def gen(outdir):
         base = dict(iterations=600, record_timing=False)
-        cfg_quarter = ExperimentConfig(budget=4, **base).validate()
+        cfg_quarter = ExperimentConfig(batch_size=4, **base).validate()
         cmd_compare(cfg_quarter, os.path.join(outdir, "quarter"))
-        cfg_full = ExperimentConfig(budget=16, **base).validate()
+        cfg_full = ExperimentConfig(batch_size=16, **base).validate()
         cmd_compare(cfg_full, os.path.join(outdir, "full"))
 
     outdir = ctx.run_generator("criterion8", gen)

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -62,8 +63,9 @@ def test_parse_overrides_rejects_bare_token():
 
 
 def test_validate_rejects_unknown_algorithm():
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(algorithm="bogus").validate()
+    for key in ("algorithm", "denoiser", "sample_mode", "incident"):
+        with pytest.raises(ConfigurationError, match=f"unknown {key} 'bogus'"):
+            ExperimentConfig(**{key: "bogus"}).validate()
 
 
 def test_validate_rejects_missing_phantom_file():
@@ -166,7 +168,7 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     ["sweep", *TINY, "--set", "domain_side=5e-324", "--set", "iterations=2"],
     ["compare", *TINY, "--set", "domain_side=5e-324",
      "--set", "iterations=2"],
-    ["counterexample", "--set", "ce_gamma=1.5"],
+    ["counterexample", "--set", "iterations=-1"],
     ["certify", "--set", "grid=8", "--set", "sigma=0",
      "--set", "cert_pairs=1"],
     # a sweep without iterations wrote its first tv cell, then stopped
@@ -178,7 +180,13 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
                   "--set", "lam=0"], id="sweep-filter-sigma-0"),
     pytest.param(["sweep", *TINY, "--set", "iterations=2",
                   "--set", "sweep_gammas=1e300"],
-                 id="sweep-filter-sigma-past-bound")],
+                 id="sweep-filter-sigma-past-bound"),
+    # neither command reads the key, so simulate exited 0 and reconstruct
+    # went on to the missing model file
+    pytest.param(["simulate", *TINY, "--set", "sample_mode=bogus"],
+                 id="simulate-sample-mode"),
+    pytest.param(["reconstruct", "m.pnpm", *TINY, "--set", "incident=bogus"],
+                 id="reconstruct-incident")],
     ids=lambda argv: argv[0])
 def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys,
                                                      argv):
@@ -221,7 +229,7 @@ def test_cli_long_integer_seed_parses(monkeypatch, capsys):
     ("simulate", "seed=-1", None),            # ValueError in default_rng
     ("simulate", f"seed={2 ** 63}", None),    # struct.error packing int64
     ("reconstruct", None, "-5"),
-    ("certify", "cert_seed=-3", None)])
+    ("certify", "seed=-3", None)])
 def test_cli_exit_code_seed_out_of_range(tmp_path, monkeypatch, capsys,
                                          command, override, seed_env):
     if seed_env is not None:
@@ -364,12 +372,32 @@ def test_cli_reconstruct_rejects_zero_operator_without_gamma(tmp_path,
                  "--set", "gamma=0.5"]) == 0
 
 
-def test_cli_model_key_is_unknown(tmp_path, capsys):
-    """Every command builds the DT model; there is no key to pick another."""
-    assert main(["simulate", *TINY, "--set", "model=gaussian",
+@pytest.mark.parametrize("key", [
+    # every command builds the DT model; there is no key to pick another
+    "model",
+    # compare's per-iteration budget is batch_size
+    "budget",
+    # the counter-example runs fixed values for iterations steps
+    "ce_gamma", "ce_sigma", "ce_c", "ce_z0", "ce_iters",
+    # certify tests alpha = 1/2 on fixed domains, seeded by seed
+    "cert_alpha", "cert_domain_scale", "cert_tol", "cert_seed"])
+def test_cli_model_key_is_unknown(tmp_path, capsys, key):
+    assert main(["simulate", *TINY, "--set", f"{key}=1",
                  "-o", str(tmp_path / "m.pnpm")]) == 2
-    assert "unknown config key 'model'" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_scripts_set_only_known_keys():
+    """Every `--set KEY=VALUE` in scripts/*.sh parses; no test runs them."""
+    scripts = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+    pairs = []
+    for name in sorted(os.listdir(scripts)):
+        if name.endswith(".sh"):
+            with open(os.path.join(scripts, name), encoding="utf-8") as fh:
+                pairs += re.findall(r"--set\s+(\S+=\S+)", fh.read())
+    assert pairs
+    parse_overrides(pairs)
 
 
 # every key and its type; outdir was removed and must be an unknown key
@@ -510,7 +538,7 @@ def test_cli_reconstruct_rejects_filter_sigma_past_pass_bound(
 
 @pytest.mark.parametrize("override", [
     "lam=inf", "gamma_scale=inf", "wavelength=inf", "domain_side=-inf",
-    "sigma=inf", "gamma=inf", "cert_tol=inf", "input_snr_db=-inf",
+    "sigma=inf", "gamma=inf", "input_snr_db=-inf",
     "sweep_gammas=1,inf"])
 def test_cli_exit_code_nonfinite_config(override, capsys):
     assert main(["certify", "--set", "cert_pairs=1", "--set", override]) == 2
@@ -722,7 +750,7 @@ def test_cli_commands_run_no_power_iteration(tmp_path, monkeypatch):
     assert main(["reconstruct", model, *SMALL, "-o", str(tmp_path / "r"),
                  "--set", "iterations=3"]) == 0
     assert main(["compare", *SMALL, "-o", str(tmp_path / "cmp"),
-                 "--set", "iterations=3", "--set", "budget=2"]) == 0
+                 "--set", "iterations=3", "--set", "batch_size=2"]) == 0
 
 
 def test_cli_reconstruct_of_pnpm2_does_no_eigen_work(tmp_path, monkeypatch):
@@ -902,9 +930,10 @@ def test_cli_deterministic_reruns(tmp_path):
 def test_cli_counterexample_dist_strictly_increasing(tmp_path):
     out = str(tmp_path / "ce")
     assert main(["counterexample", "-o", out,
-                 "--set", "ce_iters=500"]) == 0
+                 "--set", "iterations=500"]) == 0
     schema, columns, rows = read_csv(os.path.join(out, "counterexample.csv"))
     assert schema == "pnp-counterexample-v1"
+    assert len(rows) == 501                  # z^0, ..., z^iterations
     dist = [float(r[columns.index("dist")]) for r in rows]
     assert all(b > a for a, b in zip(dist[1:], dist[2:]))  # past the origin
     assert os.path.exists(os.path.join(out, "counterexample.svg"))
@@ -920,6 +949,20 @@ def test_cli_certify_outputs(tmp_path):
     assert by_name["tv"][columns.index("passed")] == "True"
     assert by_name["filter"][columns.index("passed")] == "True"
     assert by_name["shift"][columns.index("passed")] == "False"
+
+
+def test_cli_certify_follows_the_master_seed(tmp_path, monkeypatch):
+    # certify drew from its own cert_seed, so PNP_SEED changed nothing
+    def certify(tag):
+        out = tmp_path / tag
+        assert main(["certify", "-o", str(out), "--set", "cert_pairs=2",
+                     "--set", "grid=8"]) == 0
+        return (out / "certificates.csv").read_bytes()
+
+    first = certify("zero")
+    assert certify("again") == first
+    monkeypatch.setenv("PNP_SEED", "7")
+    assert certify("seven") != first
 
 
 @pytest.mark.parametrize("override", ["lam=0", "sigma=0"])
@@ -977,7 +1020,7 @@ def test_cli_sweep_records_failed_cells(tmp_path, monkeypatch):
 def test_cli_compare_small(tmp_path):
     out = str(tmp_path / "cmp")
     assert main(["compare", *SMALL, "-o", out, "--set", "iterations=30",
-                 "--set", "budget=2"]) == 0
+                 "--set", "batch_size=2"]) == 0
     schema, columns, rows = read_csv(os.path.join(out, "compare.csv"))
     assert schema == "pnp-compare-v1"
     assert len(rows) == 30
@@ -997,7 +1040,7 @@ def test_cli_compare_computes_dist_at_the_last_iteration_only(tmp_path,
 
     monkeypatch.setattr(metrics, "dist_to_fix", counting)
     assert main(["compare", *TINY, "-o", str(tmp_path / "cmp"),
-                 "--set", "iterations=5", "--set", "budget=2"]) == 0
+                 "--set", "iterations=5", "--set", "batch_size=2"]) == 0
     assert len(calls) == 3
 
 
@@ -1005,7 +1048,7 @@ def test_cli_compare_writes_solver_warnings(tmp_path, monkeypatch):
     monkeypatch.setattr(solvers, "prox_datafit", _stalled_prox)
     out = str(tmp_path / "cmp")
     assert main(["compare", *SMALL, "-o", out, "--set", "iterations=2",
-                 "--set", "budget=2"]) == 0
+                 "--set", "batch_size=2"]) == 0
     csv_path = os.path.join(out, "compare.csv")
     lines = open(csv_path).read().splitlines()
     warnings = [line for line in lines if line.startswith("# warning: ")]
