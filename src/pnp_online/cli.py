@@ -35,10 +35,11 @@ from pnp_online.svgplot import line_plot
 
 
 # ---------------------------------------------------------------------------
-# CSV with a versioned schema header line; re-parseable by read_csv below.
+# CSV with a versioned schema header line; the tests' read_csv parses it.
 
 def write_csv(path, schema, columns, rows, comments=()):
-    """Write the rows, then one `# <comment>` line each; read_csv skips them."""
+    """Write the rows, then one `# <comment>` line each; CSV readers,
+    such as the tests' read_csv, skip them."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# schema={schema}\n")
         fh.write(",".join(columns) + "\n")
@@ -54,19 +55,6 @@ def _cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def read_csv(path):
-    """Return (schema, columns, rows-of-strings)."""
-    with open(path, encoding="ascii") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# schema="):
-            raise ConfigurationError(f"{path}: missing schema header line")
-        schema = first.split("=", 1)[1]
-        columns = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh
-                if line.strip() and not line.startswith("#")]
-    return schema, columns, rows
 
 
 # ---------------------------------------------------------------------------

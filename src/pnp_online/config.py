@@ -10,8 +10,8 @@ float (only `input_snr_db` may be inf, for noiseless data), a finite
 `gamma_scale`, `sweep_gammas`) that is not positive, a negative `lam` or
 `sigma`, a `dist_stride` below 1, a `seed` outside [0, SEED_MAX],
 `transmitters` or `receivers` outside [1, TRANSMITTERS_MAX] or
-[1, RECEIVERS_MAX], and a minibatch size (`batch_size`, `sweep_batches`)
-outside [1, BATCH_MAX].
+[1, RECEIVERS_MAX], a minibatch size (`batch_size`, `sweep_batches`)
+outside [1, BATCH_MAX], and a `cert_pairs` outside [1, CERT_PAIRS_MAX].
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ TRANSMITTERS_MAX = RECEIVERS_MAX = 1024
 # forms batch x grid^2 complex products, 1 GiB at 1024 and GRID_MAX, and
 # the trace stores every drawn index.
 BATCH_MAX = 1024
+# Random pairs `certify` tests. A pair calls each of the three denoisers
+# twice: about 0.4 ms at 32^2 and 14 ms at 256^2 at the default sigma, and
+# 26 ms and 0.9 s at sigma = 1 (one BLAS thread). So at the bound a
+# default-sigma run takes about 4 s at 32^2 and 2.4 min at GRID_MAX.
+# scripts/run_certificates.sh tests 1000 pairs.
+CERT_PAIRS_MAX = 10_000
 
 
 @dataclass
@@ -104,7 +110,8 @@ class ExperimentConfig:
                 f"iterations must be >= 0, got {self.iterations}")
         for name, top in (("transmitters", TRANSMITTERS_MAX),
                           ("receivers", RECEIVERS_MAX),
-                          ("batch_size", BATCH_MAX)):
+                          ("batch_size", BATCH_MAX),
+                          ("cert_pairs", CERT_PAIRS_MAX)):
             value = getattr(self, name)
             if not 1 <= value <= top:
                 raise ConfigurationError(

@@ -1,7 +1,8 @@
-"""Measurement models: first-Born diffraction tomography and Gaussian baseline.
+"""Measurement model: first-Born diffraction tomography.
 
-A model holds I component operators H_i and measurements y_i as arrays.
-The data fidelity is the 1/I-averaged least squares
+A model holds I component operators H_i = S diag(u_i) and measurements y_i
+as arrays; the stacked-matrix baseline is a test oracle in
+`tests/conftest.py`. The data fidelity is the 1/I-averaged least squares
 d(x) = (1/I) sum_i (1/2)||y_i - H_i x||^2, so minibatch gradients estimate
 the full gradient without rescaling.
 """
@@ -145,13 +146,12 @@ class BornComponentOperator:
 
 
 class MeasurementModel:
-    """I components H_i with measurements y_i, held as arrays.
+    """I DT components H_i with measurements y_i, held as arrays.
 
-    A DT model keeps each H_i = S diag(u_i) factored: the shared scattering
-    matrix S (M, n) and the incident fields U (I, n). Any other model keeps
-    the stacked matrices H (I, M, n). The measurements are Y (I, M).
-    Products over a set of components take `rows`, a slice or an index
-    array; a repeated index repeats its component.
+    Each H_i = S diag(u_i) stays factored: the shared scattering matrix
+    S (M, n) and the incident fields U (I, n). The measurements are
+    Y (I, M). Products over a set of components take `rows`, a slice or an
+    index array; a repeated index repeats its component.
 
     `lambdas` holds lambda_max(H_i^H H_i) of every component, each a
     certified upper bound from `lambda_max_bound`; unless given, they are
@@ -160,24 +160,19 @@ class MeasurementModel:
     """
 
     def __init__(self, *, width, height, measurements, scattering=None,
-                 incident=None, matrices=None, geometry=None, seed=None,
+                 incident=None, geometry=None, seed=None,
                  input_snr_db=math.inf, lambdas=None, truth_sha256=None):
         self.measurements = np.asarray(measurements)
         self.scattering, self.incident = scattering, incident
-        self.matrices = matrices
         self.width, self.height = width, height
         self.geometry, self.seed = geometry, seed
         self.input_snr_db = input_snr_db
         self.truth_sha256 = truth_sha256
         self.n = width * height
         num, self.M = self.measurements.shape
-        if matrices is not None:
-            ok = matrices.shape == (num, self.M, self.n)
-        else:
-            ok = (scattering is not None and incident is not None
-                  and scattering.shape == (self.M, self.n)
-                  and incident.shape == (num, self.n))
-        if not ok:
+        if not (scattering is not None and incident is not None
+                and scattering.shape == (self.M, self.n)
+                and incident.shape == (num, self.n)):
             raise ConfigurationError("component arrays must match the "
                                      "measurements and the grid")
         self._lambdas = (None if lambdas is None
@@ -199,13 +194,7 @@ class MeasurementModel:
     @property
     def lambdas(self):
         if self._lambdas is None:
-            if self.matrices is None:
-                self._lambdas = factored_lambdas(self.scattering,
-                                                 self.incident)
-            else:
-                self._lambdas = np.array([
-                    lambda_max_bound(lambda cols, h=h: h[:, cols], h.shape)
-                    for h in self.matrices])
+            self._lambdas = factored_lambdas(self.scattering, self.incident)
         return self._lambdas
 
     @property
@@ -218,27 +207,19 @@ class MeasurementModel:
         return MeasurementModel(
             lambdas=self.lambdas[rows], width=self.width, height=self.height,
             measurements=self.measurements[rows], scattering=self.scattering,
-            incident=None if self.incident is None else self.incident[rows],
-            matrices=None if self.matrices is None else self.matrices[rows],
+            incident=self.incident[rows],
             geometry=self.geometry, seed=self.seed,
             input_snr_db=self.input_snr_db, truth_sha256=self.truth_sha256)
 
     def apply(self, x, rows=slice(None)):
         """H_i x for the components `rows`, stacked as a (B, M) array."""
-        if self.matrices is not None:
-            return self.matrices[rows] @ x
         return (self.incident[rows] * x) @ self.scattering.T
 
     def adjoint_sum(self, residuals, rows=slice(None)):
         """sum_i Re(H_i^H r_i) over the components `rows`, r_i = residuals[i].
 
-        The rows are summed one at a time, in order. Stacked matrices form
-        each row's product on its own, so there a set of components sums
-        to exactly the sum of its single-component terms.
+        The rows are summed one at a time, in order.
         """
-        if self.matrices is not None:
-            w = np.conj(residuals)[:, None, :] @ self.matrices[rows]
-            return np.real(w[:, 0]).sum(axis=0)
         # Re(conj(u) * S^H r) == Re(u * (conj(r) @ S)): no conjugate of S.
         w = np.conj(residuals) @ self.scattering
         w *= self.incident[rows]
@@ -267,21 +248,18 @@ def factored_lambdas(scattering, incident):
         for u in incident])
 
 
-def _apply_noise(clean, rng, input_snr_db, complex_noise):
-    """Scale one global noise draw so the input SNR hits the request exactly.
+def _apply_noise(clean, rng, input_snr_db):
+    """Scale one complex noise draw so the input SNR hits the request exactly.
 
     The draw takes each row of `clean` (I, M) in turn: M real parts, then
-    M imaginary parts when complex.
+    M imaginary parts.
     """
     signal_power = sum(float(np.vdot(y, y).real) for y in clean)
     if not math.isfinite(input_snr_db) or signal_power == 0.0:
         # +inf SNR, or the zero-signal convention: no noise at all.
         return clean
-    if complex_noise:
-        raw = rng.standard_normal((len(clean), 2, clean.shape[1]))
-        raw = raw[:, 0] + 1j * raw[:, 1]
-    else:
-        raw = rng.standard_normal(clean.shape)
+    raw = rng.standard_normal((len(clean), 2, clean.shape[1]))
+    raw = raw[:, 0] + 1j * raw[:, 1]
     raw_power = sum(float(np.vdot(e, e).real) for e in raw)
     scale = math.sqrt(signal_power / (10.0 ** (input_snr_db / 10.0) * raw_power))
     return clean + scale * raw
@@ -318,28 +296,12 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     # One product S (u_i * x) per component, so a noiseless y_i equals
     # H_i x formed on its own bit for bit.
     clean = np.array([scattering @ (u * truth.pixels) for u in incident])
-    noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=True)
+    noisy = _apply_noise(clean, rng, input_snr_db)
     return MeasurementModel(width=truth.width, height=truth.height,
                             measurements=noisy, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db,
                             truth_sha256=truth.sha256())
-
-
-def build_gaussian_model(n, M, I, seed, truth, input_snr_db=math.inf):
-    """Random real Gaussian baseline model with entries scaled by 1/sqrt(M)."""
-    if min(n, M, I) < 1:
-        raise ConfigurationError("model dimensions must be positive")
-    if truth.n != n:
-        raise ConfigurationError("truth length must equal n")
-    rng = np.random.default_rng(seed)
-    matrices = rng.standard_normal((I, M, n)) / math.sqrt(M)
-    clean = matrices @ truth.pixels
-    noisy = _apply_noise(clean, rng, input_snr_db, complex_noise=False)
-    return MeasurementModel(width=truth.width, height=truth.height,
-                            measurements=noisy, matrices=matrices,
-                            geometry=None, seed=seed,
-                            input_snr_db=input_snr_db)
 
 
 def _gradient(model, rows, x):

@@ -67,8 +67,6 @@ def save_model(path, model):
     geometry = model.geometry
     if geometry is None:
         raise ConfigurationError("only DT models carry the PNPM2 geometry record")
-    if model.scattering is None:
-        raise ConfigurationError("PNPM2 stores S diag(u_in) factored operators")
     if model.truth_sha256 is None:
         raise ConfigurationError("PNPM2 stores the truth image's SHA-256; "
                                  "this model has none")
@@ -95,10 +93,11 @@ def save_model(path, model):
         fh.write(MAGIC)
         fh.write(header)
         fh.write(lambdas.astype("<f8").tobytes())
-        fh.write(scattering.tobytes())
+        # the arrays themselves: a tobytes() copy would duplicate each block
+        fh.write(scattering)
         for u_in, y in zip(incident, measurements):
-            fh.write(u_in.tobytes())
-            fh.write(y.tobytes())
+            fh.write(u_in)
+            fh.write(y)
     return lambdas
 
 

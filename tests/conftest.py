@@ -1,14 +1,18 @@
 """Shared fixtures: small measurement models and phantoms, and the test
-oracles: forward differences, the TV objective and the data fit."""
+oracles: forward differences, the TV objective, the data fit, the
+stacked-matrix measurement model with its Gaussian draw, and the CSV
+reader."""
 
+import math
 import struct
 import sys
 
 import numpy as np
 import pytest
 
-from pnp_online.forward import (DtGeometry, Image, MeasurementModel,
-                                build_dt_model, build_gaussian_model)
+from pnp_online.errors import ConfigurationError
+from pnp_online.forward import DtGeometry, Image, build_dt_model
+from pnp_online.linops import lambda_max_bound
 from pnp_online.phantoms import phantom_generate
 
 
@@ -39,13 +43,94 @@ def datafit_value(model, x):
     return 0.5 * float(np.vdot(residuals, residuals).real) / model.num_components
 
 
+class StackedModel:
+    """I dense components H_i, stacked as matrices (I, M, n), with
+    measurements Y (I, M).
+
+    It has the attributes of `MeasurementModel` that the solvers, CG and
+    the CLI helpers read, and forms each product the way the package's
+    stacked-matrix model did: `apply` is one (B, M, n) @ (n,) product, and
+    `adjoint_sum` forms each row's product on its own, so a set of
+    components sums to exactly the sum of its single-component terms.
+    Each lambda_i is `lambda_max_bound` of its H_i.
+    """
+
+    geometry = None                   # not a DT model: no PNPM2 file
+
+    def __init__(self, matrices, measurements, width, height, lambdas=None):
+        self.matrices = matrices
+        self.measurements = np.asarray(measurements)
+        self.width, self.height = width, height
+        self.n = width * height
+        self.M = self.measurements.shape[1]
+        self._lambdas = lambdas
+        self.back_projection = (self.adjoint_sum(self.measurements)
+                                / self.num_components)
+
+    @property
+    def num_components(self):
+        return len(self.measurements)
+
+    @property
+    def shape(self):
+        return (self.height, self.width)
+
+    @property
+    def lambdas(self):
+        if self._lambdas is None:
+            self._lambdas = np.array([
+                lambda_max_bound(lambda cols, h=h: h[:, cols], h.shape)
+                for h in self.matrices])
+        return self._lambdas
+
+    @property
+    def lipschitz(self):
+        return float(self.lambdas.max())
+
+    def select(self, indices):
+        rows = np.asarray(indices, dtype=np.intp)
+        return StackedModel(self.matrices[rows], self.measurements[rows],
+                            self.width, self.height, self.lambdas[rows])
+
+    def apply(self, x, rows=slice(None)):
+        return self.matrices[rows] @ x
+
+    def adjoint_sum(self, residuals, rows=slice(None)):
+        w = np.conj(residuals)[:, None, :] @ self.matrices[rows]
+        return np.real(w[:, 0]).sum(axis=0)
+
+    def gram_apply(self, x):
+        return self.adjoint_sum(self.apply(x)) / self.num_components
+
+
+def gaussian_model(n, M, I, seed, truth):
+    """Noiseless random real Gaussian model, entries scaled by 1/sqrt(M)."""
+    rng = np.random.default_rng(seed)
+    matrices = rng.standard_normal((I, M, n)) / math.sqrt(M)
+    return StackedModel(matrices, matrices @ truth.pixels, truth.width,
+                        truth.height)
+
+
 def stacked_model(h, y=None):
     """The one-component stacked model of the dense h; y defaults to 0."""
     h = np.asarray(h)
     if y is None:
         y = np.zeros(h.shape[0], dtype=h.dtype)
-    return MeasurementModel(width=h.shape[1], height=1,
-                            measurements=np.asarray(y)[None], matrices=h[None])
+    return StackedModel(h[None], np.asarray(y)[None], h.shape[1], 1)
+
+
+def read_csv(path):
+    """Return (schema, columns, rows-of-strings) of a `cli.write_csv` file;
+    the `#` comment lines after the rows are skipped."""
+    with open(path, encoding="ascii") as fh:
+        first = fh.readline().strip()
+        if not first.startswith("# schema="):
+            raise ConfigurationError(f"{path}: missing schema header line")
+        schema = first.split("=", 1)[1]
+        columns = fh.readline().strip().split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh
+                if line.strip() and not line.startswith("#")]
+    return schema, columns, rows
 
 
 def recording(fn, outputs):
@@ -70,7 +155,7 @@ def small_dt_model():
 def small_gaussian_model():
     """16-dim real Gaussian model, noiseless."""
     truth = Image(pixels=np.linspace(0.0, 1.0, 16), width=4, height=4)
-    model = build_gaussian_model(n=16, M=24, I=4, seed=3, truth=truth)
+    model = gaussian_model(n=16, M=24, I=4, seed=3, truth=truth)
     return model, truth
 
 

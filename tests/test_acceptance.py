@@ -12,14 +12,13 @@ import os
 import numpy as np
 import pytest
 
-from pnp_online.cli import cmd_compare, main, read_csv, write_csv
+from pnp_online.cli import cmd_compare, main, write_csv
 from pnp_online.config import ExperimentConfig
 from pnp_online.denoisers import (AveragedFilterDenoiser, ShiftDenoiser,
                                   TvProxDenoiser, certify_averaged,
                                   certify_pair, estimate_bounded_constant,
                                   tv_prox)
-from pnp_online.forward import (DtGeometry, Image, build_dt_model,
-                                build_gaussian_model, grad_full,
+from pnp_online.forward import (DtGeometry, Image, build_dt_model, grad_full,
                                 grad_minibatch, gradient_from_indices)
 from pnp_online.phantoms import phantom_generate
 from pnp_online.pgm import write_pgm
@@ -27,7 +26,7 @@ from pnp_online.solvers import (SolverConfig, estimate_gradient_noise,
                                 huber_gradient, prop2_bound, run_admm,
                                 run_counterexample, run_ista, run_pnp_admm,
                                 run_pnp_ista, run_pnp_sgd, sgd_bound)
-from conftest import recording
+from conftest import gaussian_model, read_csv, recording
 
 
 ACCEPTANCE_LINES = []
@@ -151,7 +150,7 @@ def test_criterion_1_pnp_ista_equals_ista(ctx):
     def gen(outdir):
         phantom = phantom_generate("blobs", 16, seed=2)
         truth = Image(pixels=phantom.pixels, width=16, height=16)
-        model = build_gaussian_model(n=256, M=384, I=4, seed=0, truth=truth)
+        model = gaussian_model(n=256, M=384, I=4, seed=0, truth=truth)
         gamma = 1.0 / model.lipschitz
         lam = 1e-3 * model.lipschitz          # arbitrary tuning
         sigma = math.sqrt(gamma * lam)
@@ -422,7 +421,7 @@ def test_criterion_9_minibatch_unbiasedness(ctx):
     # exact enumeration at I = 3
     phantom = phantom_generate("blobs", 8, seed=0)
     truth = Image(pixels=phantom.pixels, width=8, height=8)
-    model3 = build_gaussian_model(n=64, M=48, I=3, seed=0, truth=truth)
+    model3 = gaussian_model(n=64, M=48, I=3, seed=0, truth=truth)
     x = np.random.default_rng(1).standard_normal(64)
     acc = np.zeros(64)
     for i in range(3):

@@ -13,16 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online import cli, forward, linops, metrics, modelio, solvers
-from pnp_online.cli import main, read_csv, write_csv
-from pnp_online.config import (ALGORITHMS, BATCH_MAX, DENOISERS, GRID_MAX,
-                               GRID_MIN, RECEIVERS_MAX, SEED_MAX,
-                               TRANSMITTERS_MAX, ExperimentConfig,
+from pnp_online.cli import main, write_csv
+from pnp_online.config import (ALGORITHMS, BATCH_MAX, CERT_PAIRS_MAX,
+                               DENOISERS, GRID_MAX, GRID_MIN, RECEIVERS_MAX,
+                               SEED_MAX, TRANSMITTERS_MAX, ExperimentConfig,
                                dump_config, load_config, parse_overrides)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
 from pnp_online.linops import CgInfo
 from pnp_online.modelio import load_model
-from conftest import pnpm1_bytes
+from conftest import pnpm1_bytes, read_csv
 
 
 # ------------------------------------------------------------------- config
@@ -186,7 +186,11 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     pytest.param(["simulate", *TINY, "--set", "sample_mode=bogus"],
                  id="simulate-sample-mode"),
     pytest.param(["reconstruct", "m.pnpm", *TINY, "--set", "incident=bogus"],
-                 id="reconstruct-incident")],
+                 id="reconstruct-incident"),
+    # certify had no bound on its pairs and ran until it was killed
+    pytest.param(["certify", "--set", "grid=8",
+                  "--set", f"cert_pairs={CERT_PAIRS_MAX + 1}"],
+                 id="certify-cert-pairs-past-bound")],
     ids=lambda argv: argv[0])
 def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys,
                                                      argv):
@@ -599,7 +603,8 @@ def test_cli_sweep_rejects_negative_gamma(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,top", [("transmitters", TRANSMITTERS_MAX),
                                      ("receivers", RECEIVERS_MAX),
-                                     ("batch_size", BATCH_MAX)])
+                                     ("batch_size", BATCH_MAX),
+                                     ("cert_pairs", CERT_PAIRS_MAX)])
 def test_validate_bounds_ring_and_batch_sizes(key, top):
     for value in (1, top):
         assert getattr(ExperimentConfig(**{key: value}).validate(),

@@ -1,4 +1,5 @@
-"""Forward models: Green function, DT/Gaussian builders, gradients, prox."""
+"""Forward model: Green function, DT builder, gradients, prox; the
+stacked-matrix Gaussian oracle of tests/conftest.py alongside."""
 
 import math
 
@@ -9,16 +10,16 @@ from hypothesis import given, settings, strategies as st
 from pnp_online.bessel import hankel1_0
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
-                                MeasurementModel, build_dt_model,
-                                build_gaussian_model, grad_full,
+                                MeasurementModel, build_dt_model, grad_full,
                                 grad_minibatch, gradient_from_indices,
                                 green_function_2d, prox_datafit)
-from conftest import datafit_value, make_truth, stacked_model
+from conftest import (StackedModel, datafit_value, gaussian_model,
+                      make_truth, stacked_model)
 
 
 def dense_matrices(model):
     """Every H_i as a dense (M, n) matrix, stacked: S diag(u_i) or H_i."""
-    if model.matrices is not None:
+    if isinstance(model, StackedModel):
         return model.matrices
     return np.array([model.scattering * u for u in model.incident])
 
@@ -148,7 +149,7 @@ def test_dt_lambdas_match_dense_oracle_at_32():
 
 def test_gaussian_single_component_adjoint():
     truth = Image(pixels=np.zeros(9), width=3, height=3)
-    model = build_gaussian_model(n=9, M=9, I=1, seed=0, truth=truth)
+    model = gaussian_model(n=9, M=9, I=1, seed=0, truth=truth)
     assert model.num_components == 1
     rng = np.random.default_rng(1)
     x, y = rng.standard_normal(9), rng.standard_normal(9)
@@ -158,14 +159,14 @@ def test_gaussian_single_component_adjoint():
 
 def test_gaussian_deterministic():
     truth = Image(pixels=np.zeros(16), width=4, height=4)
-    a = build_gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
-    b = build_gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
+    a = gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
+    b = gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
     assert np.array_equal(a.matrices, b.matrices)
 
 
 def test_gaussian_entry_variance_close_to_1_over_M():
     truth = Image(pixels=np.zeros(144), width=12, height=12)
-    model = build_gaussian_model(n=144, M=100, I=1, seed=0, truth=truth)
+    model = gaussian_model(n=144, M=100, I=1, seed=0, truth=truth)
     A = model.matrices[0]
     assert A.size >= 10_000
     assert float(np.var(A)) == pytest.approx(1.0 / 100, rel=0.05)
@@ -183,7 +184,7 @@ def test_gradient_vanishes_at_truth_noiseless():
 
 def test_gradient_identity_operator_zero_measurement():
     truth = Image(pixels=np.zeros(4), width=2, height=2)
-    model = build_gaussian_model(n=4, M=4, I=1, seed=0, truth=truth)
+    model = gaussian_model(n=4, M=4, I=1, seed=0, truth=truth)
     # replace with an exact identity component
     model = stacked_model(np.eye(4))
     x = np.array([1.0, -2.0, 3.0, 0.5])
@@ -213,7 +214,7 @@ def test_minibatch_full_batch_equals_grad_full(small_dt_model):
 
 def test_minibatch_enumeration_unbiased_exact():
     truth = Image(pixels=np.linspace(0, 1, 9), width=3, height=3)
-    model = build_gaussian_model(n=9, M=6, I=3, seed=2, truth=truth)
+    model = gaussian_model(n=9, M=6, I=3, seed=2, truth=truth)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(9)
     acc = np.zeros(9)
@@ -327,20 +328,10 @@ def test_model_without_component_arrays_is_rejected():
 @pytest.mark.parametrize("lambdas", [[1.0, 5.0], [], [[1.0]], 2.0])
 def test_model_rejects_lambdas_not_one_per_component(lambdas):
     # a one-component model took [1.0, 5.0] and reported L = 5.0
-    h = np.eye(2)[None]
     with pytest.raises(ConfigurationError, match="one value per component"):
         MeasurementModel(width=2, height=1, measurements=np.zeros((1, 2)),
-                         matrices=h, lambdas=lambdas)
-
-
-def test_gaussian_lambdas_match_dense_oracle():
-    # M < n (wide, H H^T) and M > n (tall, H^T H)
-    for n, M in ((16, 6), (9, 24)):
-        truth = Image(pixels=np.zeros(n), width=n, height=1)
-        model = build_gaussian_model(n=n, M=M, I=3, seed=4, truth=truth)
-        for h, bound in zip(model.matrices, model.lambdas):
-            oracle = float(np.linalg.svd(h, compute_uv=False)[0]) ** 2
-            assert oracle <= bound <= oracle * (1.0 + 1e-9)
+                         scattering=np.eye(2), incident=np.ones((1, 2)),
+                         lambdas=lambdas)
 
 
 def test_prox_datafit_matches_dense_solve_dt(small_dt_model):
@@ -376,7 +367,7 @@ def test_prox_datafit_identity_closed_form():
 
 def test_prox_datafit_matches_dense_solve():
     truth = Image(pixels=np.zeros(12), width=4, height=3)
-    model = build_gaussian_model(n=12, M=10, I=2, seed=6, truth=truth)
+    model = gaussian_model(n=12, M=10, I=2, seed=6, truth=truth)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(12)
     gamma = 0.7
@@ -394,7 +385,7 @@ def test_prox_datafit_matches_dense_solve():
 def test_prox_datafit_is_prox_of_datafit():
     # optimality: z + gamma * grad d(z) = x
     truth = Image(pixels=np.zeros(8), width=4, height=2)
-    model = build_gaussian_model(n=8, M=8, I=2, seed=1, truth=truth)
+    model = gaussian_model(n=8, M=8, I=2, seed=1, truth=truth)
     x = np.random.default_rng(2).standard_normal(8)
     z, _ = prox_datafit(model, 0.4, x, tol=1e-13)
     assert np.max(np.abs(z + 0.4 * grad_full(model, z) - x)) < 1e-9

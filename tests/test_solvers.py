@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
                                   TvProxDenoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import (Image, MeasurementModel, build_gaussian_model,
-                                grad_full)
+from pnp_online.forward import Image, grad_full
 from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 corollary1_constant, estimate_gradient_noise,
@@ -19,19 +18,19 @@ from pnp_online.solvers import (SolverConfig, composition_alpha,
                                 prop2_bound, run_admm, run_counterexample,
                                 run_ista, run_pnp_admm, run_pnp_ista,
                                 run_pnp_sgd, sgd_bound)
-from conftest import datafit_value, recording, stacked_model
+from conftest import (StackedModel, datafit_value, gaussian_model,
+                      recording, stacked_model)
 
 
 def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
     rng = np.random.default_rng(seed)
     truth = Image(pixels=rng.uniform(0, 1, n), width=n, height=1)
-    model = build_gaussian_model(n=n, M=M, I=I, seed=seed, truth=truth)
+    model = gaussian_model(n=n, M=M, I=I, seed=seed, truth=truth)
     if noisy:
         # perturb measurements so the least-squares solution is nontrivial
         y = model.measurements
-        model = MeasurementModel(
-            width=n, height=1, matrices=model.matrices,
-            measurements=y + 0.01 * rng.standard_normal(y.shape))
+        model = StackedModel(
+            model.matrices, y + 0.01 * rng.standard_normal(y.shape), n, 1)
     return model, truth
 
 
@@ -215,8 +214,7 @@ def test_admm_identity_prox_least_squares():
 
 def test_admm_matches_ista_on_tv_problem():
     model, _ = quadratic_model(n=9, M=12, I=3, seed=3)
-    model = MeasurementModel(width=3, height=3, matrices=model.matrices,
-                             measurements=model.measurements)
+    model = StackedModel(model.matrices, model.measurements, 3, 3)
     lam = 1e-3
     gamma = 1.0 / model.lipschitz
 
