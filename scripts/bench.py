@@ -3,25 +3,32 @@
 
     python3 scripts/bench.py BENCH_<n>.json
 
+    python3 scripts/bench.py --tier1 BENCH_<n>.json
+
 It times the package in src/ of the checkout that holds this script, with
 OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
-- "environment": the BLAS thread count, nproc, and the Python, numpy and
-  BLAS versions;
+- "environment": the BLAS thread count, nproc, and the Python, numpy,
+  scipy and BLAS versions;
 - "layers": per grid, the median and quartiles of each layer over REPEATS
   in-process calls, after one untimed call;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
-  `pnp reconstruct`, the workloads taking turns run by run.
+  `pnp reconstruct`, the workloads taking turns run by run;
+- "tier1", with --tier1 only: the wall time, exit status and outcome
+  counts of one run of scripts/run_tests.sh.
 
 The workloads are the three of the repository benchmark, with their keys
 written out below; this script imports nothing from perfbench/ and gates
-nothing. It takes about a minute on one core.
+nothing. It takes about a minute on one core, and --tier1 adds the 3-5
+minutes of the test suite.
 """
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -72,10 +79,15 @@ def time_ms(fn):
 def environment():
     import numpy
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None                  # the package itself does not need it
     return {"blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
+            "scipy": scipy,
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
@@ -84,10 +96,12 @@ def layers(grid, transmitters, receivers):
     import numpy as np
     from pnp_online import cli
     from pnp_online.config import load_config
-    from pnp_online.denoisers import TvProxDenoiser, tv_prox
+    from pnp_online.denoisers import (TvProxDenoiser, averaged_linear_filter,
+                                      tv_prox)
     from pnp_online.forward import (factored_lambdas, grad_full,
                                     gradient_from_indices, prox_datafit)
     from pnp_online.metrics import dist_to_fix
+    from pnp_online.modelio import load_model, save_model
 
     keys = {**BASE_KEYS, "grid": grid, "transmitters": transmitters,
             "receivers": receivers}
@@ -100,6 +114,10 @@ def layers(grid, transmitters, receivers):
     z = (x - gamma * grad_full(model, x)).reshape(model.shape)
     _, tv_info = tv_prox(z, sigma * sigma, return_info=True)
     tv_call = time_ms(lambda: tv_prox(z, sigma * sigma))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "model.pnpm")
+        save_call = time_ms(lambda: save_model(path, model))
+        load_call = time_ms(lambda: load_model(path))
     return {
         "build_dt_model": summary(time_ms(
             lambda: cli.model_from_config(cfg, truth).lambdas), "ms"),
@@ -118,6 +136,13 @@ def layers(grid, transmitters, receivers):
         "dist_to_fix_tv": summary(time_ms(
             lambda: dist_to_fix(model, TvProxDenoiser(), gamma, sigma, x)),
             "ms"),
+        # at the CLI's sigma, sqrt(gamma * lam)
+        "averaged_linear_filter": summary(time_ms(
+            lambda: averaged_linear_filter(z, sigma)), "ms"),
+        # save_model includes its lambda_i, computed from the complex64
+        # blocks it writes
+        "save_model": summary(save_call, "ms"),
+        "load_model": summary(load_call, "ms"),
     }
 
 
@@ -157,9 +182,26 @@ def commands():
             for name, by_command in samples.items()}
 
 
+def tier1():
+    """One run of scripts/run_tests.sh: wall s, exit status and the counts
+    of pytest's summary line."""
+    start = time.perf_counter()
+    proc = subprocess.run([str(ROOT / "scripts" / "run_tests.sh")], cwd=ROOT,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True)
+    wall = time.perf_counter() - start
+    summary_line = proc.stdout.strip().splitlines()[-1]
+    counts = {word: int(count) for count, word in re.findall(
+        r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)",
+        summary_line)}
+    return {"wall_s": wall, "exit_status": proc.returncode, **counts}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", help="the JSON file to write")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time one run of scripts/run_tests.sh")
     args = parser.parse_args()
     # BLAS reads these when numpy is imported, which happens only below;
     # the children inherit them. PNP_SEED would override the seed.
@@ -173,6 +215,8 @@ def main():
               "layers": {str(grid): layers(grid, *sizes)
                          for grid, sizes in GRIDS.items()},
               "commands": runs}
+    if args.tier1:
+        result["tier1"] = tier1()
     with open(args.output, "w", encoding="ascii") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -120,18 +120,17 @@ def run_algorithm(cfg, model, truth):
         seed=cfg.seed, record_timing=cfg.record_timing,
         dist_stride=cfg.dist_stride, sample_mode=cfg.sample_mode)
     denoiser = denoiser_from_config(cfg)
-    truth_pixels = truth.pixels if truth is not None else None
     if cfg.algorithm == "ista":
         prox = _tv_regularizer_prox(model, gamma * cfg.lam)
-        return run_ista(model, prox, sconf, truth=truth_pixels)
+        return run_ista(model, prox, sconf, truth=truth.pixels)
     if cfg.algorithm == "admm":
         prox = _tv_regularizer_prox(model, gamma * cfg.lam)
-        return run_admm(model, prox, sconf, truth=truth_pixels)
+        return run_admm(model, prox, sconf, truth=truth.pixels)
     if cfg.algorithm == "pnp-ista":
-        return run_pnp_ista(model, denoiser, sconf, truth=truth_pixels)
+        return run_pnp_ista(model, denoiser, sconf, truth=truth.pixels)
     if cfg.algorithm == "pnp-admm":
-        return run_pnp_admm(model, denoiser, sconf, truth=truth_pixels)
-    return run_pnp_sgd(model, denoiser, sconf, truth=truth_pixels)
+        return run_pnp_admm(model, denoiser, sconf, truth=truth.pixels)
+    return run_pnp_sgd(model, denoiser, sconf, truth=truth.pixels)
 
 
 def _tv_regularizer_prox(model, lambda_scaled):
@@ -184,16 +183,13 @@ def cmd_simulate(cfg, out_path):
 
 
 def check_truth(model, truth, model_path):
-    """Trace comments on the truth check; raises if the model's differs."""
-    if model.truth_sha256 is None:
-        return ["warning: PNPM1 model: truth image unchecked"]
+    """Raise if the model was simulated from another truth image."""
     if model.truth_sha256 != truth.sha256():
         raise ConfigurationError(
             f"{model_path} was simulated from another truth image (SHA-256 "
             f"{model.truth_sha256.hex()[:16]}..., this config gives "
             f"{truth.sha256().hex()[:16]}...); reconstruct with the phantom, "
             f"f_max, grid and seed it was simulated with")
-    return []
 
 
 def cmd_reconstruct(cfg, model_path, out_prefix):
@@ -202,8 +198,9 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     csv_path = out_prefix + ".trace.csv"
     pgm_path = out_prefix + ".recon.pgm"
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
-    step = ([f"lipschitz = {model.lipschitz!r}", f"gamma = {gamma!r}",
-             f"sigma = {sigma!r}"] + check_truth(model, truth, model_path))
+    check_truth(model, truth, model_path)
+    step = [f"lipschitz = {model.lipschitz!r}", f"gamma = {gamma!r}",
+            f"sigma = {sigma!r}"]
     try:
         x, trace = run_algorithm(cfg, model, truth)
     except DivergenceError as err:
@@ -362,11 +359,22 @@ def cmd_counterexample(cfg, outdir):
 # samples are drawn from [-CERT_DOMAIN_SCALE, CERT_DOMAIN_SCALE].
 CERT_ALPHA = 0.5
 CERT_DOMAIN_SCALE = 2.0
+# certify's work: cert_pairs x max(grid, 48)^2 x (filter passes + 200, the
+# TV prox's cap). A pass or TV iteration took up to 30 ns a pixel at 256^2,
+# or 65 us below 48^2 (one BLAS thread), and a pair calls each denoiser
+# twice: about 5 minutes at the bound (7 pairs at GRID_MAX, sigma = 10).
+CERT_WORK_MAX = 5e9
 
 
 def cmd_certify(cfg, outdir):
     gamma_sigma_probe = math.sqrt(cfg.lam)  # sigma at gamma = 1 reference
     sigma = cfg.sigma if cfg.sigma is not None else gamma_sigma_probe
+    work = (cfg.cert_pairs * max(cfg.grid, 48) ** 2
+            * (filter_passes(sigma) + 200))
+    if work > CERT_WORK_MAX:
+        raise ConfigurationError(f"certify's work, cert_pairs x max(grid, "
+                                 f"48)^2 x (filter passes + 200) = "
+                                 f"{work:.3g}, is past {CERT_WORK_MAX:g}")
     rows = []
     for name, denoiser in (("tv", TvProxDenoiser()),
                            ("filter", AveragedFilterDenoiser()),
@@ -417,7 +425,7 @@ def build_parser():
 
     p = sub.add_parser("reconstruct", help="run one reconstruction")
     add_common(p)
-    p.add_argument("model", help="PNPM2 (or PNPM1) measurement file")
+    p.add_argument("model", help="PNPM2 measurement file from simulate")
     p.add_argument("-o", "--output", default="recon",
                    help="output prefix for trace CSV and PGM")
 

@@ -46,8 +46,8 @@ BATCH_MAX = 1024
 # Random pairs `certify` tests. A pair calls each of the three denoisers
 # twice: about 0.4 ms at 32^2 and 14 ms at 256^2 at the default sigma, and
 # 26 ms and 0.9 s at sigma = 1 (one BLAS thread). So at the bound a
-# default-sigma run takes about 4 s at 32^2 and 2.4 min at GRID_MAX.
-# scripts/run_certificates.sh tests 1000 pairs.
+# default-sigma run takes about 4 s at 32^2; cli.CERT_WORK_MAX bounds the
+# pairs' work. scripts/run_certificates.sh tests 1000 pairs.
 CERT_PAIRS_MAX = 10_000
 
 

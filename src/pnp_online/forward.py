@@ -153,26 +153,26 @@ class MeasurementModel:
     Y (I, M). Products over a set of components take `rows`, a slice or an
     index array; a repeated index repeats its component.
 
-    `lambdas` holds lambda_max(H_i^H H_i) of every component, each a
-    certified upper bound from `lambda_max_bound`; unless given, they are
+    Every model carries the record a PNPM2 file stores: the `DtGeometry`,
+    whose square grid gives `shape` and n, the noise seed, the requested
+    input SNR, and `truth_sha256`, the `Image.sha256` of the simulated
+    truth. `lambdas` holds lambda_max(H_i^H H_i) of every component, each
+    a certified upper bound from `lambda_max_bound`; unless given, they are
     computed on first use. `lipschitz`, the step's L, is their max.
-    `truth_sha256` is the `Image.sha256` of the simulated truth, or None.
     """
 
-    def __init__(self, *, width, height, measurements, scattering=None,
-                 incident=None, geometry=None, seed=None,
-                 input_snr_db=math.inf, lambdas=None, truth_sha256=None):
+    def __init__(self, *, measurements, scattering, incident, geometry, seed,
+                 input_snr_db, truth_sha256, lambdas=None):
         self.measurements = np.asarray(measurements)
         self.scattering, self.incident = scattering, incident
-        self.width, self.height = width, height
         self.geometry, self.seed = geometry, seed
         self.input_snr_db = input_snr_db
         self.truth_sha256 = truth_sha256
-        self.n = width * height
+        self.shape = (geometry.grid, geometry.grid)
+        self.n = geometry.grid ** 2
         num, self.M = self.measurements.shape
-        if not (scattering is not None and incident is not None
-                and scattering.shape == (self.M, self.n)
-                and incident.shape == (num, self.n)):
+        if (scattering.shape != (self.M, self.n)
+                or incident.shape != (num, self.n)):
             raise ConfigurationError("component arrays must match the "
                                      "measurements and the grid")
         self._lambdas = (None if lambdas is None
@@ -188,10 +188,6 @@ class MeasurementModel:
         return len(self.measurements)
 
     @property
-    def shape(self):
-        return (self.height, self.width)
-
-    @property
     def lambdas(self):
         if self._lambdas is None:
             self._lambdas = factored_lambdas(self.scattering, self.incident)
@@ -205,9 +201,8 @@ class MeasurementModel:
         """The model of the listed components, with their lambda_i."""
         rows = np.asarray(indices, dtype=np.intp)
         return MeasurementModel(
-            lambdas=self.lambdas[rows], width=self.width, height=self.height,
-            measurements=self.measurements[rows], scattering=self.scattering,
-            incident=self.incident[rows],
+            lambdas=self.lambdas[rows], measurements=self.measurements[rows],
+            scattering=self.scattering, incident=self.incident[rows],
             geometry=self.geometry, seed=self.seed,
             input_snr_db=self.input_snr_db, truth_sha256=self.truth_sha256)
 
@@ -297,8 +292,7 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     # H_i x formed on its own bit for bit.
     clean = np.array([scattering @ (u * truth.pixels) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db)
-    return MeasurementModel(width=truth.width, height=truth.height,
-                            measurements=noisy, scattering=scattering,
+    return MeasurementModel(measurements=noisy, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db,
                             truth_sha256=truth.sha256())

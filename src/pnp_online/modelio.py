@@ -30,13 +30,11 @@ rounding of the two traces), is rejected. The window is a sanity check,
 not a checksum: a corruption that keeps every lambda_i inside it goes
 unseen.
 
-PNPM1 files, the same layout with magic "PNPM1", version byte 1, and
-neither the truth fingerprint nor the lambda_i, still load: their model
-computes its lambda_i from the loaded arrays on first use, and carries no
-truth fingerprint (`truth_sha256` is None).
+This is the one layout that loads. A file of the older version-1 layout,
+which stored neither the fingerprint nor the lambda_i, has another magic
+and is rejected like any other; simulate it again.
 """
 
-import math
 import os
 import struct
 
@@ -50,26 +48,18 @@ from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
 MAGIC = b"PNPM2"
 VERSION = 2
-_FIELDS = "<B III dddd III B q d"
-_HEADER = struct.Struct(_FIELDS + " 32s")
-MAGIC_V1 = b"PNPM1"
-_HEADER_V1 = struct.Struct(_FIELDS)
+_HEADER = struct.Struct("<B III dddd III B q d 32s")
 _INCIDENT_CODES = {"point": 0, "plane": 1}
 _INCIDENT_NAMES = {v: k for k, v in _INCIDENT_CODES.items()}
 
 
 def save_model(path, model):
-    """Write a DT MeasurementModel as PNPM2; returns the lambda_i it stored.
+    """Write a MeasurementModel as PNPM2; returns the lambda_i it stored.
 
-    Raises for non-DT models, models without a truth fingerprint, and NaN
-    or Inf in the complex64 blocks, which load_model would reject.
+    Raises for NaN or Inf in the complex64 blocks, which load_model would
+    reject.
     """
     geometry = model.geometry
-    if geometry is None:
-        raise ConfigurationError("only DT models carry the PNPM2 geometry record")
-    if model.truth_sha256 is None:
-        raise ConfigurationError("PNPM2 stores the truth image's SHA-256; "
-                                 "this model has none")
     n, M, I = model.n, model.M, model.num_components
     scattering = np.ascontiguousarray(model.scattering, dtype=np.complex64)
     incident = np.ascontiguousarray(model.incident, dtype=np.complex64)
@@ -80,14 +70,13 @@ def save_model(path, model):
         raise ConfigurationError("S, u_i or y_i hold NaN or Inf in "
                                  "complex64; no PNPM2 file written")
     lambdas = factored_lambdas(scattering, incident)
-    snr = model.input_snr_db if model.input_snr_db is not None else math.inf
     header = _HEADER.pack(VERSION, n, M, I,
                           geometry.domain_side, geometry.wavelength,
                           geometry.eps_background, geometry.ring_radius,
                           geometry.grid, geometry.num_transmitters,
                           geometry.num_receivers,
                           _INCIDENT_CODES[geometry.incident],
-                          int(model.seed or 0), float(snr),
+                          model.seed, model.input_snr_db,
                           model.truth_sha256)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -122,35 +111,27 @@ def _check_lambdas(lambdas, scattering, incident):
 
 
 def load_model(path):
-    """Load a PNPM2 (or legacy PNPM1) container into a MeasurementModel."""
+    """Load a PNPM2 container into a MeasurementModel."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic == MAGIC:
-            layout, version_wanted = _HEADER, VERSION
-        elif magic == MAGIC_V1:
-            layout, version_wanted = _HEADER_V1, 1
-        else:
-            raise ConfigurationError(f"bad magic {magic!r}: not a PNPM file")
-        name = magic.decode()
-        header = fh.read(layout.size)
-        if len(header) != layout.size:
-            raise ConfigurationError(f"truncated {name} header")
+        if magic != MAGIC:
+            raise ConfigurationError(f"bad magic {magic!r}: not a PNPM2 file")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ConfigurationError("truncated PNPM2 header")
         (version, n, M, I, domain_side, wavelength, eps_background,
          ring_radius, grid, num_tx, num_rx, incident_code, seed,
-         input_snr_db, *fingerprint) = layout.unpack(header)
-        truth_sha256 = fingerprint[0] if fingerprint else None
-        if version != version_wanted:
-            raise ConfigurationError(f"unsupported {name} version {version}")
+         input_snr_db, truth_sha256) = _HEADER.unpack(header)
+        if version != VERSION:
+            raise ConfigurationError(f"unsupported PNPM2 version {version}")
         if min(n, M, I) < 1:
             raise ConfigurationError(
-                f"empty {name} dimensions n={n}, M={M}, I={I}")
+                f"empty PNPM2 dimensions n={n}, M={M}, I={I}")
         itemsize = np.dtype(np.complex64).itemsize
-        lambda_bytes = 8 * I if truth_sha256 is not None else 0
-        expected = (fh.tell() + lambda_bytes
-                    + itemsize * (M * n + I * (n + M)))
+        expected = fh.tell() + 8 * I + itemsize * (M * n + I * (n + M))
         actual = os.fstat(fh.fileno()).st_size
         if actual != expected:
-            raise ConfigurationError(f"{name} file has {actual} bytes, "
+            raise ConfigurationError(f"PNPM2 file has {actual} bytes, "
                                      f"its header implies {expected}")
         geometry = DtGeometry(domain_side=domain_side, grid=grid,
                               wavelength=wavelength,
@@ -163,27 +144,24 @@ def load_model(path):
             size = count * np.dtype(dtype).itemsize
             raw = fh.read(size)
             if len(raw) != size:
-                raise ConfigurationError(f"truncated {name} data block")
+                raise ConfigurationError("truncated PNPM2 data block")
             return np.frombuffer(raw, dtype=dtype)
 
         def read_block(count):
             block = read(count, np.complex64).astype(np.complex128)
             if not np.all(np.isfinite(block)):
-                raise ConfigurationError(f"{name} data block holds NaN or Inf")
+                raise ConfigurationError("PNPM2 data block holds NaN or Inf")
             return block
 
-        lambdas = (read(I, "<f8").astype(float)
-                   if truth_sha256 is not None else None)
+        lambdas = read(I, "<f8").astype(float)
         scattering = read_block(M * n).reshape(M, n)
         incident = np.empty((I, n), dtype=complex)
         measurements = np.empty((I, M), dtype=complex)
         for i in range(I):
             incident[i] = read_block(n)
             measurements[i] = read_block(M)
-    if lambdas is not None:
-        _check_lambdas(lambdas, scattering, incident)
-    return MeasurementModel(width=grid, height=grid,
-                            measurements=measurements, scattering=scattering,
+    _check_lambdas(lambdas, scattering, incident)
+    return MeasurementModel(measurements=measurements, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db, lambdas=lambdas,
                             truth_sha256=truth_sha256)

@@ -4,7 +4,6 @@ stacked-matrix measurement model with its Gaussian draw, and the CSV
 reader."""
 
 import math
-import struct
 import sys
 
 import numpy as np
@@ -54,8 +53,6 @@ class StackedModel:
     components sums to exactly the sum of its single-component terms.
     Each lambda_i is `lambda_max_bound` of its H_i.
     """
-
-    geometry = None                   # not a DT model: no PNPM2 file
 
     def __init__(self, matrices, measurements, width, height, lambdas=None):
         self.matrices = matrices
@@ -157,22 +154,6 @@ def small_gaussian_model():
     truth = Image(pixels=np.linspace(0.0, 1.0, 16), width=4, height=4)
     model = gaussian_model(n=16, M=24, I=4, seed=3, truth=truth)
     return model, truth
-
-
-# The legacy PNPM1 header: PNPM2's without the trailing 32-byte fingerprint.
-PNPM1_HEADER = struct.Struct("<B III dddd III B q d")
-
-
-def pnpm1_bytes(pnpm2):
-    """The PNPM1 file of the same model as the PNPM2 file bytes `pnpm2`.
-
-    PNPM1 has magic "PNPM1" and version byte 1, and holds neither the truth
-    fingerprint nor the lambda_i block; the data blocks are the same.
-    """
-    header = PNPM1_HEADER.unpack_from(pnpm2, 5)
-    num_components = header[3]
-    start = 5 + PNPM1_HEADER.size + 32 + 8 * num_components
-    return b"PNPM1" + PNPM1_HEADER.pack(1, *header[1:]) + pnpm2[start:]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

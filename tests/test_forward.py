@@ -316,21 +316,14 @@ def test_selected_model_lipschitz_is_max_of_its_rows(request, name, rows):
     assert subset.lipschitz == max(model.lambdas[i] for i in rows)
 
 
-def test_model_without_component_arrays_is_rejected():
-    # died with AttributeError on None.shape
-    for arrays in ({}, {"scattering": np.ones((2, 4))},
-                   {"incident": np.ones((1, 4))}):
-        with pytest.raises(ConfigurationError, match="component arrays"):
-            MeasurementModel(width=2, height=2,
-                             measurements=np.zeros((1, 2)), **arrays)
-
-
 @pytest.mark.parametrize("lambdas", [[1.0, 5.0], [], [[1.0]], 2.0])
 def test_model_rejects_lambdas_not_one_per_component(lambdas):
     # a one-component model took [1.0, 5.0] and reported L = 5.0
     with pytest.raises(ConfigurationError, match="one value per component"):
-        MeasurementModel(width=2, height=1, measurements=np.zeros((1, 2)),
-                         scattering=np.eye(2), incident=np.ones((1, 2)),
+        MeasurementModel(measurements=np.zeros((1, 4)),
+                         scattering=np.eye(4), incident=np.ones((1, 4)),
+                         geometry=DtGeometry(grid=2), seed=0,
+                         input_snr_db=math.inf, truth_sha256=bytes(32),
                          lambdas=lambdas)
 
 

@@ -1,4 +1,4 @@
-"""Phantoms, PGM codec, PNPM2/PNPM1 containers, and SVG plot determinism."""
+"""Phantoms, PGM codec, PNPM2 containers, and SVG plot determinism."""
 
 import math
 import os
@@ -9,14 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import DtGeometry, build_dt_model
-from pnp_online.linops import lambda_max_bound
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import (PgmParseError, image_to_pgm16, read_pgm,
                             write_pgm)
 from pnp_online.phantoms import (phantom_blobs, phantom_checker,
                                  phantom_from_pgm, phantom_generate)
 from pnp_online.svgplot import line_plot
-from conftest import make_truth, pnpm1_bytes
+from conftest import make_truth
 
 
 # ----------------------------------------------------------------- phantoms
@@ -125,7 +124,7 @@ def test_pgm_round_trip_property(tmp_path_factory, h, w, seed):
     assert np.array_equal(read_pgm(path), pixels)
 
 
-# ------------------------------------------------------------- PNPM2/PNPM1
+# -------------------------------------------------------------------- PNPM2
 
 @pytest.fixture(scope="module")
 def dt_model_32():
@@ -134,7 +133,7 @@ def dt_model_32():
     return build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
 
 
-def test_pnpm1_round_trip_bit_identical(dt_model_32, tmp_path):
+def test_pnpm2_round_trip_bit_identical(dt_model_32, tmp_path):
     path = tmp_path / "m.pnpm"
     save_model(path, dt_model_32)
     back = load_model(path)
@@ -149,22 +148,6 @@ def test_pnpm1_round_trip_bit_identical(dt_model_32, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_pnpm1_load_computes_lipschitz_from_loaded_arrays(dt_model_32,
-                                                          tmp_path):
-    path = tmp_path / "m.pnpm"
-    save_model(path, dt_model_32)
-    path.write_bytes(pnpm1_bytes(path.read_bytes()))
-    back = load_model(path)
-    assert back.truth_sha256 is None
-    # the complex64-widened blocks, not the simulated complex128 arrays
-    expected = [lambda_max_bound(lambda cols, u=u: back.scattering[:, cols]
-                                 * u[cols], back.scattering.shape)
-                for u in back.incident]
-    assert back.lambdas.tolist() == expected
-    assert back.lipschitz == max(expected)
-    assert back.lipschitz == pytest.approx(dt_model_32.lipschitz, rel=1e-6)
-
-
 def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
     path = tmp_path / "m.pnpm"
     stored = save_model(path, dt_model_32)
@@ -174,15 +157,7 @@ def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
     assert back.truth_sha256 == make_truth(32, seed=0).sha256()
 
 
-def test_pnpm2_needs_a_truth_fingerprint(dt_model_32, tmp_path):
-    path = tmp_path / "m.pnpm"
-    save_model(path, dt_model_32)
-    path.write_bytes(pnpm1_bytes(path.read_bytes()))
-    with pytest.raises(ConfigurationError, match="SHA-256"):
-        save_model(tmp_path / "again.pnpm", load_model(path))
-
-
-def test_pnpm1_same_seed_byte_identical(tmp_path):
+def test_pnpm2_same_seed_byte_identical(tmp_path):
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = make_truth(8, seed=1)
     a = tmp_path / "a.pnpm"
@@ -192,7 +167,7 @@ def test_pnpm1_same_seed_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_pnpm1_preserves_achieved_snr(dt_model_32, tmp_path):
+def test_pnpm2_preserves_achieved_snr(dt_model_32, tmp_path):
     path = tmp_path / "m.pnpm"
     save_model(path, dt_model_32)
     back = load_model(path)
@@ -207,14 +182,17 @@ def test_pnpm1_preserves_achieved_snr(dt_model_32, tmp_path):
     assert achieved == pytest.approx(40.0, abs=0.01)
 
 
-def test_pnpm1_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.pnpm"
-    path.write_bytes(b"NOTPNPM" + bytes(64))
-    with pytest.raises(ConfigurationError):
-        load_model(path)
+def test_pnpm2_rejects_bad_magic(dt_model_32, tmp_path):
+    path = tmp_path / "m.pnpm"
+    save_model(path, dt_model_32)
+    # a PNPM2 file under the retired PNPM1 magic loads no more than junk
+    for data in (b"NOTPNPM" + bytes(64), b"PNPM1" + path.read_bytes()[5:]):
+        path.write_bytes(data)
+        with pytest.raises(ConfigurationError, match="bad magic"):
+            load_model(path)
 
 
-def test_pnpm1_rejects_truncated(dt_model_32, tmp_path):
+def test_pnpm2_rejects_truncated(dt_model_32, tmp_path):
     path = tmp_path / "full.pnpm"
     save_model(path, dt_model_32)
     data = path.read_bytes()
@@ -222,12 +200,6 @@ def test_pnpm1_rejects_truncated(dt_model_32, tmp_path):
     trunc.write_bytes(data[: len(data) // 2])
     with pytest.raises(ConfigurationError):
         load_model(trunc)
-
-
-def test_pnpm1_rejects_non_dt_model(small_gaussian_model, tmp_path):
-    model, _ = small_gaussian_model
-    with pytest.raises(ConfigurationError):
-        save_model(tmp_path / "g.pnpm", model)
 
 
 # ---------------------------------------------------------------------- SVG
