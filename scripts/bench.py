@@ -13,14 +13,15 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   in-process calls, after one untimed call;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
-  `pnp reconstruct`, the workloads taking turns run by run;
+  `pnp reconstruct`, and under "compare" those of `pnp compare` at its
+  defaults, the workloads taking turns run by run;
 - "tier1", with --tier1 only: the wall time, exit status and outcome
   counts of one run of scripts/run_tests.sh.
 
 The workloads are the three of the repository benchmark, with their keys
 written out below; this script imports nothing from perfbench/ and gates
-nothing. It takes about a minute on one core, and --tier1 adds the 3-5
-minutes of the test suite.
+nothing. Every command runs at record_timing=false. It takes about two
+minutes on one core, and --tier1 adds the 3-5 minutes of the test suite.
 """
 
 import argparse
@@ -165,17 +166,20 @@ def commands():
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     samples = {name: {"simulate": [], "reconstruct": []}
                for name in WORKLOADS}
+    samples["compare"] = {"compare": []}
+    untimed = ["--set", "record_timing=false"]
     with tempfile.TemporaryDirectory() as work:
         for _ in range(RUNS):
             for name, keys in WORKLOADS.items():
-                keys = {**BASE_KEYS, **keys, "record_timing": "false"}
-                sets = [arg for k, v in keys.items()
-                        for arg in ("--set", f"{k}={v}")]
+                sets = [arg for k, v in {**BASE_KEYS, **keys}.items()
+                        for arg in ("--set", f"{k}={v}")] + untimed
                 samples[name]["simulate"].append(run_command(
                     ["simulate", "-o", "model.pnpm", *sets], env, work))
                 samples[name]["reconstruct"].append(run_command(
                     ["reconstruct", "model.pnpm", "-o", "recon", *sets],
                     env, work))
+            samples["compare"]["compare"].append(run_command(
+                ["compare", "-o", "compare", *untimed], env, work))
     return {name: {command: {"wall": summary([s[0] for s in runs], "s"),
                              "peak_rss": summary([s[1] for s in runs], "MB")}
                    for command, runs in by_command.items()}

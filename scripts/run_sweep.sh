@@ -1,12 +1,10 @@
 #!/bin/sh
-# Step-size and minibatch-size sweep for both denoisers; writes summary.csv
-# plus per-cell SVG convergence plots.
+# Step-size and minibatch-size sweep for both denoisers (the cells of
+# cli.SWEEP_GAMMAS and cli.SWEEP_BATCHES); writes summary.csv plus per-cell
+# SVG convergence plots.
 set -eu
 OUT=${1:-results/sweep}
 
-pnp sweep \
-    --set iterations=400 \
-    --set sweep_gammas=1,0.25,0.0625 --set sweep_batches=2,4,8 \
-    -o "$OUT"
+pnp sweep --set iterations=400 -o "$OUT"
 
 echo "Summary: $OUT/summary.csv"

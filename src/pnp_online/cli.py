@@ -28,9 +28,8 @@ from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import image_to_pgm16, write_pgm
 from pnp_online.phantoms import phantom_generate
-from pnp_online.solvers import (SolverConfig, run_admm, run_counterexample,
-                                run_ista, run_pnp_admm, run_pnp_ista,
-                                run_pnp_sgd)
+from pnp_online.solvers import (run_admm, run_counterexample, run_ista,
+                                run_pnp_admm, run_pnp_ista, run_pnp_sgd)
 from pnp_online.svgplot import line_plot
 
 
@@ -98,6 +97,8 @@ def resolve_gamma_sigma(cfg, lipschitz):
         raise ConfigurationError("the model's operator is zero (L = 0); "
                                  "set gamma, as gamma_scale / L is undefined")
     gamma = cfg.gamma if cfg.gamma is not None else cfg.gamma_scale / lipschitz
+    if gamma <= 0:                    # gamma_scale / L underflowed
+        raise ConfigurationError("gamma must be positive")
     sigma = cfg.sigma if cfg.sigma is not None else math.sqrt(gamma * cfg.lam)
     return gamma, sigma
 
@@ -113,12 +114,9 @@ def achieved_input_snr_db(model, truth):
 
 
 def run_algorithm(cfg, model, truth):
+    """Run cfg.algorithm on the validated cfg, with gamma and sigma set."""
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
-    sconf = SolverConfig(
-        gamma=gamma, sigma=sigma, iterations=cfg.iterations,
-        batch_size=cfg.batch_size, accelerated=cfg.accelerated,
-        seed=cfg.seed, record_timing=cfg.record_timing,
-        dist_stride=cfg.dist_stride, sample_mode=cfg.sample_mode)
+    sconf = dataclasses.replace(cfg, gamma=gamma, sigma=sigma)
     denoiser = denoiser_from_config(cfg)
     if cfg.algorithm == "ista":
         prox = _tv_regularizer_prox(model, gamma * cfg.lam)
@@ -214,15 +212,19 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     return csv_path, pgm_path
 
 
+# The sweep's step scales of 1/L, at batch_size, and its minibatch sizes, at
+# 1/L: the cells ACCEPTANCE criterion 6 checks.
+SWEEP_GAMMAS = (1.0, 0.25, 0.0625)
+SWEEP_BATCHES = (2, 4, 8)
+
+
 def cmd_sweep(cfg, outdir):
     if cfg.iterations < 1:
         raise ConfigurationError("sweep needs iterations >= 1")
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
-    gammas = cfg.gamma_list()
-    batches = cfg.batch_list()
-    cells = ([("gamma", scale, cfg.batch_size) for scale in gammas]
-             + [("batch", 1.0, batch) for batch in batches])
+    cells = ([("gamma", scale, cfg.batch_size) for scale in SWEEP_GAMMAS]
+             + [("batch", 1.0, batch) for batch in SWEEP_BATCHES])
     # every filter cell's sigma, before the tv cells write anything
     for _, scale, _ in cells:
         filter_passes(resolve_gamma_sigma(
@@ -256,8 +258,8 @@ def cmd_sweep(cfg, outdir):
                     row.append(metrics.min_dist(trace.dist))
         summary_rows.append(row)
     columns = (["denoiser"]
-               + [f"gamma_{g:g}_over_L" for g in gammas]
-               + [f"B_{b}" for b in batches])
+               + [f"gamma_{g:g}_over_L" for g in SWEEP_GAMMAS]
+               + [f"B_{b}" for b in SWEEP_BATCHES])
     summary_path = os.path.join(outdir, "summary.csv")
     os.makedirs(outdir, exist_ok=True)
     write_csv(summary_path, "pnp-sweep-v1", columns, summary_rows,
@@ -359,22 +361,26 @@ def cmd_counterexample(cfg, outdir):
 # samples are drawn from [-CERT_DOMAIN_SCALE, CERT_DOMAIN_SCALE].
 CERT_ALPHA = 0.5
 CERT_DOMAIN_SCALE = 2.0
-# certify's work: cert_pairs x max(grid, 48)^2 x (filter passes + 200, the
-# TV prox's cap). A pass or TV iteration took up to 30 ns a pixel at 256^2,
-# or 65 us below 48^2 (one BLAS thread), and a pair calls each denoiser
-# twice: about 5 minutes at the bound (7 pairs at GRID_MAX, sigma = 10).
+# certify's work: (cert_pairs + 5) x max(grid, 48)^2 x (filter passes +
+# 200, the TV prox's cap). A pass or TV iteration took up to 30 ns a pixel
+# at 256^2, or 65 us below 48^2 (one BLAS thread). A pair calls each
+# denoiser twice, and the straddling pair and the 8 bounded-constant samples
+# count as 5 pairs more: about 5 minutes at the bound (2 pairs at GRID_MAX,
+# sigma = 10), and at most 10 791 pairs at any grid.
 CERT_WORK_MAX = 5e9
 
 
 def cmd_certify(cfg, outdir):
     gamma_sigma_probe = math.sqrt(cfg.lam)  # sigma at gamma = 1 reference
     sigma = cfg.sigma if cfg.sigma is not None else gamma_sigma_probe
-    work = (cfg.cert_pairs * max(cfg.grid, 48) ** 2
-            * (filter_passes(sigma) + 200))
-    if work > CERT_WORK_MAX:
-        raise ConfigurationError(f"certify's work, cert_pairs x max(grid, "
-                                 f"48)^2 x (filter passes + 200) = "
-                                 f"{work:.3g}, is past {CERT_WORK_MAX:g}")
+    pair_work = max(cfg.grid, 48) ** 2 * (filter_passes(sigma) + 200)
+    if (cfg.cert_pairs + 5) * pair_work > CERT_WORK_MAX:
+        # the work is not formatted: cert_pairs may be past a float's range
+        raise ConfigurationError(
+            f"certify's work, (cert_pairs + 5) x max(grid, 48)^2 x (filter "
+            f"passes + 200), is past {CERT_WORK_MAX:g}: at this grid and "
+            f"sigma, cert_pairs must be <= "
+            f"{int(CERT_WORK_MAX // pair_work) - 5}")
     rows = []
     for name, denoiser in (("tv", TvProxDenoiser()),
                            ("filter", AveragedFilterDenoiser()),

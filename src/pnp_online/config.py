@@ -6,12 +6,13 @@ and `validate` rejects values no command can use: an `algorithm`,
 `denoiser`, `sample_mode` or `incident` outside its list, a non-finite
 float (only `input_snr_db` may be inf, for noiseless data), a finite
 `input_snr_db` outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside
-[GRID_MIN, GRID_MAX], a negative `iterations`, a step (`gamma`,
-`gamma_scale`, `sweep_gammas`) that is not positive, a negative `lam` or
-`sigma`, a `dist_stride` below 1, a `seed` outside [0, SEED_MAX],
-`transmitters` or `receivers` outside [1, TRANSMITTERS_MAX] or
-[1, RECEIVERS_MAX], a minibatch size (`batch_size`, `sweep_batches`)
-outside [1, BATCH_MAX], and a `cert_pairs` outside [1, CERT_PAIRS_MAX].
+[GRID_MIN, GRID_MAX], a negative `iterations`, a `gamma` or `gamma_scale`
+that is not positive, a negative `lam` or `sigma`, a `dist_stride` below
+1, a `seed` outside [0, SEED_MAX], `transmitters` or `receivers` outside
+[1, TRANSMITTERS_MAX] or [1, RECEIVERS_MAX], a `batch_size` outside
+[1, BATCH_MAX], and a `cert_pairs` below 1. The loops read this config
+itself, once cli.run_algorithm has set its gamma and sigma; certify bounds
+its pairs by their work (cli.CERT_WORK_MAX).
 """
 
 from __future__ import annotations
@@ -39,16 +40,10 @@ SNR_DB_MAX = 3000.0
 # transmitters x grid^2 complex values, 1 GiB each at 1024 elements and
 # GRID_MAX, and simulate certifies one lambda_i per transmitter.
 TRANSMITTERS_MAX = RECEIVERS_MAX = 1024
-# Components per minibatch gradient (batch_size, sweep_batches): a draw
-# forms batch x grid^2 complex products, 1 GiB at 1024 and GRID_MAX, and
-# the trace stores every drawn index.
+# Components per minibatch gradient: a draw forms batch_size x grid^2
+# complex products, 1 GiB at 1024 and GRID_MAX, and the trace stores every
+# drawn index.
 BATCH_MAX = 1024
-# Random pairs `certify` tests. A pair calls each of the three denoisers
-# twice: about 0.4 ms at 32^2 and 14 ms at 256^2 at the default sigma, and
-# 26 ms and 0.9 s at sigma = 1 (one BLAS thread). So at the bound a
-# default-sigma run takes about 4 s at 32^2; cli.CERT_WORK_MAX bounds the
-# pairs' work. scripts/run_certificates.sh tests 1000 pairs.
-CERT_PAIRS_MAX = 10_000
 
 
 @dataclass
@@ -80,9 +75,6 @@ class ExperimentConfig:
     seed: int = 0
     dist_stride: int | None = None
     record_timing: bool = True
-    # sweeps (scales of 1/L, and minibatch sizes)
-    sweep_gammas: str = "1,0.25,0.0625"
-    sweep_batches: str = "2,4,8"
     # certificates
     cert_pairs: int = 1000
 
@@ -101,21 +93,19 @@ class ExperimentConfig:
                     f"got {self.phantom!r}")
             if not os.path.exists(self.phantom):
                 raise ConfigurationError(f"phantom file {self.phantom!r} not found")
-        if not self.gamma_list():
-            raise ConfigurationError("sweep_gammas must be nonempty")
-        if not self.batch_list():
-            raise ConfigurationError("sweep_batches must be nonempty")
         if self.iterations < 0:
             raise ConfigurationError(
                 f"iterations must be >= 0, got {self.iterations}")
         for name, top in (("transmitters", TRANSMITTERS_MAX),
                           ("receivers", RECEIVERS_MAX),
-                          ("batch_size", BATCH_MAX),
-                          ("cert_pairs", CERT_PAIRS_MAX)):
+                          ("batch_size", BATCH_MAX)):
             value = getattr(self, name)
             if not 1 <= value <= top:
                 raise ConfigurationError(
                     f"{name} must lie in [1, {top}], got {value}")
+        if self.cert_pairs < 1:
+            raise ConfigurationError(
+                f"cert_pairs must be >= 1, got {self.cert_pairs}")
         if not GRID_MIN <= self.grid <= GRID_MAX:
             raise ConfigurationError(
                 f"grid must lie in [{GRID_MIN}, {GRID_MAX}], got {self.grid}")
@@ -144,34 +134,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"seed must lie in [0, {SEED_MAX}], got {self.seed}")
         return self
-
-    def gamma_list(self):
-        try:
-            gammas = [float(v) for v in self.sweep_gammas.split(",")
-                      if v.strip()]
-        except ValueError:
-            raise ConfigurationError(
-                f"bad sweep_gammas {self.sweep_gammas!r}") from None
-        if not all(math.isfinite(g) for g in gammas):
-            raise ConfigurationError(
-                f"sweep_gammas must be finite, got {self.sweep_gammas!r}")
-        if not all(g > 0 for g in gammas):
-            raise ConfigurationError(
-                f"sweep_gammas must be > 0, got {self.sweep_gammas!r}")
-        return gammas
-
-    def batch_list(self):
-        try:
-            batches = [int(v) for v in self.sweep_batches.split(",")
-                       if v.strip()]
-        except ValueError:
-            raise ConfigurationError(
-                f"bad sweep_batches {self.sweep_batches!r}") from None
-        if not all(1 <= b <= BATCH_MAX for b in batches):
-            raise ConfigurationError(
-                f"sweep_batches must lie in [1, {BATCH_MAX}], "
-                f"got {self.sweep_batches!r}")
-        return batches
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

@@ -7,11 +7,17 @@ way. All runs are seed-deterministic state machines. Traces record the
 squared distance to the fixed-point operator
 P(x) = denoise(x - gamma * grad d(x)), computed with the full gradient even
 inside stochastic runs.
+
+Each entry point reads its settings from a validated
+config.ExperimentConfig whose gamma and sigma are set (cli.run_algorithm
+resolves them): gamma, sigma, iterations, batch_size, accelerated, seed,
+record_timing, dist_stride and sample_mode. The forward-backward loop
+starts at its x0 keyword, or at zero.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,31 +28,6 @@ from pnp_online.forward import (CyclingSampler, grad_full,
 DIVERGENCE_FACTOR = 1e6
 # The default dist_stride is 1 up to this many pixels, and 10 above.
 DIST_EVERY_ITERATION_MAX_N = 4096
-
-
-@dataclass
-class SolverConfig:
-    gamma: float
-    sigma: float = 0.0
-    iterations: int = 100
-    batch_size: int = 1
-    accelerated: bool = False      # FISTA momentum; q_k = 1 if False
-    seed: int = 0
-    record_timing: bool = True
-    dist_stride: int | None = None
-    sample_mode: str = "replacement"  # "replacement", "cycle", or "full"
-    x0: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigurationError("gamma must be positive")
-        if self.iterations < 0:
-            raise ConfigurationError("iterations must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.sample_mode not in ("replacement", "cycle", "full"):
-            raise ConfigurationError(
-                "sample_mode must be 'replacement', 'cycle', or 'full'")
 
 
 def fista_q_update(q_prev):
@@ -161,9 +142,9 @@ class IterateTrace:
         self._start += time.perf_counter() - entered
 
 
-def _initial_iterate(model, config):
-    if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float).ravel().copy()
+def _initial_iterate(model, x0):
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).ravel().copy()
         if x0.size != model.n:
             raise ConfigurationError("x0 length mismatch")
         return x0
@@ -179,13 +160,13 @@ def run_ista(model, regularizer_prox, config, truth=None):
     return run_pnp_ista(model, _ProxDenoiser(regularizer_prox), config, truth)
 
 
-def run_pnp_ista(model, denoiser, config, truth=None):
+def run_pnp_ista(model, denoiser, config, truth=None, x0=None):
     """PnP-ISTA: PnP-SGD with the full gradient at every iteration."""
     return run_pnp_sgd(model, denoiser, replace(config, sample_mode="full"),
-                       truth)
+                       truth, x0)
 
 
-def run_pnp_sgd(model, denoiser, config, truth=None):
+def run_pnp_sgd(model, denoiser, config, truth=None, x0=None):
     """The forward-backward loop: x = denoise(s - gamma * g(s)), then momentum.
 
     sample_mode picks the gradient g: "replacement" draws independent
@@ -196,7 +177,7 @@ def run_pnp_sgd(model, denoiser, config, truth=None):
     """
     rng = np.random.default_rng(config.seed)
     sampler = CyclingSampler(model.num_components, rng)
-    x = _initial_iterate(model, config)
+    x = _initial_iterate(model, x0)
     s = x.copy()
     q_prev = 1.0
     trace = IterateTrace(model, denoiser, config, x, truth)
@@ -225,9 +206,8 @@ def run_admm(model, regularizer_prox, config, truth=None):
 
 
 def run_pnp_admm(model, denoiser, config, truth=None):
-    """The ADMM loop, with the data prox solved by CG and the dual at zero."""
-    x = _initial_iterate(model, config)
-    s = np.zeros(model.n)
+    """The ADMM loop from zero, with the data prox solved by CG."""
+    x, s = np.zeros(model.n), np.zeros(model.n)
     trace = IterateTrace(model, denoiser, config, x, truth)
     for k in range(1, config.iterations + 1):
         z, info = prox_datafit(model, config.gamma, x - s)

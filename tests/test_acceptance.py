@@ -22,10 +22,10 @@ from pnp_online.forward import (DtGeometry, Image, build_dt_model, grad_full,
                                 grad_minibatch, gradient_from_indices)
 from pnp_online.phantoms import phantom_generate
 from pnp_online.pgm import write_pgm
-from pnp_online.solvers import (SolverConfig, estimate_gradient_noise,
-                                huber_gradient, prop2_bound, run_admm,
-                                run_counterexample, run_ista, run_pnp_admm,
-                                run_pnp_ista, run_pnp_sgd, sgd_bound)
+from pnp_online.solvers import (estimate_gradient_noise, huber_gradient,
+                                prop2_bound, run_admm, run_counterexample,
+                                run_ista, run_pnp_admm, run_pnp_ista,
+                                run_pnp_sgd, sgd_bound)
 from conftest import gaussian_model, read_csv, recording
 
 
@@ -91,9 +91,9 @@ class AcceptanceContext:
         """10^4-iteration q_k = 1 batch reference x* on the 16x16 model."""
         def build():
             model, _ = self.model16()
-            cfg = SolverConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
-                               iterations=10_000, seed=0, dist_stride=10_000,
-                               record_timing=False)
+            cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
+                                   iterations=10_000, seed=0,
+                                   dist_stride=10_000, record_timing=False)
             xstar, _ = run_pnp_ista(model, AveragedFilterDenoiser(), cfg)
             return xstar
         return self.cached("filter_reference16", build)
@@ -121,7 +121,7 @@ class AcceptanceContext:
                         # 300-iteration budget; basic runs need 2000 for the
                         # smallest step size to converge
                         iters = 300 if variant == "accelerated" else 2000
-                        cfg = SolverConfig(
+                        cfg = ExperimentConfig(
                             gamma=gamma, sigma=sigma, iterations=iters,
                             seed=0, batch_size=B, sample_mode="cycle",
                             accelerated=variant == "accelerated",
@@ -154,8 +154,8 @@ def test_criterion_1_pnp_ista_equals_ista(ctx):
         gamma = 1.0 / model.lipschitz
         lam = 1e-3 * model.lipschitz          # arbitrary tuning
         sigma = math.sqrt(gamma * lam)
-        cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=200, seed=0,
-                           record_timing=False)
+        cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=200,
+                               seed=0, record_timing=False)
         # every denoiser and prox output: each iterate, then the P(x) that
         # its dist denoised, in the same order in both runs
         pnp_outputs, ista_outputs = [], []
@@ -192,8 +192,8 @@ def test_criterion_2_batch_running_average_bound(ctx):
     d0 = float(np.sum(xstar ** 2))            # x0 = 0
 
     def gen(outdir):
-        cfg = SolverConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
-                           iterations=500, seed=0, record_timing=False)
+        cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
+                               iterations=500, seed=0, record_timing=False)
         _, trace = run_pnp_ista(model, AveragedFilterDenoiser(), cfg)
         write_dist_csv(outdir, "criterion2.csv", trace.dist)
         return np.asarray(trace.dist)
@@ -232,30 +232,30 @@ def test_criterion_3_ista_admm_fixed_point_agreement(ctx):
             if dname == "tv":
                 denoiser = TvProxDenoiser()
                 sigma = math.sqrt(gamma * lam)
-                warm = SolverConfig(gamma=gamma, sigma=sigma, iterations=1500,
-                                    seed=0, accelerated=True,
-                                    dist_stride=1500, record_timing=False)
-                xw, _ = run_pnp_ista(model, denoiser, warm)
-                polish = SolverConfig(gamma=gamma, sigma=sigma,
-                                      iterations=800, seed=0, x0=xw,
-                                      dist_stride=800,
-                                      record_timing=False)
-                x_ista, _ = run_pnp_ista(model, denoiser, polish)
-                admm_cfg = SolverConfig(gamma=gamma, sigma=sigma,
+                warm = ExperimentConfig(gamma=gamma, sigma=sigma,
                                         iterations=1500, seed=0,
-                                        dist_stride=1500,
+                                        accelerated=True, dist_stride=1500,
                                         record_timing=False)
+                xw, _ = run_pnp_ista(model, denoiser, warm)
+                polish = ExperimentConfig(gamma=gamma, sigma=sigma,
+                                          iterations=800, seed=0,
+                                          dist_stride=800, record_timing=False)
+                x_ista, _ = run_pnp_ista(model, denoiser, polish, x0=xw)
+                admm_cfg = ExperimentConfig(gamma=gamma, sigma=sigma,
+                                            iterations=1500, seed=0,
+                                            dist_stride=1500,
+                                            record_timing=False)
             else:
                 denoiser = AveragedFilterDenoiser()
                 sigma = 0.1
-                cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=3000,
-                                   seed=0, dist_stride=3000,
-                                   record_timing=False)
+                cfg = ExperimentConfig(gamma=gamma, sigma=sigma,
+                                       iterations=3000, seed=0,
+                                       dist_stride=3000, record_timing=False)
                 x_ista, _ = run_pnp_ista(model, denoiser, cfg)
-                admm_cfg = SolverConfig(gamma=gamma, sigma=sigma,
-                                        iterations=1500, seed=0,
-                                        dist_stride=1500,
-                                        record_timing=False)
+                admm_cfg = ExperimentConfig(gamma=gamma, sigma=sigma,
+                                            iterations=1500, seed=0,
+                                            dist_stride=1500,
+                                            record_timing=False)
             x_admm, _ = run_pnp_admm(model, denoiser, admm_cfg)
             rel = float(np.linalg.norm(x_ista - x_admm)
                         / np.linalg.norm(x_ista))
@@ -324,9 +324,9 @@ def test_criterion_5_sgd_running_average_bound(ctx):
         for B in (2, 8):
             avg = np.zeros(300)
             for seed in range(20):
-                cfg = SolverConfig(gamma=gamma, sigma=0.1, iterations=300,
-                                   seed=seed, batch_size=B,
-                                   record_timing=False)
+                cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=300,
+                                       seed=seed, batch_size=B,
+                                       record_timing=False)
                 _, trace = run_pnp_sgd(model, AveragedFilterDenoiser(), cfg)
                 avg += np.asarray(trace.dist)
             avg /= 20.0

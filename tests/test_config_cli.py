@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online import cli, forward, linops, metrics, modelio, solvers
 from pnp_online.cli import main, write_csv
-from pnp_online.config import (ALGORITHMS, BATCH_MAX, CERT_PAIRS_MAX,
-                               DENOISERS, GRID_MAX, GRID_MIN, RECEIVERS_MAX,
-                               SEED_MAX, TRANSMITTERS_MAX, ExperimentConfig,
+from pnp_online.config import (ALGORITHMS, BATCH_MAX, DENOISERS, GRID_MAX,
+                               GRID_MIN, RECEIVERS_MAX, SEED_MAX,
+                               TRANSMITTERS_MAX, ExperimentConfig,
                                dump_config, load_config, parse_overrides)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
@@ -28,9 +28,7 @@ from conftest import read_csv
 # ------------------------------------------------------------------- config
 
 def test_defaults_validate():
-    cfg = ExperimentConfig().validate()
-    assert cfg.gamma_list() == [1.0, 0.25, 0.0625]
-    assert cfg.batch_list() == [2, 4, 8]
+    assert ExperimentConfig().validate() == ExperimentConfig()
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -71,11 +69,6 @@ def test_validate_rejects_unknown_algorithm():
 def test_validate_rejects_missing_phantom_file():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(phantom="/nope/ph.pgm").validate()
-
-
-def test_validate_rejects_empty_sweep():
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(sweep_gammas="").validate()
 
 
 def test_seed_env_override(monkeypatch):
@@ -179,7 +172,7 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
     pytest.param(["sweep", *TINY, "--set", "iterations=2",
                   "--set", "lam=0"], id="sweep-filter-sigma-0"),
     pytest.param(["sweep", *TINY, "--set", "iterations=2",
-                  "--set", "sweep_gammas=1e300"],
+                  "--set", "lam=1e300"],
                  id="sweep-filter-sigma-past-bound"),
     # neither command reads the key, so simulate exited 0 and reconstruct
     # went on to the missing model file
@@ -187,9 +180,9 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
                  id="simulate-sample-mode"),
     pytest.param(["reconstruct", "m.pnpm", *TINY, "--set", "incident=bogus"],
                  id="reconstruct-incident"),
-    # certify had no bound on its pairs and ran until it was killed
-    pytest.param(["certify", "--set", "grid=8",
-                  "--set", f"cert_pairs={CERT_PAIRS_MAX + 1}"],
+    # certify had no bound on its pairs and ran until it was killed;
+    # 10 792 is the first count its work bound refuses at any grid
+    pytest.param(["certify", "--set", "grid=8", "--set", "cert_pairs=10792"],
                  id="certify-cert-pairs-past-bound"),
     # pairs within their bound still gave a run of about 2.5 hours, and
     # below 48^2 call overhead, not pixels, sets the time of a pass
@@ -198,7 +191,12 @@ def test_cli_exit_code_out_of_memory(tmp_path, monkeypatch, capsys):
                  id="certify-work-past-bound"),
     pytest.param(["certify", "--set", "grid=8", "--set", "sigma=10",
                   "--set", "cert_pairs=213"],
-                 id="certify-small-grid-work-past-bound")],
+                 id="certify-small-grid-work-past-bound"),
+    # the straddling pair and the 8 bounded-constant samples were left out
+    # of the work, so 208 pairs (work 4.89e9 without them) were accepted
+    pytest.param(["certify", "--set", "grid=8", "--set", "sigma=10",
+                  "--set", "cert_pairs=208"],
+                 id="certify-work-counts-straddle-and-samples")],
     ids=lambda argv: argv[0])
 def test_cli_config_error_leaves_no_output_directory(tmp_path, capsys,
                                                      argv):
@@ -384,6 +382,20 @@ def test_cli_reconstruct_rejects_zero_operator_without_gamma(tmp_path,
                  "--set", "gamma=0.5"]) == 0
 
 
+def test_cli_reconstruct_rejects_underflowed_gamma(tmp_path, capsys):
+    # L = 8.5e7 here, so gamma_scale / L rounds to 0; the loops read the
+    # config as given and would run at gamma = 0, under "# gamma = 0.0"
+    model = str(tmp_path / "m.pnpm")
+    keys = [*TINY, "--set", "eps_background=1e10"]
+    assert main(["simulate", *keys, "-o", model]) == 0
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *keys, "-o", out,
+                 "--set", "gamma_scale=5e-324"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: gamma must be positive\n"
+    assert not os.path.exists(out + ".trace.csv")
+
+
 @pytest.mark.parametrize("key", [
     # every command builds the DT model; there is no key to pick another
     "model",
@@ -392,7 +404,9 @@ def test_cli_reconstruct_rejects_zero_operator_without_gamma(tmp_path,
     # the counter-example runs fixed values for iterations steps
     "ce_gamma", "ce_sigma", "ce_c", "ce_z0", "ce_iters",
     # certify tests alpha = 1/2 on fixed domains, seeded by seed
-    "cert_alpha", "cert_domain_scale", "cert_tol", "cert_seed"])
+    "cert_alpha", "cert_domain_scale", "cert_tol", "cert_seed",
+    # sweep runs the cells of cli.SWEEP_GAMMAS and cli.SWEEP_BATCHES
+    "sweep_gammas", "sweep_batches"])
 def test_cli_model_key_is_unknown(tmp_path, capsys, key):
     assert main(["simulate", *TINY, "--set", f"{key}=1",
                  "-o", str(tmp_path / "m.pnpm")]) == 2
@@ -422,10 +436,7 @@ FUZZ_SIZES = {"grid": st.integers(GRID_MIN, 12),
 FUZZ_WORDS = {"phantom": ["blobs", "checker", "missing.pgm"],
               "algorithm": list(ALGORITHMS), "denoiser": list(DENOISERS),
               "incident": ["point", "plane"],
-              "sample_mode": ["replacement", "cycle", "full"],
-              "sweep_gammas": ["1,0.5", "0", "-1", "1,nan", "1,inf", ","],
-              "sweep_batches": ["2,4", "0", "x", ",", f"2,{BATCH_MAX + 1}",
-                                f"{BATCH_MAX},1"]}
+              "sample_mode": ["replacement", "cycle", "full"]}
 FUZZ_MALFORMED = st.sampled_from(["", "abc", "1.5.2", "0x10", "1e", "--1",
                                   "none", "true"])
 FUZZ_NONFINITE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999"])
@@ -550,8 +561,7 @@ def test_cli_reconstruct_rejects_filter_sigma_past_pass_bound(
 
 @pytest.mark.parametrize("override", [
     "lam=inf", "gamma_scale=inf", "wavelength=inf", "domain_side=-inf",
-    "sigma=inf", "gamma=inf", "input_snr_db=-inf",
-    "sweep_gammas=1,inf"])
+    "sigma=inf", "gamma=inf", "input_snr_db=-inf"])
 def test_cli_exit_code_nonfinite_config(override, capsys):
     assert main(["certify", "--set", "cert_pairs=1", "--set", override]) == 2
     err = capsys.readouterr().err
@@ -599,20 +609,20 @@ def test_cli_reconstruct_rejects_negative_step_weight_or_stride(
 
 
 def test_cli_sweep_rejects_negative_gamma(tmp_path, capsys):
-    # used to die in resolve_gamma_sigma with "math domain error" (exit 1)
+    # a negative sweep_gammas entry used to die in resolve_gamma_sigma with
+    # "math domain error" (exit 1); the sweep's scales are constants now
     out = str(tmp_path / "sw")
     assert main(["sweep", *SMALL, "-o", out, "--set", "iterations=5",
-                 "--set", "sweep_gammas=-1"]) == 2
+                 "--set", "gamma=-1"]) == 2
     err = capsys.readouterr().err
-    assert "sweep_gammas must be > 0" in err
+    assert "gamma must be > 0" in err
     assert "Traceback" not in err
     assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("key,top", [("transmitters", TRANSMITTERS_MAX),
                                      ("receivers", RECEIVERS_MAX),
-                                     ("batch_size", BATCH_MAX),
-                                     ("cert_pairs", CERT_PAIRS_MAX)])
+                                     ("batch_size", BATCH_MAX)])
 def test_validate_bounds_ring_and_batch_sizes(key, top):
     for value in (1, top):
         assert getattr(ExperimentConfig(**{key: value}).validate(),
@@ -620,20 +630,6 @@ def test_validate_bounds_ring_and_batch_sizes(key, top):
     for value in (0, top + 1, 10 ** 30):
         with pytest.raises(ConfigurationError, match=f"{key} must lie in"):
             ExperimentConfig(**{key: value}).validate()
-
-
-@pytest.mark.parametrize("batches", ["0,2", f"2,{BATCH_MAX + 1}"])
-def test_cli_sweep_checks_batches_before_writing(tmp_path, capsys, batches):
-    # sweep_batches=0,2 used to write the 12 gamma-sweep CSV/SVG files and
-    # then exit 2 with "batch_size must be >= 1"
-    out = tmp_path / "sw"
-    out.mkdir()
-    assert main(["sweep", *SMALL, "-o", str(out), "--set", "iterations=5",
-                 "--set", f"sweep_batches={batches}"]) == 2
-    err = capsys.readouterr().err
-    assert "sweep_batches must lie in" in err
-    assert "Traceback" not in err
-    assert os.listdir(out) == []
 
 
 def test_validate_accepts_grid_bounds_and_noiseless_snr():
@@ -983,6 +979,21 @@ def test_cli_certify_zero_sigma_is_config_error(tmp_path, capsys, override):
     assert not (out / "certificates.csv").exists()
 
 
+@pytest.mark.parametrize("pairs,message", [
+    ("0", "cert_pairs must be >= 1"),
+    # the work bound, not a pair bound, refuses it; the work is an int
+    # past a float's range, so the message does not format it
+    ("9" * 400, "at this grid and sigma, cert_pairs must be <= 10791")])
+def test_cli_certify_rejects_pair_count(tmp_path, capsys, pairs, message):
+    out = tmp_path / "out"
+    assert main(["certify", "-o", str(out), "--set", "grid=8",
+                 "--set", f"cert_pairs={pairs}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_cli_sweep_small(tmp_path):
     out = str(tmp_path / "sw")
     assert main(["sweep", *SMALL, "-o", out,
@@ -1012,14 +1023,13 @@ def test_cli_sweep_records_failed_cells(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_algorithm", diverge)
     out = str(tmp_path / "sw")
-    assert main(["sweep", *SMALL, "-o", out, "--set", "sweep_gammas=1",
-                 "--set", "sweep_batches=2"]) == 0
+    assert main(["sweep", *SMALL, "-o", out]) == 0
     lines = open(os.path.join(out, "summary.csv")).read().splitlines()
     failed = [line for line in lines if line.startswith("#")][1:]
-    assert len(failed) == 8   # 2 denoisers x 2 cells x basic/accelerated
+    assert len(failed) == 24  # 2 denoisers x 6 cells x basic/accelerated
     assert failed[0] == ("# failed: tv_gamma_1_B4_basic: iterate norm "
                          "exceeded safety bound")
-    assert lines[-8:] == failed
+    assert lines[-24:] == failed
 
 
 def test_cli_compare_small(tmp_path):

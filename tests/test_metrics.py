@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnp_online.config import ExperimentConfig
 from pnp_online.denoisers import AveragedFilterDenoiser, IdentityDenoiser
 from pnp_online.errors import ConfigurationError
 from pnp_online.metrics import SNR_CAP_DB, dist_to_fix, min_dist, snr_db
-from pnp_online.solvers import SolverConfig, operator_P, run_pnp_ista
+from pnp_online.solvers import operator_P, run_pnp_ista
 
 
 def test_dist_to_fix_converged_iterate(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
     den = AveragedFilterDenoiser()
-    cfg = SolverConfig(gamma=gamma, sigma=0.1, iterations=5000, seed=0,
-                       dist_stride=5000, record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=5000, seed=0,
+                           dist_stride=5000, record_timing=False)
     x, _ = run_pnp_ista(model, den, cfg)
     assert dist_to_fix(model, den, gamma, 0.1, x) <= 1e-12
 

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnp_online.config import ExperimentConfig
 from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
                                   TvProxDenoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import Image, grad_full
 from pnp_online.metrics import dist_to_fix
-from pnp_online.solvers import (SolverConfig, composition_alpha,
-                                corollary1_constant, estimate_gradient_noise,
-                                fista_q_update, huber_gradient, operator_P,
-                                prop2_bound, run_admm, run_counterexample,
-                                run_ista, run_pnp_admm, run_pnp_ista,
-                                run_pnp_sgd, sgd_bound)
+from pnp_online.solvers import (composition_alpha, corollary1_constant,
+                                estimate_gradient_noise, fista_q_update,
+                                huber_gradient, operator_P, prop2_bound,
+                                run_admm, run_counterexample, run_ista,
+                                run_pnp_admm, run_pnp_ista, run_pnp_sgd,
+                                sgd_bound)
 from conftest import (StackedModel, datafit_value, gaussian_model,
                       recording, stacked_model)
 
@@ -149,8 +150,8 @@ def test_converged_run_is_fixed_point(small_dt_model):
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
     den = AveragedFilterDenoiser()
-    cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=5000, seed=0,
-                       dist_stride=5000, record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=5000, seed=0,
+                           dist_stride=5000, record_timing=False)
     x, _ = run_pnp_ista(model, den, cfg)
     residual = x - operator_P(model, den, gamma, sigma, x)
     assert float(np.sum(residual ** 2)) <= 1e-10
@@ -160,7 +161,8 @@ def test_converged_run_is_fixed_point(small_dt_model):
 
 def test_ista_no_iterations_returns_x0():
     model, _ = quadratic_model()
-    cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=0, seed=0)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=0, seed=0)
     x, trace = run_ista(model, lambda z: z, cfg)
     assert np.array_equal(x, np.zeros(model.n))
     assert len(trace) == 0
@@ -168,8 +170,9 @@ def test_ista_no_iterations_returns_x0():
 
 def test_ista_identity_prox_converges_to_least_squares():
     model, _ = quadratic_model()
-    cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=4000, seed=0,
-                       dist_stride=4000, record_timing=False)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=4000, seed=0, dist_stride=4000,
+                           record_timing=False)
     x, _ = run_ista(model, lambda z: z, cfg)
     assert np.max(np.abs(grad_full(model, x))) < 1e-6
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-5
@@ -186,10 +189,10 @@ def test_fista_beats_ista_at_fifty_iterations():
     def objective(x):
         return datafit_value(model, x) + lam * float(np.sum(np.abs(np.diff(x))))
 
-    basic = SolverConfig(gamma=gamma, iterations=50, seed=0,
-                         record_timing=False)
-    accel = SolverConfig(gamma=gamma, iterations=50, seed=0,
-                         accelerated=True, record_timing=False)
+    basic = ExperimentConfig(gamma=gamma, sigma=0.0, iterations=50, seed=0,
+                             record_timing=False)
+    accel = ExperimentConfig(gamma=gamma, sigma=0.0, iterations=50, seed=0,
+                             accelerated=True, record_timing=False)
     xb, _ = run_ista(model, prox, basic)
     xa, _ = run_ista(model, prox, accel)
     assert objective(xa) <= objective(xb) + 1e-12
@@ -199,15 +202,17 @@ def test_fista_beats_ista_at_fifty_iterations():
 
 def test_admm_zero_model_keeps_x0():
     model = stacked_model(np.zeros((4, 4)))
-    cfg = SolverConfig(gamma=1.0, iterations=20, seed=0, record_timing=False)
+    cfg = ExperimentConfig(gamma=1.0, sigma=0.0, iterations=20, seed=0,
+                           record_timing=False)
     x, _ = run_admm(model, lambda z: z, cfg)
     assert np.allclose(x, np.zeros(4), atol=1e-12)
 
 
 def test_admm_identity_prox_least_squares():
     model, _ = quadratic_model(seed=2)
-    cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=3000, seed=0,
-                       dist_stride=3000, record_timing=False)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=3000, seed=0, dist_stride=3000,
+                           record_timing=False)
     x, _ = run_admm(model, lambda z: z, cfg)
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-6
 
@@ -227,8 +232,8 @@ def test_admm_matches_ista_on_tv_problem():
             float(np.sum(np.abs(np.diff(g, axis=0))))
             + float(np.sum(np.abs(np.diff(g, axis=1)))))
 
-    long_cfg = SolverConfig(gamma=gamma, iterations=6000, seed=0,
-                            dist_stride=6000, record_timing=False)
+    long_cfg = ExperimentConfig(gamma=gamma, sigma=0.0, iterations=6000,
+                                seed=0, dist_stride=6000, record_timing=False)
     x_ista, _ = run_ista(model, prox, long_cfg)
     x_admm, _ = run_admm(model, prox, long_cfg)
     assert objective(x_admm) == pytest.approx(objective(x_ista), rel=1e-5)
@@ -241,8 +246,8 @@ def test_pnp_ista_tv_identical_to_ista(small_dt_model):
     gamma = 1.0 / model.lipschitz
     lam = 1e-4
     sigma = math.sqrt(gamma * lam)
-    cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=100, seed=0,
-                       record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=100, seed=0,
+                           record_timing=False)
     x1, t1 = run_pnp_ista(model, TvProxDenoiser(), cfg)
 
     def prox(z):
@@ -257,8 +262,8 @@ def test_pnp_ista_tv_identical_to_ista(small_dt_model):
 def test_pnp_ista_identity_is_gradient_descent():
     model, _ = quadratic_model(seed=4)
     gamma = 1.0 / model.lipschitz
-    cfg = SolverConfig(gamma=gamma, sigma=0.1, iterations=30, seed=0,
-                       record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=30, seed=0,
+                           record_timing=False)
     x1, _ = run_pnp_ista(model, IdentityDenoiser(), cfg)
     x = np.zeros(model.n)
     for _ in range(30):
@@ -271,12 +276,12 @@ def test_pnp_ista_prop2_bound_filter(small_dt_model):
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
     den = AveragedFilterDenoiser()
-    ref = SolverConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
-                       dist_stride=10_000, record_timing=False)
+    ref = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
+                           dist_stride=10_000, record_timing=False)
     xstar, _ = run_pnp_ista(model, den, ref)
     d0 = float(np.sum(xstar ** 2))               # x0 = 0
-    cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=300, seed=0,
-                       record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=300, seed=0,
+                           record_timing=False)
     _, trace = run_pnp_ista(model, den, cfg)
     dist = np.asarray(trace.dist)
     run_avg = np.cumsum(dist) / np.arange(1, dist.size + 1)
@@ -288,8 +293,9 @@ def test_pnp_ista_prop2_bound_filter(small_dt_model):
 
 def test_pnp_admm_identity_least_squares():
     model, _ = quadratic_model(seed=5)
-    cfg = SolverConfig(gamma=1.0 / model.lipschitz, iterations=3000, seed=0,
-                       dist_stride=3000, record_timing=False)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=3000, seed=0, dist_stride=3000,
+                           record_timing=False)
     x, _ = run_pnp_admm(model, IdentityDenoiser(), cfg)
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-6
 
@@ -299,8 +305,8 @@ def test_pnp_admm_converges_to_fix_P(small_dt_model):
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
     den = AveragedFilterDenoiser()
-    cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=4000, seed=0,
-                       dist_stride=4000, record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=4000, seed=0,
+                           dist_stride=4000, record_timing=False)
     x, _ = run_pnp_admm(model, den, cfg)
     assert np.max(np.abs(x - operator_P(model, den, gamma, sigma, x))) < 1e-8
 
@@ -310,8 +316,8 @@ def test_pnp_admm_converges_to_fix_P(small_dt_model):
 def test_pnp_sgd_full_batch_equals_pnp_ista(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
-    cfg = SolverConfig(gamma=gamma, sigma=0.1, iterations=60, seed=0,
-                       sample_mode="full", record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=60, seed=0,
+                           sample_mode="full", record_timing=False)
     den = AveragedFilterDenoiser()
     xs, ts = run_pnp_sgd(model, den, cfg)
     xi, ti = run_pnp_ista(model, den, cfg)
@@ -321,8 +327,9 @@ def test_pnp_sgd_full_batch_equals_pnp_ista(small_dt_model):
 
 def test_pnp_sgd_deterministic(small_dt_model):
     model, _ = small_dt_model
-    cfg = SolverConfig(gamma=1.0 / model.lipschitz, sigma=0.1, iterations=50,
-                       seed=3, batch_size=2, record_timing=False)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
+                           iterations=50, seed=3, batch_size=2,
+                           record_timing=False)
     den = AveragedFilterDenoiser()
     x1, t1 = run_pnp_sgd(model, den, cfg)
     x2, t2 = run_pnp_sgd(model, den, cfg)
@@ -336,9 +343,9 @@ def test_pnp_sgd_smaller_gamma_lower_plateau(small_dt_model):
     den = AveragedFilterDenoiser()
     plateaus = []
     for scale in (1.0, 1.0 / 16.0):
-        cfg = SolverConfig(gamma=scale / model.lipschitz, sigma=0.1,
-                           iterations=2000, seed=0, batch_size=2,
-                           record_timing=False)
+        cfg = ExperimentConfig(gamma=scale / model.lipschitz, sigma=0.1,
+                               iterations=2000, seed=0, batch_size=2,
+                               record_timing=False)
         _, trace = run_pnp_sgd(model, den, cfg)
         plateaus.append(float(np.mean(np.asarray(trace.dist)[-100:])))
     assert plateaus[1] < plateaus[0]
@@ -349,8 +356,8 @@ def test_pnp_sgd_prop5_bound_seed_averaged(small_dt_model):
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
     den = AveragedFilterDenoiser()
-    ref = SolverConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
-                       dist_stride=10_000, record_timing=False)
+    ref = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
+                           dist_stride=10_000, record_timing=False)
     xstar, _ = run_pnp_ista(model, den, ref)
     x0_dist = math.sqrt(float(np.sum(xstar ** 2)))
     nu = estimate_gradient_noise(model, np.zeros(model.n), num_draws=1000,
@@ -358,8 +365,8 @@ def test_pnp_sgd_prop5_bound_seed_averaged(small_dt_model):
     B = 2
     avg = np.zeros(200)
     for seed in range(20):
-        cfg = SolverConfig(gamma=gamma, sigma=sigma, iterations=200,
-                           seed=seed, batch_size=B, record_timing=False)
+        cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=200,
+                               seed=seed, batch_size=B, record_timing=False)
         _, trace = run_pnp_sgd(model, den, cfg)
         avg += np.asarray(trace.dist)
     avg /= 20.0
@@ -386,9 +393,9 @@ def test_trace_dist_is_dist_to_fix(small_dt_model, algorithm):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
     lam = 1e-4
-    cfg = SolverConfig(gamma=gamma, sigma=math.sqrt(gamma * lam),
-                       iterations=6, seed=2, batch_size=2,
-                       record_timing=False)
+    cfg = ExperimentConfig(gamma=gamma, sigma=math.sqrt(gamma * lam),
+                           iterations=6, seed=2, batch_size=2,
+                           record_timing=False)
     # every denoiser (or prox) output: each iteration's iterate, then the
     # P(x) that its dist denoised
     outputs = []
@@ -423,8 +430,8 @@ def test_elapsed_excludes_diagnostics(run):
     # the solver and the dist diagnostic each denoise once per iteration
     model, _ = quadratic_model(seed=8)
     k = 10
-    cfg = SolverConfig(gamma=1.0 / model.lipschitz, sigma=0.1, iterations=k,
-                       seed=0)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
+                           iterations=k, seed=0, batch_size=1)
     _, trace = run(model, SleepingDenoiser(), cfg)
     assert all(math.isfinite(d) for d in trace.dist)
     assert k * 0.02 <= trace.elapsed[-1] < 1.5 * k * 0.02
@@ -433,18 +440,23 @@ def test_elapsed_excludes_diagnostics(run):
 def test_divergence_detector_raises():
     model, _ = quadratic_model(seed=6)
     # absurdly large step forces blow-up
-    cfg = SolverConfig(gamma=1e9 / model.lipschitz, iterations=500, seed=0,
-                       record_timing=False)
+    cfg = ExperimentConfig(gamma=1e9 / model.lipschitz, sigma=0.0,
+                           iterations=500, seed=0, record_timing=False)
     with pytest.raises(DivergenceError) as excinfo:
         run_ista(model, lambda z: z, cfg)
     assert excinfo.value.trace is not None
 
 
-def test_solver_config_validation():
-    with pytest.raises(ConfigurationError):
-        SolverConfig(gamma=0.0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(gamma=0.1, batch_size=0)
+@pytest.mark.parametrize("run", [run_pnp_ista, run_pnp_sgd])
+def test_forward_backward_loop_starts_at_x0(run):
+    model, _ = quadratic_model(seed=7)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=0, seed=0)
+    x0 = np.arange(model.n, dtype=float)
+    x, _ = run(model, IdentityDenoiser(), cfg, x0=x0)
+    assert np.array_equal(x, x0)
+    with pytest.raises(ConfigurationError, match="x0 length mismatch"):
+        run(model, IdentityDenoiser(), cfg, x0=np.zeros(model.n + 1))
 
 
 # ----------------------------------------------------------- counter-example
