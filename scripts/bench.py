@@ -5,23 +5,37 @@
 
     python3 scripts/bench.py --tier1 BENCH_<n>.json
 
+    python3 scripts/bench.py --against <checkout> BENCH_<n>.json
+
 It times the package in src/ of the checkout that holds this script, with
 OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
 - "environment": the BLAS thread count, nproc, and the Python, numpy,
   scipy and BLAS versions;
 - "layers": per grid, the median and quartiles of each layer over REPEATS
-  in-process calls, after one untimed call;
+  in-process calls, after one untimed call; `build_dt_model`,
+  `save_model` and `load_model` add the tracemalloc peak of one call
+  ("peak_mb"), counting the model the call builds, writes or loads, and
+  its ratio to the complex128 bytes of S and U ("peak_over_s_and_u");
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
-  `pnp reconstruct`, and under "compare" those of `pnp compare` at its
-  defaults, the workloads taking turns run by run;
+  `pnp reconstruct`, under "simulate-64" those of `pnp simulate` alone at
+  64 x 64, and under "compare" those of `pnp compare` at its defaults, the
+  workloads taking turns run by run;
 - "tier1", with --tier1 only: the wall time, exit status and outcome
   counts of one run of scripts/run_tests.sh.
+
+With --against, every child command runs PAIRS times in each tree, the
+two trees back to back and taking turns to go first, so both sides of a
+pair see the same phase of a shared machine. "commands" then holds this
+checkout's runs, "against" the other checkout's commit and runs, and
+"pairs" counts, per command and metric, the pairs in which this checkout
+read lower and higher. The layers are this checkout's only.
 
 The workloads are the three of the repository benchmark, with their keys
 written out below; this script imports nothing from perfbench/ and gates
 nothing. Every command runs at record_timing=false. It takes about two
-minutes on one core, and --tier1 adds the 3-5 minutes of the test suite.
+minutes on one core, --against about five, and --tier1 adds the 3-5
+minutes of the test suite.
 """
 
 import argparse
@@ -35,6 +49,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +57,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 REPEATS = 20
 RUNS = 5
+# Pairs per command with --against: a gain is claimed only when the
+# change wins at least nine of ten.
+PAIRS = 10
 
 # The benchmark's phantom and seed, at its two model sizes (pixels per
 # side, transmitters, receivers).
@@ -58,6 +76,10 @@ WORKLOADS = {
                  "algorithm": "pnp-sgd", "denoiser": "tv",
                  "sample_mode": "full", "iterations": 20},
 }
+# `pnp simulate` alone at a larger model, to show how its peak RSS grows
+# with the grid.
+SIMULATE_ONLY = {"simulate-64": {"grid": 64, "transmitters": 32,
+                                 "receivers": 96}}
 
 
 def summary(samples, unit):
@@ -92,6 +114,35 @@ def environment():
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
+def traced_peaks(cfg, truth, path):
+    """The tracemalloc peak in MB of one call each of `build_dt_model`,
+    `save_model` and `load_model`, each counting the model the call
+    builds, writes or loads, and the bytes of its complex128 S and U."""
+    from pnp_online import cli
+    from pnp_online.modelio import load_model, save_model
+
+    peaks = {}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = cli.model_from_config(cfg, truth)
+        peaks["build_dt_model"] = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        save_model(path, model)
+        peaks["save_model"] = tracemalloc.get_traced_memory()[1] - base
+        s_and_u = model.scattering.nbytes + model.incident.nbytes
+        del model
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        load_model(path)
+        peaks["load_model"] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return {name: {"peak_mb": peak / 2 ** 20,
+                   "peak_over_s_and_u": peak / s_and_u}
+            for name, peak in peaks.items()}
+
+
 def layers(grid, transmitters, receivers):
     """Each layer on the benchmark's model at this size, near its truth."""
     import numpy as np
@@ -117,11 +168,14 @@ def layers(grid, transmitters, receivers):
     tv_call = time_ms(lambda: tv_prox(z, sigma * sigma))
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "model.pnpm")
+        peaks = traced_peaks(cfg, truth, path)
         save_call = time_ms(lambda: save_model(path, model))
         load_call = time_ms(lambda: load_model(path))
     return {
-        "build_dt_model": summary(time_ms(
+        # the peak is of the build alone, without its lambda_i
+        "build_dt_model": {**summary(time_ms(
             lambda: cli.model_from_config(cfg, truth).lambdas), "ms"),
+            **peaks["build_dt_model"]},
         "factored_lambdas": summary(time_ms(
             lambda: factored_lambdas(model.scattering, model.incident)),
             "ms"),
@@ -142,8 +196,8 @@ def layers(grid, transmitters, receivers):
             lambda: averaged_linear_filter(z, sigma)), "ms"),
         # save_model includes its lambda_i, computed from the complex64
         # blocks it writes
-        "save_model": summary(save_call, "ms"),
-        "load_model": summary(load_call, "ms"),
+        "save_model": {**summary(save_call, "ms"), **peaks["save_model"]},
+        "load_model": {**summary(load_call, "ms"), **peaks["load_model"]},
     }
 
 
@@ -160,30 +214,74 @@ def run_command(argv, env, cwd):
     return wall, usage.ru_maxrss / 1024.0
 
 
-def commands():
+def child_env(tree):
+    """The environment of a `pnp` child that runs the package of `tree`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    samples = {name: {"simulate": [], "reconstruct": []}
-               for name in WORKLOADS}
-    samples["compare"] = {"compare": []}
+        filter(None, [str(Path(tree) / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def jobs():
+    """(workload, command, argv) of every child command, in run order."""
     untimed = ["--set", "record_timing=false"]
+    for name, keys in {**WORKLOADS, **SIMULATE_ONLY}.items():
+        sets = [arg for k, v in {**BASE_KEYS, **keys}.items()
+                for arg in ("--set", f"{k}={v}")] + untimed
+        yield name, "simulate", ["simulate", "-o", "model.pnpm", *sets]
+        if name in WORKLOADS:
+            yield name, "reconstruct", ["reconstruct", "model.pnpm", "-o",
+                                        "recon", *sets]
+    yield "compare", "compare", ["compare", "-o", "compare", *untimed]
+
+
+def commands(trees, runs):
+    """Wall s and peak RSS MB of `runs` runs of every job in each tree, the
+    trees back to back per job and taking turns to go first."""
+    samples = {tree: {} for tree in trees}
+    envs = {tree: child_env(tree) for tree in trees}
     with tempfile.TemporaryDirectory() as work:
-        for _ in range(RUNS):
-            for name, keys in WORKLOADS.items():
-                sets = [arg for k, v in {**BASE_KEYS, **keys}.items()
-                        for arg in ("--set", f"{k}={v}")] + untimed
-                samples[name]["simulate"].append(run_command(
-                    ["simulate", "-o", "model.pnpm", *sets], env, work))
-                samples[name]["reconstruct"].append(run_command(
-                    ["reconstruct", "model.pnpm", "-o", "recon", *sets],
-                    env, work))
-            samples["compare"]["compare"].append(run_command(
-                ["compare", "-o", "compare", *untimed], env, work))
+        works = {tree: os.path.join(work, str(i))
+                 for i, tree in enumerate(trees)}
+        for path in works.values():
+            os.mkdir(path)
+        for run in range(runs):
+            for name, command, argv in jobs():
+                for tree in trees if run % 2 == 0 else trees[::-1]:
+                    samples[tree].setdefault(name, {}).setdefault(
+                        command, []).append(run_command(
+                            argv, envs[tree], works[tree]))
+    return samples
+
+
+def command_summary(by_name):
     return {name: {command: {"wall": summary([s[0] for s in runs], "s"),
                              "peak_rss": summary([s[1] for s in runs], "MB")}
                    for command, runs in by_command.items()}
-            for name, by_command in samples.items()}
+            for name, by_command in by_name.items()}
+
+
+def pair_counts(this, other):
+    """Per command and metric, the pairs in which `this` read lower and
+    higher than `other`; ties count for neither."""
+    counts = {}
+    for name, by_command in this.items():
+        for command, runs in by_command.items():
+            pairs = list(zip(runs, other[name][command]))
+            counts.setdefault(name, {})[command] = {
+                metric: {"this_lower": sum(a[k] < b[k] for a, b in pairs),
+                         "this_higher": sum(a[k] > b[k] for a, b in pairs),
+                         "n": len(pairs)}
+                for k, metric in enumerate(("wall", "peak_rss"))}
+    return counts
+
+
+def commit(tree):
+    """The commit checked out in `tree`, or None outside a git checkout."""
+    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def tier1():
@@ -206,6 +304,9 @@ def main():
     parser.add_argument("output", help="the JSON file to write")
     parser.add_argument("--tier1", action="store_true",
                         help="also time one run of scripts/run_tests.sh")
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="also run every command in this checkout, "
+                             "alternating with this one")
     args = parser.parse_args()
     # BLAS reads these when numpy is imported, which happens only below;
     # the children inherit them. PNP_SEED would override the seed.
@@ -214,11 +315,23 @@ def main():
     sys.path.insert(0, str(ROOT / "src"))
     # The children run first: a child's peak RSS counts the RSS it shared
     # with this process when it was forked, before numpy was imported here.
-    runs = commands()
+    trees = [str(ROOT)]
+    if args.against:
+        other = Path(args.against).resolve()
+        if other == ROOT or not (other / "src" / "pnp_online").is_dir():
+            parser.error(f"--against {args.against}: not another checkout "
+                         "with src/pnp_online")
+        trees.append(str(other))
+    runs = commands(trees, PAIRS if args.against else RUNS)
     result = {"environment": environment(),
               "layers": {str(grid): layers(grid, *sizes)
                          for grid, sizes in GRIDS.items()},
-              "commands": runs}
+              "commands": command_summary(runs[str(ROOT)])}
+    if args.against:
+        other = trees[1]
+        result["against"] = {"commit": commit(other),
+                             "commands": command_summary(runs[other])}
+        result["pairs"] = pair_counts(runs[str(ROOT)], runs[other])
     if args.tier1:
         result["tier1"] = tier1()
     with open(args.output, "w", encoding="ascii") as fh:

@@ -30,6 +30,8 @@ SAMPLE_MODES = ("replacement", "cycle", "full")
 INCIDENTS = ("point", "plane")
 # Pixels per side. A 256 x 256 DT model already holds a 48 x 65 536 complex
 # Green matrix (50 MB) with the default receivers; the phantoms need 8.
+# simulate and reconstruct each peak near S + U plus one U-sized product
+# (see TRANSMITTERS_MAX).
 GRID_MIN, GRID_MAX = 8, 256
 # numpy's generators take no negative seed, and PNPM files store the seed
 # as an int64.
@@ -38,7 +40,10 @@ SEED_MAX = 2 ** 63 - 1
 SNR_DB_MAX = 3000.0
 # Ring elements. S holds receivers x grid^2 and the incident fields
 # transmitters x grid^2 complex values, 1 GiB each at 1024 elements and
-# GRID_MAX, and simulate certifies one lambda_i per transmitter.
+# GRID_MAX, and simulate certifies one lambda_i per transmitter. The
+# largest accepted model needs about 3 GiB, S + U and one U-sized product,
+# in simulate (which builds and writes S and U in blocks) and in
+# reconstruct alike, and about 7e13 flops for its lambda_i.
 TRANSMITTERS_MAX = RECEIVERS_MAX = 1024
 # Components per minibatch gradient: a draw forms batch_size x grid^2
 # complex products, 1 GiB at 1024 and GRID_MAX, and the trace stores every

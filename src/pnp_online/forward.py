@@ -21,6 +21,11 @@ from pnp_online.linops import cg_solve_regularized, lambda_max_bound
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
+# Elements per row block of S and U in `build_dt_model`, one
+# `hankel1_0_array` block: a block's distances and Green values are the
+# build's only temporaries, where whole-array ones would double its peak.
+_ROW_BLOCK = 8192
+
 
 @dataclass
 class Image:
@@ -225,20 +230,23 @@ class MeasurementModel:
         return self.adjoint_sum(self.apply(x)) / self.num_components
 
 
-def factored_lambdas(scattering, incident):
+def factored_lambdas(scattering, incident, stored=None):
     """lambda_max(H_i^H H_i) of every H_i = S diag(u_i), u_i the rows of U.
 
-    Each bound comes from `lambda_max_bound`. S and U may be complex64 (the
-    arrays a PNPM2 file stores) or complex128: each column chunk is widened
-    to complex128 as `lambda_max_bound` asks for it, so no full complex128
-    copy is made, and a complex128 chunk is not copied at all. Either way
-    the products are those of complex128 S and U, so the lambda_i of a
-    saved model equal those its loaded, widened arrays give, bit for bit.
+    Each bound comes from `lambda_max_bound`, on the complex128 S and U.
+    With `stored` a dtype (complex64, the type a PNPM2 file stores), each
+    column chunk of S and u_i is rounded to it and widened back as
+    `lambda_max_bound` asks for it, so the lambda_i are those of the
+    rounded arrays that `load_model` returns, bit for bit, and no rounded
+    copy of S or U is made.
     """
+    def chunk(array, cols):
+        part = array[..., cols]
+        return part if stored is None else part.astype(stored).astype(complex)
+
     return np.array([
         lambda_max_bound(
-            lambda cols, u=u: (scattering[:, cols].astype(complex, copy=False)
-                               * u[cols].astype(complex, copy=False)),
+            lambda cols, u=u: chunk(scattering, cols) * chunk(u, cols),
             scattering.shape)
         for u in incident])
 
@@ -260,32 +268,49 @@ def _apply_noise(clean, rng, input_snr_db):
     return clean + scale * raw
 
 
+def _row_blocks(shape, block):
+    """The complex array of `shape` whose rows `rows` (a slice) are
+    block(rows), formed `_ROW_BLOCK` elements at a time."""
+    out = np.empty(shape, dtype=complex)
+    step = max(1, _ROW_BLOCK // shape[1])
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] = block(rows)
+    return out
+
+
 def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     """Simulate first-Born DT measurements of a real contrast image.
 
     S[m, j] = k_b^2 * delta^2 * g(||r_m - r_j||) (midpoint-rule Born
     integral); the incident field is a point source at each transmitter, or
     a unit plane wave aimed at the origin when geometry.incident == "plane".
+    S and U are formed a row block at a time, each element as a whole-array
+    build forms it, so they are the build's only arrays of their size.
     """
     if truth.width != geometry.grid or truth.height != geometry.grid:
         raise ConfigurationError("truth grid must match geometry grid")
     k_b = geometry.wavenumber
-    delta = geometry.pixel_size
+    scale = (k_b ** 2) * (geometry.pixel_size ** 2)
     pixels = geometry.pixel_centers()
     receivers = geometry.receiver_positions()
     transmitters = geometry.transmitter_positions()
 
-    dist_rx = np.linalg.norm(receivers[:, None, :] - pixels[None, :, :], axis=2)
-    scattering = (k_b ** 2) * (delta ** 2) * green_function_2d(k_b, dist_rx)
+    def green(sources, rows):
+        return green_function_2d(k_b, np.linalg.norm(
+            sources[rows, None, :] - pixels[None, :, :], axis=2))
 
+    scattering = _row_blocks((len(receivers), len(pixels)),
+                             lambda rows: scale * green(receivers, rows))
     if geometry.incident == "point":
-        dist_tx = np.linalg.norm(pixels[None, :, :] - transmitters[:, None, :],
-                                 axis=2)
-        incident = green_function_2d(k_b, dist_tx)
+        incident = _row_blocks((len(transmitters), len(pixels)),
+                               lambda rows: green(transmitters, rows))
     else:
         directions = -transmitters / np.linalg.norm(transmitters, axis=1,
                                                     keepdims=True)
-        incident = np.exp(1j * k_b * (directions @ pixels.T))
+        phase = directions @ pixels.T
+        incident = _row_blocks(phase.shape,
+                               lambda rows: np.exp(1j * k_b * phase[rows]))
 
     rng = np.random.default_rng(seed)
     # One product S (u_i * x) per component, so a noiseless y_i equals

@@ -12,11 +12,14 @@ Layout, little-endian:
   incident field u_i and one measurement vector y_i per illumination.
 
 `save_model` computes the lambda_i from the complex64-rounded S and u_i it
-writes (`factored_lambdas`, which widens one column chunk at a time), so
-they are certified for the very operator `load_model` returns. The loader
-widens each block to complex128 once, which is exact, so the solvers'
-products need no per-call upcast; saving a loaded model reproduces the file
-byte for byte.
+writes (`factored_lambdas` with `stored=complex64`, which rounds and
+widens one column chunk at a time), so they are certified for the very
+operator `load_model` returns. It rounds and writes S a block of rows at a
+time (`_SAVE_BLOCK`) and each u_i and y_i on its own, and checks the
+rounded blocks for NaN and Inf before it opens the file, so it holds no
+complex64 copy of S, U or Y. The loader widens each block to complex128
+once, which is exact, so the solvers' products need no per-call upcast;
+saving a loaded model reproduces the file byte for byte.
 
 The loader does no eigen work. It rejects a file whose magic or version is
 unknown, whose header holds an empty dimension or an invalid geometry,
@@ -51,26 +54,35 @@ VERSION = 2
 _HEADER = struct.Struct("<B III dddd III B q d 32s")
 _INCIDENT_CODES = {"point": 0, "plane": 1}
 _INCIDENT_NAMES = {v: k for k, v in _INCIDENT_CODES.items()}
+# Elements per block of S that save_model rounds to complex64 at a time:
+# the blocks, not complex64 copies of S and U, are its temporaries.
+_SAVE_BLOCK = 8192
+
+
+def _stored_blocks(model):
+    """The file's data blocks in order, rounded to complex64: S in blocks of
+    rows, then u_i and y_i per component."""
+    step = max(1, _SAVE_BLOCK // model.n)
+    for lo in range(0, model.M, step):
+        yield model.scattering[lo:lo + step].astype(np.complex64)
+    for u_in, y in zip(model.incident, model.measurements):
+        yield u_in.astype(np.complex64)
+        yield y.astype(np.complex64)
 
 
 def save_model(path, model):
     """Write a MeasurementModel as PNPM2; returns the lambda_i it stored.
 
     Raises for NaN or Inf in the complex64 blocks, which load_model would
-    reject.
+    reject, before the file is opened.
     """
     geometry = model.geometry
-    n, M, I = model.n, model.M, model.num_components
-    scattering = np.ascontiguousarray(model.scattering, dtype=np.complex64)
-    incident = np.ascontiguousarray(model.incident, dtype=np.complex64)
-    measurements = np.ascontiguousarray(model.measurements,
-                                        dtype=np.complex64)
-    if not all(np.all(np.isfinite(block))
-               for block in (scattering, incident, measurements)):
+    if not all(np.all(np.isfinite(block)) for block in _stored_blocks(model)):
         raise ConfigurationError("S, u_i or y_i hold NaN or Inf in "
                                  "complex64; no PNPM2 file written")
-    lambdas = factored_lambdas(scattering, incident)
-    header = _HEADER.pack(VERSION, n, M, I,
+    lambdas = factored_lambdas(model.scattering, model.incident,
+                               stored=np.complex64)
+    header = _HEADER.pack(VERSION, model.n, model.M, model.num_components,
                           geometry.domain_side, geometry.wavelength,
                           geometry.eps_background, geometry.ring_radius,
                           geometry.grid, geometry.num_transmitters,
@@ -82,11 +94,8 @@ def save_model(path, model):
         fh.write(MAGIC)
         fh.write(header)
         fh.write(lambdas.astype("<f8").tobytes())
-        # the arrays themselves: a tobytes() copy would duplicate each block
-        fh.write(scattering)
-        for u_in, y in zip(incident, measurements):
-            fh.write(u_in)
-            fh.write(y)
+        for block in _stored_blocks(model):
+            fh.write(block)
     return lambdas
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: small measurement models and phantoms, and the test
 oracles: forward differences, the TV objective, the data fit, the
-stacked-matrix measurement model with its Gaussian draw, and the CSV
-reader."""
+stacked-matrix measurement model with its Gaussian draw, the whole-array
+DT build and PNPM2 write, and the CSV reader."""
 
 import math
 import sys
@@ -9,8 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from pnp_online import modelio
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import DtGeometry, Image, build_dt_model
+from pnp_online.forward import (DtGeometry, Image, MeasurementModel,
+                                _apply_noise, build_dt_model,
+                                green_function_2d)
 from pnp_online.linops import lambda_max_bound
 from pnp_online.phantoms import phantom_generate
 
@@ -114,6 +117,67 @@ def stacked_model(h, y=None):
     if y is None:
         y = np.zeros(h.shape[0], dtype=h.dtype)
     return StackedModel(h[None], np.asarray(y)[None], h.shape[1], 1)
+
+
+def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
+    """`build_dt_model` as one pass over whole arrays: every distance, Green
+    value and scaled copy of S and U is a full-size temporary."""
+    k_b = geometry.wavenumber
+    delta = geometry.pixel_size
+    pixels = geometry.pixel_centers()
+    receivers = geometry.receiver_positions()
+    transmitters = geometry.transmitter_positions()
+    dist_rx = np.linalg.norm(receivers[:, None, :] - pixels[None, :, :],
+                             axis=2)
+    scattering = (k_b ** 2) * (delta ** 2) * green_function_2d(k_b, dist_rx)
+    if geometry.incident == "point":
+        dist_tx = np.linalg.norm(pixels[None, :, :]
+                                 - transmitters[:, None, :], axis=2)
+        incident = green_function_2d(k_b, dist_tx)
+    else:
+        directions = -transmitters / np.linalg.norm(transmitters, axis=1,
+                                                    keepdims=True)
+        incident = np.exp(1j * k_b * (directions @ pixels.T))
+    rng = np.random.default_rng(seed)
+    clean = np.array([scattering @ (u * truth.pixels) for u in incident])
+    return MeasurementModel(
+        measurements=_apply_noise(clean, rng, input_snr_db),
+        scattering=scattering, incident=incident, geometry=geometry,
+        seed=seed, input_snr_db=input_snr_db, truth_sha256=truth.sha256())
+
+
+def whole_array_save_model(path, model):
+    """`modelio.save_model` from whole complex64 copies of S, U and Y, with
+    each lambda_i from the widened column chunks of those copies."""
+    geometry = model.geometry
+    scattering = np.ascontiguousarray(model.scattering, dtype=np.complex64)
+    incident = np.ascontiguousarray(model.incident, dtype=np.complex64)
+    measurements = np.ascontiguousarray(model.measurements,
+                                        dtype=np.complex64)
+    if not all(np.all(np.isfinite(block))
+               for block in (scattering, incident, measurements)):
+        raise ConfigurationError("non-finite complex64 block")
+    lambdas = np.array([
+        lambda_max_bound(
+            lambda cols, u=u: (scattering[:, cols].astype(complex)
+                               * u[cols].astype(complex)),
+            scattering.shape)
+        for u in incident])
+    header = modelio._HEADER.pack(
+        modelio.VERSION, model.n, model.M, model.num_components,
+        geometry.domain_side, geometry.wavelength, geometry.eps_background,
+        geometry.ring_radius, geometry.grid, geometry.num_transmitters,
+        geometry.num_receivers, modelio._INCIDENT_CODES[geometry.incident],
+        model.seed, model.input_snr_db, model.truth_sha256)
+    with open(path, "wb") as fh:
+        fh.write(modelio.MAGIC)
+        fh.write(header)
+        fh.write(lambdas.astype("<f8").tobytes())
+        fh.write(scattering)
+        for u_in, y in zip(incident, measurements):
+            fh.write(u_in)
+            fh.write(y)
+    return lambdas
 
 
 def read_csv(path):

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online.bessel import hankel1_0
 from pnp_online.errors import ConfigurationError
+from pnp_online import forward
 from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
                                 MeasurementModel, build_dt_model, grad_full,
                                 grad_minibatch, gradient_from_indices,
                                 green_function_2d, prox_datafit)
 from conftest import (StackedModel, datafit_value, gaussian_model,
-                      make_truth, stacked_model)
+                      make_truth, stacked_model, whole_array_dt_model)
 
 
 def dense_matrices(model):
@@ -97,6 +98,23 @@ def test_dt_noiseless_deterministic():
     # noiseless: each y_i equals its clean forward projection exactly
     for u, y in zip(a.incident, a.measurements):
         assert np.array_equal(y, a.scattering @ (u * truth.pixels))
+
+
+@pytest.mark.parametrize("incident", ["point", "plane"])
+def test_dt_build_matches_whole_array_oracle(incident):
+    # 40^2 pixels make row blocks of 5: neither 23 receivers nor 7
+    # transmitters fill their last block
+    geometry = DtGeometry(grid=40, num_transmitters=7, num_receivers=23,
+                          incident=incident)
+    assert 23 % (forward._ROW_BLOCK // 40 ** 2) != 0
+    assert 7 % (forward._ROW_BLOCK // 40 ** 2) != 0
+    truth = make_truth(40, seed=3)
+    model = build_dt_model(geometry, truth, seed=4)
+    oracle = whole_array_dt_model(geometry, truth, seed=4)
+    for name in ("scattering", "incident", "measurements"):
+        assert (getattr(model, name).tobytes()
+                == getattr(oracle, name).tobytes()), name
+    assert model.lambdas.tobytes() == oracle.lambdas.tobytes()
 
 
 def test_dt_achieved_input_snr_is_exact(small_dt_model):

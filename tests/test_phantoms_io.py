@@ -2,20 +2,23 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pnp_online import modelio
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import DtGeometry, build_dt_model
+from pnp_online.forward import (DtGeometry, build_dt_model,
+                                factored_lambdas)
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import (PgmParseError, image_to_pgm16, read_pgm,
                             write_pgm)
 from pnp_online.phantoms import (phantom_blobs, phantom_checker,
                                  phantom_from_pgm, phantom_generate)
 from pnp_online.svgplot import line_plot
-from conftest import make_truth
+from conftest import make_truth, whole_array_save_model
 
 
 # ----------------------------------------------------------------- phantoms
@@ -146,6 +149,48 @@ def test_pnpm2_round_trip_bit_identical(dt_model_32, tmp_path):
     path2 = tmp_path / "m2.pnpm"
     save_model(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("incident", ["point", "plane"])
+def test_pnpm2_write_matches_whole_array_oracle(incident, tmp_path):
+    # 40^2 pixels make blocks of 5 rows of S: 23 receivers do not fill the
+    # last one
+    geometry = DtGeometry(grid=40, num_transmitters=7, num_receivers=23,
+                          incident=incident)
+    assert 23 % (modelio._SAVE_BLOCK // 40 ** 2) != 0
+    model = build_dt_model(geometry, make_truth(40, seed=3), seed=4)
+    stored = save_model(tmp_path / "m.pnpm", model)
+    oracle = whole_array_save_model(tmp_path / "o.pnpm", model)
+    assert stored.tobytes() == oracle.tobytes()
+    assert ((tmp_path / "m.pnpm").read_bytes()
+            == (tmp_path / "o.pnpm").read_bytes())
+    back = load_model(tmp_path / "m.pnpm")
+    assert (factored_lambdas(back.scattering, back.incident).tobytes()
+            == stored.tobytes())
+
+
+def test_simulate_peak_memory_is_about_its_model(tmp_path):
+    # Both peaks count the model's own S and U. The bound leaves room for
+    # one U-sized product besides (the model's back projection, 0.25 of
+    # S + U with three receivers per transmitter) and block-sized
+    # temporaries; whole-array ones (distances, Green values, a scaled S,
+    # complex64 copies of S and U) exceed it.
+    geometry = DtGeometry(grid=64, num_transmitters=32, num_receivers=96)
+    truth = make_truth(64, seed=0)
+    path = tmp_path / "m.pnpm"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = build_dt_model(geometry, truth, seed=0)
+        build_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        save_model(path, model)
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    model_bytes = model.scattering.nbytes + model.incident.nbytes
+    assert build_peak <= 1.5 * model_bytes
+    assert save_peak <= 1.5 * model_bytes
 
 
 def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
