@@ -16,6 +16,12 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   `save_model` and `load_model` add the tracemalloc peak of one call
   ("peak_mb"), counting the model the call builds, writes or loads, and
   its ratio to the complex128 bytes of S and U ("peak_over_s_and_u");
+- "solve_split": per workload, the median and quartiles over SPLIT_RUNS
+  in-process solves (`cli.run_algorithm`, after one untimed solve) of the
+  seconds of the whole solve and of each phase in SPLIT: the step
+  gradient, the denoiser, CG and the `dist` diagnostic, with the calls of
+  each phase per solve; the calls that `dist_to_fix` makes count as
+  `dist`;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
   `pnp reconstruct`, under "simulate-64" those of `pnp simulate` alone at
@@ -29,7 +35,11 @@ two trees back to back and taking turns to go first, so both sides of a
 pair see the same phase of a shared machine. "commands" then holds this
 checkout's runs, "against" the other checkout's commit and runs, and
 "pairs" counts, per command and metric, the pairs in which this checkout
-read lower and higher. The layers are this checkout's only.
+read lower and higher. The layers and the solve split are this
+checkout's only. Each tree's children import its package through a link
+of the same length under a temporary directory, since the length of a
+checkout's path alone moved a child's peak RSS by 1.7 MB; "path" and
+"against" hold each tree's real path.
 
 The workloads are the three of the repository benchmark, with their keys
 written out below; this script imports nothing from perfbench/ and gates
@@ -39,6 +49,7 @@ minutes of the test suite.
 """
 
 import argparse
+import importlib
 import importlib.metadata
 import json
 import os
@@ -80,6 +91,17 @@ WORKLOADS = {
 # with the grid.
 SIMULATE_ONLY = {"simulate-64": {"grid": 64, "transmitters": 32,
                                  "receivers": 96}}
+# The solve's phases, each timed by wrapping the (module, name) bindings
+# the solve calls them through. A call made inside another timed call
+# counts for the outer one, so the gradients and denoiser calls of
+# `dist_to_fix` are `dist`.
+SPLIT = {"gradient": (("solvers", "grad_full"),
+                      ("solvers", "gradient_from_indices")),
+         "denoiser": (("denoisers", "tv_prox"),
+                      ("denoisers", "averaged_linear_filter")),
+         "cg": (("forward", "cg_solve_regularized"),),
+         "dist": (("metrics", "dist_to_fix"),)}
+SPLIT_RUNS = 5
 
 
 def summary(samples, unit):
@@ -172,9 +194,9 @@ def layers(grid, transmitters, receivers):
         save_call = time_ms(lambda: save_model(path, model))
         load_call = time_ms(lambda: load_model(path))
     return {
-        # the peak is of the build alone, without its lambda_i
+        # the build includes its lambda_i
         "build_dt_model": {**summary(time_ms(
-            lambda: cli.model_from_config(cfg, truth).lambdas), "ms"),
+            lambda: cli.model_from_config(cfg, truth)), "ms"),
             **peaks["build_dt_model"]},
         "factored_lambdas": summary(time_ms(
             lambda: factored_lambdas(model.scattering, model.incident)),
@@ -194,11 +216,60 @@ def layers(grid, transmitters, receivers):
         # at the CLI's sigma, sqrt(gamma * lam)
         "averaged_linear_filter": summary(time_ms(
             lambda: averaged_linear_filter(z, sigma)), "ms"),
-        # save_model includes its lambda_i, computed from the complex64
-        # blocks it writes
         "save_model": {**summary(save_call, "ms"), **peaks["save_model"]},
         "load_model": {**summary(load_call, "ms"), **peaks["load_model"]},
     }
+
+
+def solve_split(keys):
+    """The seconds and calls of each phase of the workload's solve."""
+    from pnp_online import cli
+    from pnp_online.config import load_config
+
+    keys = {**BASE_KEYS, **keys, "record_timing": "false"}
+    cfg = load_config(overrides=[f"{k}={v}" for k, v in keys.items()])
+    truth = cli.phantom_from_config(cfg)
+    model = cli.model_from_config(cfg, truth)
+    seconds, calls, inside = {}, {}, []
+
+    def timed(phase, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                return fn(*args, **kwargs)
+            inside.append(phase)
+            calls[phase] += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[phase] += time.perf_counter() - start
+                inside.pop()
+        return wrapper
+
+    originals = []
+    for phase, bindings in SPLIT.items():
+        for module_name, name in bindings:
+            module = importlib.import_module(f"pnp_online.{module_name}")
+            originals.append((module, name, getattr(module, name)))
+            setattr(module, name, timed(phase, getattr(module, name)))
+    samples = {phase: [] for phase in ("solve", *SPLIT)}
+    try:
+        for run in range(SPLIT_RUNS + 1):
+            seconds.update(dict.fromkeys(SPLIT, 0.0))
+            calls.update(dict.fromkeys(SPLIT, 0))
+            start = time.perf_counter()
+            cli.run_algorithm(cfg, model, truth)
+            solve = time.perf_counter() - start
+            if run:                   # the first solve is untimed
+                samples["solve"].append(solve)
+                for phase in SPLIT:
+                    samples[phase].append(seconds[phase])
+    finally:
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+    return {phase: {**summary(runs, "s"),
+                    **({"calls": calls[phase]} if phase in calls else {})}
+            for phase, runs in samples.items()}
 
 
 def run_command(argv, env, cwd):
@@ -239,8 +310,14 @@ def commands(trees, runs):
     """Wall s and peak RSS MB of `runs` runs of every job in each tree, the
     trees back to back per job and taking turns to go first."""
     samples = {tree: {} for tree in trees}
-    envs = {tree: child_env(tree) for tree in trees}
     with tempfile.TemporaryDirectory() as work:
+        # links of equal length, so the trees' children see no path of
+        # another length
+        envs = {}
+        for i, tree in enumerate(trees):
+            link = os.path.join(work, f"tree{i}")
+            os.symlink(tree, link)
+            envs[tree] = child_env(link)
         works = {tree: os.path.join(work, str(i))
                  for i, tree in enumerate(trees)}
         for path in works.values():
@@ -324,12 +401,15 @@ def main():
         trees.append(str(other))
     runs = commands(trees, PAIRS if args.against else RUNS)
     result = {"environment": environment(),
+              "path": str(ROOT),
               "layers": {str(grid): layers(grid, *sizes)
                          for grid, sizes in GRIDS.items()},
+              "solve_split": {name: solve_split(keys)
+                              for name, keys in WORKLOADS.items()},
               "commands": command_summary(runs[str(ROOT)])}
     if args.against:
         other = trees[1]
-        result["against"] = {"commit": commit(other),
+        result["against"] = {"commit": commit(other), "path": other,
                              "commands": command_summary(runs[other])}
         result["pairs"] = pair_counts(runs[str(ROOT)], runs[other])
     if args.tier1:

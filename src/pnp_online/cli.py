@@ -159,8 +159,7 @@ def write_trace(path, trace, head=(), tail=()):
 def cmd_simulate(cfg, out_path):
     truth = phantom_from_config(cfg)
     model = model_from_config(cfg, truth)
-    # L of the stored, complex64-rounded operator: the L reconstruct uses
-    lipschitz = float(save_model(out_path, model).max())
+    save_model(out_path, model)
     achieved = achieved_input_snr_db(model, truth)
     with open(out_path + ".meta.txt", "w", encoding="ascii") as fh:
         fh.write(f"grid = {cfg.grid}\n"
@@ -176,7 +175,7 @@ def cmd_simulate(cfg, out_path):
                  f"seed = {cfg.seed}\n"
                  f"requested_input_snr_db = {cfg.input_snr_db}\n"
                  f"achieved_input_snr_db = {achieved!r}\n"
-                 f"lipschitz = {lipschitz!r}\n")
+                 f"lipschitz = {model.lipschitz!r}\n")
     return out_path
 
 

@@ -21,9 +21,9 @@ from pnp_online.linops import cg_solve_regularized, lambda_max_bound
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
-# Elements per row block of S and U in `build_dt_model`, one
-# `hankel1_0_array` block: a block's distances and Green values are the
-# build's only temporaries, where whole-array ones would double its peak.
+# Elements per row block of S, U and Y in `build_dt_model`, one
+# `hankel1_0_array` block: a block's distances, Green values and rounding
+# are the build's only temporaries; whole-array ones would double its peak.
 _ROW_BLOCK = 8192
 
 
@@ -163,7 +163,7 @@ class MeasurementModel:
     input SNR, and `truth_sha256`, the `Image.sha256` of the simulated
     truth. `lambdas` holds lambda_max(H_i^H H_i) of every component, each
     a certified upper bound from `lambda_max_bound`; unless given, they are
-    computed on first use. `lipschitz`, the step's L, is their max.
+    computed from S and U. `lipschitz`, the step's L, is their max.
     """
 
     def __init__(self, *, measurements, scattering, incident, geometry, seed,
@@ -180,23 +180,17 @@ class MeasurementModel:
                 or incident.shape != (num, self.n)):
             raise ConfigurationError("component arrays must match the "
                                      "measurements and the grid")
-        self._lambdas = (None if lambdas is None
-                         else np.asarray(lambdas, dtype=float))
-        if lambdas is not None and self._lambdas.shape != (num,):
-            raise ConfigurationError("lambdas must hold one value per "
-                                     f"component ({num})")
         # (1/I) sum_i Re(H_i^H y_i): the data term of every prox right side
         self.back_projection = self.adjoint_sum(self.measurements) / num
+        self.lambdas = (factored_lambdas(scattering, incident)
+                        if lambdas is None else np.asarray(lambdas, float))
+        if self.lambdas.shape != (num,):
+            raise ConfigurationError("lambdas must hold one value per "
+                                     f"component ({num})")
 
     @property
     def num_components(self):
         return len(self.measurements)
-
-    @property
-    def lambdas(self):
-        if self._lambdas is None:
-            self._lambdas = factored_lambdas(self.scattering, self.incident)
-        return self._lambdas
 
     @property
     def lipschitz(self):
@@ -230,24 +224,12 @@ class MeasurementModel:
         return self.adjoint_sum(self.apply(x)) / self.num_components
 
 
-def factored_lambdas(scattering, incident, stored=None):
-    """lambda_max(H_i^H H_i) of every H_i = S diag(u_i), u_i the rows of U.
-
-    Each bound comes from `lambda_max_bound`, on the complex128 S and U.
-    With `stored` a dtype (complex64, the type a PNPM2 file stores), each
-    column chunk of S and u_i is rounded to it and widened back as
-    `lambda_max_bound` asks for it, so the lambda_i are those of the
-    rounded arrays that `load_model` returns, bit for bit, and no rounded
-    copy of S or U is made.
-    """
-    def chunk(array, cols):
-        part = array[..., cols]
-        return part if stored is None else part.astype(stored).astype(complex)
-
+def factored_lambdas(scattering, incident):
+    """lambda_max(H_i^H H_i) of every H_i = S diag(u_i), u_i the rows of U,
+    from `lambda_max_bound` on H_i formed a column chunk at a time."""
     return np.array([
-        lambda_max_bound(
-            lambda cols, u=u: chunk(scattering, cols) * chunk(u, cols),
-            scattering.shape)
+        lambda_max_bound(lambda cols, u=u: scattering[:, cols] * u[cols],
+                         scattering.shape)
         for u in incident])
 
 
@@ -279,6 +261,18 @@ def _row_blocks(shape, block):
     return out
 
 
+def _round_to_stored(array):
+    """Round `array` in place to complex64, the precision a PNPM2 file
+    stores, a row block at a time; raise if a block does not fit."""
+    step = max(1, _ROW_BLOCK // array.shape[1])
+    for lo in range(0, len(array), step):
+        block = array[lo:lo + step].astype(np.complex64)
+        if not np.all(np.isfinite(block)):
+            raise ConfigurationError("S, u_i or y_i hold NaN or Inf in "
+                                     "complex64; no model built")
+        array[lo:lo + step] = block
+
+
 def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     """Simulate first-Born DT measurements of a real contrast image.
 
@@ -287,6 +281,8 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     a unit plane wave aimed at the origin when geometry.incident == "plane".
     S and U are formed a row block at a time, each element as a whole-array
     build forms it, so they are the build's only arrays of their size.
+    The noisy Y is formed from them in full precision; then S, U and Y are
+    rounded to complex64, so the model is the one its PNPM2 file loads.
     """
     if truth.width != geometry.grid or truth.height != geometry.grid:
         raise ConfigurationError("truth grid must match geometry grid")
@@ -317,6 +313,8 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     # H_i x formed on its own bit for bit.
     clean = np.array([scattering @ (u * truth.pixels) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db)
+    for array in (scattering, incident, noisy):
+        _round_to_stored(array)
     return MeasurementModel(measurements=noisy, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db,

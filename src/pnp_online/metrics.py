@@ -22,6 +22,8 @@ def snr_db(reference, estimate):
     estimate = np.asarray(estimate, dtype=float).ravel()
     if reference.shape != estimate.shape:
         raise ConfigurationError("reference and estimate dims must match")
+    if not (np.isfinite(reference).all() and np.isfinite(estimate).all()):
+        raise ConfigurationError("reference and estimate must be finite")
     ref_norm = np.linalg.norm(reference)
     if ref_norm == 0.0:
         raise ConfigurationError("reference must not be identically zero")

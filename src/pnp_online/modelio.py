@@ -11,15 +11,15 @@ Layout, little-endian:
 - row-major complex64 blocks: the shared scattering matrix S once, then one
   incident field u_i and one measurement vector y_i per illumination.
 
-`save_model` computes the lambda_i from the complex64-rounded S and u_i it
-writes (`factored_lambdas` with `stored=complex64`, which rounds and
-widens one column chunk at a time), so they are certified for the very
-operator `load_model` returns. It rounds and writes S a block of rows at a
-time (`_SAVE_BLOCK`) and each u_i and y_i on its own, and checks the
-rounded blocks for NaN and Inf before it opens the file, so it holds no
-complex64 copy of S, U or Y. The loader widens each block to complex128
-once, which is exact, so the solvers' products need no per-call upcast;
-saving a loaded model reproduces the file byte for byte.
+`build_dt_model` rounds S, U and Y to complex64 precision, so the
+lambda_i a model computes are certified for the very operator
+`load_model` returns. `save_model` writes them, and checks before it opens
+the file that every block is finite and exact in complex64, so the bytes
+it writes are that operator. It writes S a block of rows at a time
+(`_SAVE_BLOCK`) and each u_i and y_i on its own, so it holds no complex64
+copy of S, U or Y. The loader widens each block to complex128 once, which
+is exact, so the solvers' products need no per-call upcast; saving a
+loaded model reproduces the file byte for byte.
 
 The loader does no eigen work. It rejects a file whose magic or version is
 unknown, whose header holds an empty dimension or an invalid geometry,
@@ -44,7 +44,7 @@ import struct
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import DtGeometry, MeasurementModel, factored_lambdas
+from pnp_online.forward import DtGeometry, MeasurementModel
 from pnp_online.linops import rounding_margin
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
@@ -59,29 +59,28 @@ _INCIDENT_NAMES = {v: k for k, v in _INCIDENT_CODES.items()}
 _SAVE_BLOCK = 8192
 
 
-def _stored_blocks(model):
-    """The file's data blocks in order, rounded to complex64: S in blocks of
-    rows, then u_i and y_i per component."""
+def _data_blocks(model):
+    """The file's data blocks in order: S in row blocks, then u_i, y_i."""
     step = max(1, _SAVE_BLOCK // model.n)
     for lo in range(0, model.M, step):
-        yield model.scattering[lo:lo + step].astype(np.complex64)
+        yield model.scattering[lo:lo + step]
     for u_in, y in zip(model.incident, model.measurements):
-        yield u_in.astype(np.complex64)
-        yield y.astype(np.complex64)
+        yield u_in
+        yield y
 
 
 def save_model(path, model):
-    """Write a MeasurementModel as PNPM2; returns the lambda_i it stored.
+    """Write a MeasurementModel as PNPM2, with its lambda_i.
 
-    Raises for NaN or Inf in the complex64 blocks, which load_model would
-    reject, before the file is opened.
+    Raises, before the file is opened, unless S, U and Y are finite and
+    exact in complex64, as `build_dt_model` and `load_model` leave them.
     """
+    if not all(np.all(np.isfinite(block))
+               and np.array_equal(block.astype(np.complex64), block)
+               for block in _data_blocks(model)):
+        raise ConfigurationError("S, u_i or y_i are not finite complex64 "
+                                 "values; no PNPM2 file written")
     geometry = model.geometry
-    if not all(np.all(np.isfinite(block)) for block in _stored_blocks(model)):
-        raise ConfigurationError("S, u_i or y_i hold NaN or Inf in "
-                                 "complex64; no PNPM2 file written")
-    lambdas = factored_lambdas(model.scattering, model.incident,
-                               stored=np.complex64)
     header = _HEADER.pack(VERSION, model.n, model.M, model.num_components,
                           geometry.domain_side, geometry.wavelength,
                           geometry.eps_background, geometry.ring_radius,
@@ -93,10 +92,9 @@ def save_model(path, model):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(lambdas.astype("<f8").tobytes())
-        for block in _stored_blocks(model):
-            fh.write(block)
-    return lambdas
+        fh.write(model.lambdas.astype("<f8").tobytes())
+        for block in _data_blocks(model):
+            fh.write(block.astype(np.complex64))
 
 
 def _check_lambdas(lambdas, scattering, incident):

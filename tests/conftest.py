@@ -1,7 +1,7 @@
 """Shared fixtures: small measurement models and phantoms, and the test
 oracles: forward differences, the TV objective, the data fit, the
 stacked-matrix measurement model with its Gaussian draw, the whole-array
-DT build and PNPM2 write, and the CSV reader."""
+DT build and PNPM2 write, a zero-residual DT model, and the CSV reader."""
 
 import math
 import sys
@@ -119,9 +119,10 @@ def stacked_model(h, y=None):
     return StackedModel(h[None], np.asarray(y)[None], h.shape[1], 1)
 
 
-def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
-    """`build_dt_model` as one pass over whole arrays: every distance, Green
-    value and scaled copy of S and U is a full-size temporary."""
+def whole_array_dt_arrays(geometry):
+    """The complex128 S and U of `build_dt_model` before their rounding, as
+    one pass over whole arrays: every distance, Green value and scaled copy
+    is a full-size temporary."""
     k_b = geometry.wavenumber
     delta = geometry.pixel_size
     pixels = geometry.pixel_centers()
@@ -138,12 +139,34 @@ def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
         directions = -transmitters / np.linalg.norm(transmitters, axis=1,
                                                     keepdims=True)
         incident = np.exp(1j * k_b * (directions @ pixels.T))
+    return scattering, incident
+
+
+def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
+    """`build_dt_model` on whole arrays: Y from the complex128 S and U,
+    then all three rounded to complex64 as whole copies."""
+    scattering, incident = whole_array_dt_arrays(geometry)
     rng = np.random.default_rng(seed)
     clean = np.array([scattering @ (u * truth.pixels) for u in incident])
+    noisy = _apply_noise(clean, rng, input_snr_db)
+    scattering, incident, noisy = (
+        array.astype(np.complex64).astype(complex)
+        for array in (scattering, incident, noisy))
     return MeasurementModel(
-        measurements=_apply_noise(clean, rng, input_snr_db),
-        scattering=scattering, incident=incident, geometry=geometry,
-        seed=seed, input_snr_db=input_snr_db, truth_sha256=truth.sha256())
+        measurements=noisy, scattering=scattering, incident=incident,
+        geometry=geometry, seed=seed, input_snr_db=input_snr_db,
+        truth_sha256=truth.sha256())
+
+
+def zero_residual_dt_model(geometry, truth):
+    """The noiseless DT model of `truth` with y_i = H_i x of its own rounded
+    S and U, formed by `apply`, so the residual at the truth is zero."""
+    model = build_dt_model(geometry, truth, seed=0, input_snr_db=math.inf)
+    return MeasurementModel(
+        measurements=model.apply(truth.pixels), scattering=model.scattering,
+        incident=model.incident, geometry=geometry, seed=0,
+        input_snr_db=math.inf, truth_sha256=truth.sha256(),
+        lambdas=model.lambdas)
 
 
 def whole_array_save_model(path, model):

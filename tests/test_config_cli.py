@@ -802,6 +802,23 @@ def test_cli_meta_lipschitz_is_the_reconstruct_lipschitz(tmp_path):
     assert meta == trace
 
 
+def test_cli_sweep_cell_equals_simulate_then_reconstruct(tmp_path):
+    # sweep solved on the complex128 arrays it built, and reconstruct on the
+    # complex64-rounded ones simulate wrote: the traces differed from row 1
+    run = [*SMALL, "--set", "iterations=8", "--set", "record_timing=false"]
+    assert main(["sweep", *run, "-o", str(tmp_path / "sw")]) == 0
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *run, "-o", model]) == 0
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", model, *run, "-o", out,
+                 "--set", "algorithm=pnp-sgd", "--set", "denoiser=tv",
+                 "--set", "batch_size=4", "--set", "gamma_scale=1",
+                 "--set", "accelerated=false"]) == 0
+    _, columns, cell = read_csv(tmp_path / "sw" / "tv_gamma_1_B4_basic.csv")
+    assert (columns, cell) == read_csv(out + ".trace.csv")[1:]
+    assert len(cell) == 8
+
+
 def test_cli_reconstruct_of_pnpm1_is_config_error(small_model_bytes, tmp_path,
                                                   capsys):
     # PNPM1 files loaded, with their lambda_i recomputed and the truth

@@ -15,7 +15,8 @@ from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
                                 grad_minibatch, gradient_from_indices,
                                 green_function_2d, prox_datafit)
 from conftest import (StackedModel, datafit_value, gaussian_model,
-                      make_truth, stacked_model, whole_array_dt_model)
+                      make_truth, stacked_model, whole_array_dt_arrays,
+                      whole_array_dt_model)
 
 
 def dense_matrices(model):
@@ -95,9 +96,12 @@ def test_dt_noiseless_deterministic():
     a = build_dt_model(geometry, truth, seed=5, input_snr_db=math.inf)
     b = build_dt_model(geometry, truth, seed=5, input_snr_db=math.inf)
     assert np.array_equal(a.measurements, b.measurements)
-    # noiseless: each y_i equals its clean forward projection exactly
-    for u, y in zip(a.incident, a.measurements):
-        assert np.array_equal(y, a.scattering @ (u * truth.pixels))
+    # noiseless: each y_i equals its clean forward projection on the
+    # complex128 S and u_i exactly, rounded to complex64 as S and u_i are
+    scattering, incident = whole_array_dt_arrays(geometry)
+    for u, y in zip(incident, a.measurements):
+        assert np.array_equal(
+            y, (scattering @ (u * truth.pixels)).astype(np.complex64))
 
 
 @pytest.mark.parametrize("incident", ["point", "plane"])

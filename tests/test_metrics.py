@@ -24,12 +24,11 @@ def test_dist_to_fix_converged_iterate(small_dt_model):
 
 
 def test_dist_to_fix_zero_residual_identity():
-    import math as _math
-    from pnp_online.forward import DtGeometry, build_dt_model
-    from conftest import make_truth
+    from pnp_online.forward import DtGeometry
+    from conftest import make_truth, zero_residual_dt_model
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = make_truth(8, seed=3)
-    model = build_dt_model(geometry, truth, seed=0, input_snr_db=_math.inf)
+    model = zero_residual_dt_model(geometry, truth)
     d = dist_to_fix(model, IdentityDenoiser(), 1.0 / model.lipschitz, 0.1,
                     truth.pixels)
     assert d < 1e-20
@@ -85,6 +84,16 @@ def test_snr_zero_estimate_is_0db():
 def test_snr_rejects_zero_reference():
     with pytest.raises(ConfigurationError):
         snr_db(np.zeros(3), np.ones(3))
+
+
+@pytest.mark.parametrize("reference, estimate", [
+    ([1.0, 2.0], [1.0, math.nan]),     # read as the 300 dB cap
+    ([1.0, math.nan], [1.0, 2.0]),     # read as the 300 dB cap
+    ([1.0, 2.0], [1.0, math.inf]),     # ValueError: math domain error
+    ([1.0, -math.inf], [1.0, 2.0])])
+def test_snr_rejects_nonfinite_input(reference, estimate):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        snr_db(np.array(reference), np.array(estimate))
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online import modelio
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import (DtGeometry, build_dt_model,
-                                factored_lambdas)
+from pnp_online.forward import (DtGeometry, MeasurementModel,
+                                build_dt_model, factored_lambdas)
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import (PgmParseError, image_to_pgm16, read_pgm,
                             write_pgm)
@@ -159,14 +159,14 @@ def test_pnpm2_write_matches_whole_array_oracle(incident, tmp_path):
                           incident=incident)
     assert 23 % (modelio._SAVE_BLOCK // 40 ** 2) != 0
     model = build_dt_model(geometry, make_truth(40, seed=3), seed=4)
-    stored = save_model(tmp_path / "m.pnpm", model)
+    save_model(tmp_path / "m.pnpm", model)
     oracle = whole_array_save_model(tmp_path / "o.pnpm", model)
-    assert stored.tobytes() == oracle.tobytes()
+    assert model.lambdas.tobytes() == oracle.tobytes()
     assert ((tmp_path / "m.pnpm").read_bytes()
             == (tmp_path / "o.pnpm").read_bytes())
     back = load_model(tmp_path / "m.pnpm")
     assert (factored_lambdas(back.scattering, back.incident).tobytes()
-            == stored.tobytes())
+            == model.lambdas.tobytes())
 
 
 def test_simulate_peak_memory_is_about_its_model(tmp_path):
@@ -195,11 +195,26 @@ def test_simulate_peak_memory_is_about_its_model(tmp_path):
 
 def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
     path = tmp_path / "m.pnpm"
-    stored = save_model(path, dt_model_32)
+    save_model(path, dt_model_32)
+    stored = dt_model_32.lambdas
     back = load_model(path)
     assert back.lambdas.tolist() == stored.tolist()
     assert back.lipschitz == stored.max()
     assert back.truth_sha256 == make_truth(32, seed=0).sha256()
+
+
+def test_pnpm2_save_refuses_arrays_not_exact_in_complex64(tmp_path):
+    # save_model rounded them on write, so the stored lambda_i were those of
+    # an operator no model held
+    model = MeasurementModel(
+        measurements=np.full((1, 4), 0.1 + 0j),
+        scattering=np.eye(4, dtype=complex), incident=np.ones((1, 4), complex),
+        geometry=DtGeometry(grid=2), seed=0, input_snr_db=math.inf,
+        truth_sha256=bytes(32))
+    path = tmp_path / "m.pnpm"
+    with pytest.raises(ConfigurationError, match="not finite complex64"):
+        save_model(path, model)
+    assert not path.exists()
 
 
 def test_pnpm2_same_seed_byte_identical(tmp_path):

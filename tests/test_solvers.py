@@ -122,12 +122,11 @@ def test_composition_alpha_inequality_chain():
 # --------------------------------------------------------------- operator P
 
 def test_operator_P_identity_zero_residual(small_dt_model):
-    import math as _math
-    from pnp_online.forward import DtGeometry, build_dt_model
-    from conftest import make_truth
+    from pnp_online.forward import DtGeometry
+    from conftest import make_truth, zero_residual_dt_model
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = make_truth(8, seed=3)
-    model = build_dt_model(geometry, truth, seed=0, input_snr_db=_math.inf)
+    model = zero_residual_dt_model(geometry, truth)
     out = operator_P(model, IdentityDenoiser(), 1.0 / model.lipschitz, 0.1,
                      truth.pixels)
     assert np.max(np.abs(out - truth.pixels)) < 1e-10
