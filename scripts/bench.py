@@ -170,7 +170,7 @@ def layers(grid, transmitters, receivers):
     import numpy as np
     from pnp_online import cli
     from pnp_online.config import load_config
-    from pnp_online.denoisers import (TvProxDenoiser, averaged_linear_filter,
+    from pnp_online.denoisers import (averaged_linear_filter, tv_denoiser,
                                       tv_prox)
     from pnp_online.forward import (factored_lambdas, grad_full,
                                     gradient_from_indices, prox_datafit)
@@ -211,7 +211,7 @@ def layers(grid, transmitters, receivers):
         "prox_datafit": summary(time_ms(
             lambda: prox_datafit(model, gamma, x)), "ms"),
         "dist_to_fix_tv": summary(time_ms(
-            lambda: dist_to_fix(model, TvProxDenoiser(), gamma, sigma, x)),
+            lambda: dist_to_fix(model, tv_denoiser, gamma, sigma, x)),
             "ms"),
         # at the CLI's sigma, sqrt(gamma * lam)
         "averaged_linear_filter": summary(time_ms(

@@ -20,7 +20,9 @@ EULER_GAMMA = 0.5772156649015328606065120900824
 _SERIES_CUTOFF = 12.0
 _MAX_SERIES_TERMS = 80
 _MAX_ASYMPTOTIC_TERMS = 40
-_ARRAY_BLOCK = 8192
+# Elements per block of hankel1_0_array's temporaries and of the row blocks
+# of S, U and Y in build_dt_model and save_model (forward.row_slices).
+ARRAY_BLOCK = 8192
 
 
 def _j0_series(x):
@@ -159,9 +161,9 @@ def hankel1_0_array(x):
     out = np.empty(flat.shape, dtype=complex)
     # Blocks bound the recurrences' temporaries, which would otherwise be
     # several copies of a Green matrix-sized array.
-    for lo in range(0, flat.size, _ARRAY_BLOCK):
-        xb = flat[lo:lo + _ARRAY_BLOCK]
-        ob = out[lo:lo + _ARRAY_BLOCK]
+    for lo in range(0, flat.size, ARRAY_BLOCK):
+        xb = flat[lo:lo + ARRAY_BLOCK]
+        ob = out[lo:lo + ARRAY_BLOCK]
         small = xb < _SERIES_CUTOFF
         xs = xb[small]
         j0 = _j0_series_array(xs)

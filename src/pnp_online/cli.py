@@ -9,17 +9,16 @@ divergence, 4 I/O error.
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
 
 import numpy as np
 
-from pnp_online import metrics
+from pnp_online import denoisers, metrics
 from pnp_online.config import load_config
-from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
-                                  ShiftDenoiser, TvProxDenoiser,
-                                  certify_averaged, certify_pair,
+from pnp_online.denoisers import (certify_averaged, certify_pair,
                                   estimate_bounded_constant, filter_passes)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import DtGeometry, Image, build_dt_model
@@ -84,12 +83,13 @@ def model_from_config(cfg, truth):
                           input_snr_db=cfg.input_snr_db)
 
 
+# The denoisers here, in run_algorithm and in cmd_certify are looked up on
+# their module at each call: perfbench/tracer.py patches denoisers.tv_prox
+# and denoisers.averaged_linear_filter after this module is imported.
 def denoiser_from_config(cfg):
-    if cfg.denoiser == "tv":
-        return TvProxDenoiser()
-    if cfg.denoiser == "filter":
-        return AveragedFilterDenoiser()
-    return IdentityDenoiser()
+    return {"tv": denoisers.tv_denoiser,
+            "filter": denoisers.averaged_linear_filter,
+            "identity": denoisers.identity_denoiser}[cfg.denoiser]
 
 
 def resolve_gamma_sigma(cfg, lipschitz):
@@ -118,25 +118,16 @@ def run_algorithm(cfg, model, truth):
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
     sconf = dataclasses.replace(cfg, gamma=gamma, sigma=sigma)
     denoiser = denoiser_from_config(cfg)
+    prox = functools.partial(denoisers.tv_prox, lambda_scaled=gamma * cfg.lam)
     if cfg.algorithm == "ista":
-        prox = _tv_regularizer_prox(model, gamma * cfg.lam)
         return run_ista(model, prox, sconf, truth=truth.pixels)
     if cfg.algorithm == "admm":
-        prox = _tv_regularizer_prox(model, gamma * cfg.lam)
         return run_admm(model, prox, sconf, truth=truth.pixels)
     if cfg.algorithm == "pnp-ista":
         return run_pnp_ista(model, denoiser, sconf, truth=truth.pixels)
     if cfg.algorithm == "pnp-admm":
         return run_pnp_admm(model, denoiser, sconf, truth=truth.pixels)
     return run_pnp_sgd(model, denoiser, sconf, truth=truth.pixels)
-
-
-def _tv_regularizer_prox(model, lambda_scaled):
-    from pnp_online.denoisers import tv_prox
-
-    def prox(z):
-        return tv_prox(z.reshape(model.shape), lambda_scaled).ravel()
-    return prox
 
 
 def write_trace(path, trace, head=(), tail=()):
@@ -356,9 +347,11 @@ def cmd_counterexample(cfg, outdir):
     return csv_path
 
 
-# Both shipped denoisers are 1/2-averaged. Test pairs and the bounded-constant
-# samples are drawn from [-CERT_DOMAIN_SCALE, CERT_DOMAIN_SCALE].
+# Both shipped denoisers are 1/2-averaged; one passes when its largest
+# violation is at most CERT_TOL, a rounding allowance. Test pairs and the
+# bounded-constant samples are drawn from [-s, s], s = CERT_DOMAIN_SCALE.
 CERT_ALPHA = 0.5
+CERT_TOL = 1e-9
 CERT_DOMAIN_SCALE = 2.0
 # certify's work: (cert_pairs + 5) x max(grid, 48)^2 x (filter passes +
 # 200, the TV prox's cap). A pass or TV iteration took up to 30 ns a pixel
@@ -381,13 +374,14 @@ def cmd_certify(cfg, outdir):
             f"sigma, cert_pairs must be <= "
             f"{int(CERT_WORK_MAX // pair_work) - 5}")
     rows = []
-    for name, denoiser in (("tv", TvProxDenoiser()),
-                           ("filter", AveragedFilterDenoiser()),
-                           ("shift", ShiftDenoiser(c=1.0))):
-        cert = certify_averaged(denoiser, CERT_ALPHA, sigma,
-                                num_pairs=cfg.cert_pairs,
-                                domain_scale=CERT_DOMAIN_SCALE, seed=cfg.seed,
-                                shape=(cfg.grid, cfg.grid))
+    for name, denoiser in (("tv", denoisers.tv_denoiser),
+                           ("filter", denoisers.averaged_linear_filter),
+                           ("shift", denoisers.shift_denoiser)):
+        max_violation = certify_averaged(
+            denoiser, CERT_ALPHA, sigma, num_pairs=cfg.cert_pairs,
+            domain_scale=CERT_DOMAIN_SCALE, seed=cfg.seed,
+            shape=(cfg.grid, cfg.grid))
+        passed = max_violation <= CERT_TOL
         straddle = certify_pair(
             denoiser, CERT_ALPHA, sigma,
             np.full((cfg.grid, cfg.grid), 0.1),
@@ -396,11 +390,10 @@ def cmd_certify(cfg, outdir):
                    .uniform(-CERT_DOMAIN_SCALE, CERT_DOMAIN_SCALE,
                             size=(cfg.grid, cfg.grid)) for i in range(8)]
         bounded = estimate_bounded_constant(denoiser, sigma, samples)
-        rows.append([name, cert.pairs_tested, repr(cert.max_violation),
-                     cert.alpha_tested, cert.passed, repr(straddle),
-                     repr(bounded)])
-        print(f"{name}: passed={cert.passed} "
-              f"max_violation={cert.max_violation:.3e} "
+        rows.append([name, cfg.cert_pairs, repr(max_violation), CERT_ALPHA,
+                     passed, repr(straddle), repr(bounded)])
+        print(f"{name}: passed={passed} "
+              f"max_violation={max_violation:.3e} "
               f"straddling_pair_violation={straddle:.3e} "
               f"bounded_c={bounded:.3e}")
     csv_path = os.path.join(outdir, "certificates.csv")

@@ -1,10 +1,12 @@
 """Denoisers for the plug-and-play slot, with averagedness certificates.
 
-Shipped plug-ins are the anisotropic-TV proximal operator (a true proximal
-operator, hence 1/2-averaged) and a symmetric unit-DC-gain convolution
-filter whose spectrum lies in [0, 1] (also 1/2-averaged). The shift
-denoiser is the bounded-but-divergent counter-example. A denoiser is any
-object with a `denoise(z, sigma)` method on 2D arrays.
+A denoiser is any function `denoise(z, sigma)` from a 2D array to a 2D
+array. Shipped plug-ins are `tv_denoiser`, the anisotropic-TV proximal
+operator (a true proximal operator, hence 1/2-averaged), and
+`averaged_linear_filter`, a symmetric unit-DC-gain convolution filter
+whose spectrum lies in [0, 1] (also 1/2-averaged), besides
+`identity_denoiser`. `shift_denoiser` is the bounded-but-divergent
+counter-example.
 """
 
 import math
@@ -172,83 +174,50 @@ def filter_passes(sigma):
     return max(1, int(round(scaled)))
 
 
-def shift_denoiser(z, sigma, c):
-    """Appendix-style bounded counter-example: z + sigma*sqrt(c)*sgn(z)."""
+def identity_denoiser(z, sigma):
+    """A copy of z, whatever sigma."""
+    return np.array(z, dtype=float)
+
+
+def tv_denoiser(z, sigma):
+    """TV prox with strength read through sigma^2 = gamma*lambda."""
+    return tv_prox(z, sigma * sigma)
+
+
+def shift_denoiser(z, sigma, c=1.0):
+    """Bounded, not averaged counter-example: z + sigma*sqrt(c)*sgn(z)."""
+    if c <= 0:
+        raise ConfigurationError("c must be positive")
     z = np.asarray(z, dtype=float)
     return z + sigma * math.sqrt(c) * np.sign(z)
 
 
-class IdentityDenoiser:
-    def denoise(self, z, sigma):
-        return np.asarray(z, dtype=float).copy()
-
-
-class TvProxDenoiser:
-    """TV prox with strength read through sigma^2 = gamma*lambda."""
-
-    def denoise(self, z, sigma):
-        return tv_prox(z, sigma * sigma)
-
-
-class AveragedFilterDenoiser:
-    def denoise(self, z, sigma):
-        return averaged_linear_filter(z, sigma)
-
-
-class ShiftDenoiser:
-    """Bounded denoiser that is not averaged (divergence counter-example)."""
-
-    def __init__(self, c=1.0):
-        if c <= 0:
-            raise ConfigurationError("c must be positive")
-        self.c = c
-
-    def denoise(self, z, sigma):
-        return shift_denoiser(z, sigma, self.c)
-
-
-@dataclass
-class OperatorCertificate:
-    """Empirical falsification record for alpha-averagedness."""
-
-    pairs_tested: int
-    max_violation: float
-    alpha_tested: float
-    passed: bool
-
-
 def certify_averaged(denoiser, alpha, sigma, num_pairs=1000, domain_scale=2.0,
-                     seed=0, tol=1e-9, shape=(16, 16)):
-    """Test the averagedness inequality on random pairs.
+                     seed=0, shape=(16, 16)):
+    """The largest averagedness violation over random pairs.
 
     For each sampled pair (x, y) the recorded quantity is
     ||D(x)-D(y)||^2 - ||x-y||^2 + ((1-alpha)/alpha)||x-D(x)-y+D(y)||^2,
-    which is <= 0 for every alpha-averaged operator. A pass is evidence,
-    a violation is a disproof.
+    which is <= 0 for every alpha-averaged operator. A largest value <= 0
+    (up to rounding) is evidence, a positive one a disproof.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
     if num_pairs < 1:
         raise ConfigurationError("num_pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    max_violation = -math.inf
-    for _ in range(num_pairs):
-        x = rng.uniform(-domain_scale, domain_scale, size=shape)
-        y = rng.uniform(-domain_scale, domain_scale, size=shape)
-        max_violation = max(max_violation,
-                            certify_pair(denoiser, alpha, sigma, x, y))
-    return OperatorCertificate(pairs_tested=num_pairs,
-                               max_violation=max_violation,
-                               alpha_tested=alpha,
-                               passed=max_violation <= tol)
+    return max(certify_pair(denoiser, alpha, sigma,
+                            *rng.uniform(-domain_scale, domain_scale,
+                                         size=(2, *shape)))
+               for _ in range(num_pairs))
 
 
 def certify_pair(denoiser, alpha, sigma, x, y):
     """Averagedness violation for one explicit pair (constructive disproof)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    dx = denoiser.denoise(x, sigma)
-    dy = denoiser.denoise(y, sigma)
+    dx = denoiser(x, sigma)
+    dy = denoiser(y, sigma)
     ratio = (1.0 - alpha) / alpha
     return (float(np.sum((dx - dy) ** 2)) - float(np.sum((x - y) ** 2))
             + ratio * float(np.sum((x - dx - y + dy) ** 2)))
@@ -264,6 +233,6 @@ def estimate_bounded_constant(denoiser, sigma, samples):
     worst = 0.0
     for x in samples:
         x = np.asarray(x, dtype=float)
-        dx = denoiser.denoise(x, sigma)
+        dx = denoiser(x, sigma)
         worst = max(worst, float(np.sum((dx - x) ** 2)) / x.size / (sigma * sigma))
     return worst

@@ -13,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pnp_online.bessel import hankel1_0_array
+from pnp_online.bessel import ARRAY_BLOCK, hankel1_0_array
 # Unused here; perfbench/tracer.py counts this binding.
 from pnp_online.bessel import hankel1_0  # noqa: F401
 from pnp_online.errors import ConfigurationError
 from pnp_online.linops import cg_solve_regularized, lambda_max_bound
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
-
-# Elements per row block of S, U and Y in `build_dt_model`, one
-# `hankel1_0_array` block: a block's distances, Green values and rounding
-# are the build's only temporaries; whole-array ones would double its peak.
-_ROW_BLOCK = 8192
 
 
 @dataclass
@@ -250,13 +245,18 @@ def _apply_noise(clean, rng, input_snr_db):
     return clean + scale * raw
 
 
+def row_slices(rows, cols):
+    """A (rows, cols) array's row blocks, as slices: ARRAY_BLOCK elements'
+    worth of rows each, or one row when a row is longer."""
+    step = max(1, ARRAY_BLOCK // cols)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
 def _row_blocks(shape, block):
     """The complex array of `shape` whose rows `rows` (a slice) are
-    block(rows), formed `_ROW_BLOCK` elements at a time."""
+    block(rows), formed a row block at a time."""
     out = np.empty(shape, dtype=complex)
-    step = max(1, _ROW_BLOCK // shape[1])
-    for lo in range(0, shape[0], step):
-        rows = slice(lo, lo + step)
+    for rows in row_slices(*shape):
         out[rows] = block(rows)
     return out
 
@@ -264,13 +264,12 @@ def _row_blocks(shape, block):
 def _round_to_stored(array):
     """Round `array` in place to complex64, the precision a PNPM2 file
     stores, a row block at a time; raise if a block does not fit."""
-    step = max(1, _ROW_BLOCK // array.shape[1])
-    for lo in range(0, len(array), step):
-        block = array[lo:lo + step].astype(np.complex64)
+    for rows in row_slices(*array.shape):
+        block = array[rows].astype(np.complex64)
         if not np.all(np.isfinite(block)):
             raise ConfigurationError("S, u_i or y_i hold NaN or Inf in "
                                      "complex64; no model built")
-        array[lo:lo + step] = block
+        array[rows] = block
 
 
 def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):

@@ -17,20 +17,31 @@ def dist_to_fix(model, denoiser, gamma, sigma, x):
 
 
 def snr_db(reference, estimate):
-    """Signal-to-error ratio 20 log10(||ref|| / ||est - ref||), capped at 300 dB."""
+    """Signal-to-error ratio 20 log10(||ref|| / ||est - ref||), capped at 300 dB.
+
+    Where a norm or their ratio over- or underflows, the norms are taken
+    with math.hypot, which scales, and divided in logs.
+    """
     reference = np.asarray(reference, dtype=float).ravel()
     estimate = np.asarray(estimate, dtype=float).ravel()
     if reference.shape != estimate.shape:
         raise ConfigurationError("reference and estimate dims must match")
     if not (np.isfinite(reference).all() and np.isfinite(estimate).all()):
         raise ConfigurationError("reference and estimate must be finite")
-    ref_norm = np.linalg.norm(reference)
-    if ref_norm == 0.0:
+    with np.errstate(over="ignore"):
+        ref_norm = np.linalg.norm(reference)
+        err_norm = np.linalg.norm(estimate - reference)
+    if 0.0 < ref_norm < math.inf and 0.0 < err_norm < math.inf:
+        if ref_norm / err_norm > 0.0:
+            return min(SNR_CAP_DB, 20.0 * math.log10(ref_norm / err_norm))
+    elif ref_norm == 0.0 and not reference.any():
         raise ConfigurationError("reference must not be identically zero")
-    err_norm = np.linalg.norm(estimate - reference)
-    if err_norm == 0.0:
+    half_error = estimate / 2.0 - reference / 2.0   # finite, unlike the error
+    if not half_error.any():
         return SNR_CAP_DB
-    return min(SNR_CAP_DB, 20.0 * math.log10(ref_norm / err_norm))
+    return min(SNR_CAP_DB, 20.0 * (math.log10(math.hypot(*reference))
+                                   - math.log10(math.hypot(*half_error))
+                                   - math.log10(2.0)))
 
 
 def min_dist(dist):

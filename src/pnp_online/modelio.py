@@ -16,10 +16,10 @@ lambda_i a model computes are certified for the very operator
 `load_model` returns. `save_model` writes them, and checks before it opens
 the file that every block is finite and exact in complex64, so the bytes
 it writes are that operator. It writes S a block of rows at a time
-(`_SAVE_BLOCK`) and each u_i and y_i on its own, so it holds no complex64
-copy of S, U or Y. The loader widens each block to complex128 once, which
-is exact, so the solvers' products need no per-call upcast; saving a
-loaded model reproduces the file byte for byte.
+(`forward.row_slices`) and each u_i and y_i on its own, so it holds no
+complex64 copy of S, U or Y. The loader widens each block to complex128
+once, which is exact, so the solvers' products need no per-call upcast;
+saving a loaded model reproduces the file byte for byte.
 
 The loader does no eigen work. It rejects a file whose magic or version is
 unknown, whose header holds an empty dimension or an invalid geometry,
@@ -44,7 +44,7 @@ import struct
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import DtGeometry, MeasurementModel
+from pnp_online.forward import DtGeometry, MeasurementModel, row_slices
 from pnp_online.linops import rounding_margin
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
@@ -54,16 +54,12 @@ VERSION = 2
 _HEADER = struct.Struct("<B III dddd III B q d 32s")
 _INCIDENT_CODES = {"point": 0, "plane": 1}
 _INCIDENT_NAMES = {v: k for k, v in _INCIDENT_CODES.items()}
-# Elements per block of S that save_model rounds to complex64 at a time:
-# the blocks, not complex64 copies of S and U, are its temporaries.
-_SAVE_BLOCK = 8192
 
 
 def _data_blocks(model):
     """The file's data blocks in order: S in row blocks, then u_i, y_i."""
-    step = max(1, _SAVE_BLOCK // model.n)
-    for lo in range(0, model.M, step):
-        yield model.scattering[lo:lo + step]
+    for rows in row_slices(model.M, model.n):
+        yield model.scattering[rows]
     for u_in, y in zip(model.incident, model.measurements):
         yield u_in
         yield y

@@ -3,7 +3,9 @@
 They run on two loops. The forward-backward loop is PnP-SGD; PnP-ISTA is
 its full-gradient case and ISTA/FISTA is PnP-ISTA with a regularizer prox
 as the denoiser. The ADMM loop is PnP-ADMM; ADMM plugs in the prox the same
-way. All runs are seed-deterministic state machines. Traces record the
+way. A denoiser `denoise(z, sigma)` and a regularizer prox `prox(z)` are
+functions on 2D images, so the prox plugs in as `lambda z, _sigma:
+prox(z)`. All runs are seed-deterministic state machines. Traces record the
 squared distance to the fixed-point operator
 P(x) = denoise(x - gamma * grad d(x)), computed with the full gradient even
 inside stochastic runs.
@@ -72,23 +74,13 @@ def composition_alpha(alpha1, alpha2):
 
 
 def _denoise_flat(model, denoiser, sigma, z):
-    return denoiser.denoise(z.reshape(model.shape), sigma).ravel()
+    return denoiser(z.reshape(model.shape), sigma).ravel()
 
 
 def operator_P(model, denoiser, gamma, sigma, x):
     """P(x) = denoise(x - gamma * grad d(x)) on flat vectors."""
     z = x - gamma * grad_full(model, x)
     return _denoise_flat(model, denoiser, sigma, z)
-
-
-class _ProxDenoiser:
-    """A flat regularizer prox as a denoiser; sigma is not used."""
-
-    def __init__(self, prox):
-        self.prox = prox
-
-    def denoise(self, z, _sigma):
-        return self.prox(z.ravel()).reshape(z.shape)
 
 
 class IterateTrace:
@@ -151,13 +143,10 @@ def _initial_iterate(model, x0):
     return np.zeros(model.n)
 
 
-def run_ista(model, regularizer_prox, config, truth=None):
-    """ISTA/FISTA: PnP-ISTA with the regularizer prox as the denoiser.
-
-    regularizer_prox maps a flat vector to a flat vector and already
-    captures gamma*lambda.
-    """
-    return run_pnp_ista(model, _ProxDenoiser(regularizer_prox), config, truth)
+def run_ista(model, prox, config, truth=None):
+    """ISTA/FISTA: PnP-ISTA with the 2D regularizer prox, which already
+    captures gamma*lambda, as the denoiser."""
+    return run_pnp_ista(model, lambda z, _sigma: prox(z), config, truth)
 
 
 def run_pnp_ista(model, denoiser, config, truth=None, x0=None):
@@ -200,9 +189,9 @@ def run_pnp_sgd(model, denoiser, config, truth=None, x0=None):
     return x, trace
 
 
-def run_admm(model, regularizer_prox, config, truth=None):
-    """ADMM: PnP-ADMM with the regularizer prox as the denoiser."""
-    return run_pnp_admm(model, _ProxDenoiser(regularizer_prox), config, truth)
+def run_admm(model, prox, config, truth=None):
+    """ADMM: PnP-ADMM with the 2D regularizer prox as the denoiser."""
+    return run_pnp_admm(model, lambda z, _sigma: prox(z), config, truth)
 
 
 def run_pnp_admm(model, denoiser, config, truth=None):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pnp_online.denoisers import (FILTER_PASSES_MAX, AveragedFilterDenoiser,
-                                  IdentityDenoiser, ShiftDenoiser, TvInfo,
-                                  TvProxDenoiser, averaged_linear_filter,
-                                  certify_averaged, certify_pair,
-                                  estimate_bounded_constant, filter_passes,
-                                  shift_denoiser, tv_prox)
+from pnp_online.cli import CERT_TOL
+from pnp_online.denoisers import (FILTER_PASSES_MAX, TvInfo,
+                                  averaged_linear_filter, certify_averaged,
+                                  certify_pair, estimate_bounded_constant,
+                                  filter_passes, identity_denoiser,
+                                  shift_denoiser, tv_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError
 from conftest import _grad2d, tv_objective
 
@@ -322,22 +322,28 @@ def test_shift_denoiser_boundedness_equality():
         sigma * sigma * c, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_shift_denoiser_rejects_nonpositive_c(c):
+    with pytest.raises(ConfigurationError, match="c must be positive"):
+        shift_denoiser(np.ones((2, 2)), 0.5, c)
+
+
 # -------------------------------------------------------------- certificates
 
 def test_certify_identity_never_violates():
-    cert = certify_averaged(IdentityDenoiser(), 0.7, 0.1, num_pairs=50,
-                            shape=(6, 6))
-    assert cert.passed
-    assert cert.max_violation <= 1e-12
+    max_violation = certify_averaged(identity_denoiser, 0.7, 0.1,
+                                     num_pairs=50, shape=(6, 6))
+    assert max_violation <= CERT_TOL
+    assert max_violation <= 1e-12
 
 
 def test_certify_shift_denoiser_straddling_pair():
     # sigma*sqrt(c) = 1: D(0.1) - D(-0.1) = 2.2 while |x - y| = 0.2
-    d = ShiftDenoiser(c=1.0)
+    d = shift_denoiser
     x = np.array([[0.1]])
     y = np.array([[-0.1]])
-    dx = d.denoise(x, 1.0)
-    dy = d.denoise(y, 1.0)
+    dx = d(x, 1.0)
+    dy = d(y, 1.0)
     assert dx[0, 0] == pytest.approx(1.1)
     assert dy[0, 0] == pytest.approx(-1.1)
     violation = certify_pair(d, 0.5, 1.0, x, y)
@@ -345,21 +351,21 @@ def test_certify_shift_denoiser_straddling_pair():
 
 
 def test_certify_filter_thousand_pairs():
-    cert = certify_averaged(AveragedFilterDenoiser(), 0.5, 0.1,
-                            num_pairs=1000, shape=(16, 16))
-    assert cert.passed
-    assert cert.max_violation <= 1e-10
+    max_violation = certify_averaged(averaged_linear_filter, 0.5, 0.1,
+                                     num_pairs=1000, shape=(16, 16))
+    assert max_violation <= CERT_TOL
+    assert max_violation <= 1e-10
 
 
 def test_certify_rejects_bad_alpha():
     with pytest.raises(ConfigurationError):
-        certify_averaged(IdentityDenoiser(), 1.0, 0.1)
+        certify_averaged(identity_denoiser, 1.0, 0.1)
 
 
 # ---------------------------------------------------------- bounded constant
 
 def test_bounded_constant_identity_zero():
-    assert estimate_bounded_constant(IdentityDenoiser(), 0.5,
+    assert estimate_bounded_constant(identity_denoiser, 0.5,
                                      [np.ones((3, 3))]) == 0.0
 
 
@@ -367,11 +373,12 @@ def test_bounded_constant_identity_zero():
 def test_bounded_constant_rejects_nonpositive_sigma(sigma):
     # the estimate divides by sigma^2
     with pytest.raises(ConfigurationError):
-        estimate_bounded_constant(IdentityDenoiser(), sigma, [np.ones((3, 3))])
+        estimate_bounded_constant(identity_denoiser, sigma, [np.ones((3, 3))])
 
 
 def test_bounded_constant_shift_exact_c():
-    d = ShiftDenoiser(c=3.0)
+    def d(z, sigma):
+        return shift_denoiser(z, sigma, c=3.0)
     samples = [np.full((4, 4), v) for v in (0.5, -1.0, 2.0)]
     assert estimate_bounded_constant(d, 0.7, samples) == pytest.approx(
         3.0, rel=1e-12)
@@ -380,7 +387,7 @@ def test_bounded_constant_shift_exact_c():
 def test_bounded_constant_tv_decreases_with_lambda():
     rng = np.random.default_rng(0)
     samples = [rng.uniform(0, 1, size=(8, 8))]
-    d = TvProxDenoiser()
+    d = tv_denoiser
     strong = estimate_bounded_constant(d, 0.2, samples)
     weak = estimate_bounded_constant(d, 0.02, samples)
     assert np.isfinite(strong) and np.isfinite(weak)

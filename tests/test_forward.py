@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pnp_online.bessel import hankel1_0
 from pnp_online.errors import ConfigurationError
-from pnp_online import forward
+from pnp_online import bessel
 from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
                                 MeasurementModel, build_dt_model, grad_full,
                                 grad_minibatch, gradient_from_indices,
@@ -110,8 +110,8 @@ def test_dt_build_matches_whole_array_oracle(incident):
     # transmitters fill their last block
     geometry = DtGeometry(grid=40, num_transmitters=7, num_receivers=23,
                           incident=incident)
-    assert 23 % (forward._ROW_BLOCK // 40 ** 2) != 0
-    assert 7 % (forward._ROW_BLOCK // 40 ** 2) != 0
+    assert 23 % (bessel.ARRAY_BLOCK // 40 ** 2) != 0
+    assert 7 % (bessel.ARRAY_BLOCK // 40 ** 2) != 0
     truth = make_truth(40, seed=3)
     model = build_dt_model(geometry, truth, seed=4)
     oracle = whole_array_dt_model(geometry, truth, seed=4)

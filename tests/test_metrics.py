@@ -1,13 +1,14 @@
 """Metrics: fixed-point distance, SNR formula, least recorded dist."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online.config import ExperimentConfig
-from pnp_online.denoisers import AveragedFilterDenoiser, IdentityDenoiser
+from pnp_online.denoisers import averaged_linear_filter, identity_denoiser
 from pnp_online.errors import ConfigurationError
 from pnp_online.metrics import SNR_CAP_DB, dist_to_fix, min_dist, snr_db
 from pnp_online.solvers import operator_P, run_pnp_ista
@@ -16,7 +17,7 @@ from pnp_online.solvers import operator_P, run_pnp_ista
 def test_dist_to_fix_converged_iterate(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=5000, seed=0,
                            dist_stride=5000, record_timing=False)
     x, _ = run_pnp_ista(model, den, cfg)
@@ -29,7 +30,7 @@ def test_dist_to_fix_zero_residual_identity():
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = make_truth(8, seed=3)
     model = zero_residual_dt_model(geometry, truth)
-    d = dist_to_fix(model, IdentityDenoiser(), 1.0 / model.lipschitz, 0.1,
+    d = dist_to_fix(model, identity_denoiser, 1.0 / model.lipschitz, 0.1,
                     truth.pixels)
     assert d < 1e-20
 
@@ -37,7 +38,7 @@ def test_dist_to_fix_zero_residual_identity():
 def test_dist_to_fix_matches_dense_recomputation(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     rng = np.random.default_rng(0)
     x = rng.standard_normal(model.n) * 0.01
     # independent recomputation via dense matrices
@@ -48,7 +49,7 @@ def test_dist_to_fix_matches_dense_recomputation(small_dt_model):
         grad += np.real(A.conj().T @ (A @ x - y))
     grad /= model.num_components
     stepped = (x - gamma * grad).reshape(model.shape)
-    px = den.denoise(stepped, 0.1).ravel()
+    px = den(stepped, 0.1).ravel()
     oracle = float(np.sum((x - px) ** 2))
     assert dist_to_fix(model, den, gamma, 0.1, x) == pytest.approx(
         oracle, rel=1e-10, abs=1e-18)
@@ -57,7 +58,7 @@ def test_dist_to_fix_matches_dense_recomputation(small_dt_model):
 def test_dist_to_fix_matches_operator_P(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     x = np.random.default_rng(1).standard_normal(model.n) * 0.01
     p = operator_P(model, den, gamma, 0.1, x)
     assert dist_to_fix(model, den, gamma, 0.1, x) == float(np.sum((x - p) ** 2))
@@ -79,6 +80,44 @@ def test_snr_ten_percent_error_is_20db():
 def test_snr_zero_estimate_is_0db():
     ref = np.array([3.0, -4.0])
     assert snr_db(ref, np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_snr_of_references_whose_norm_overflows():
+    # read as the 300 dB cap: both norms overflowed to inf
+    assert snr_db(np.array([1e200, 1e200]), np.ones(2)) == pytest.approx(
+        0.0, abs=1e-9)
+
+
+def test_snr_of_estimates_whose_error_norm_overflows():
+    # ValueError: math domain error, as ||ref|| / inf is 0
+    assert snr_db(np.ones(2), np.array([1e200, 1e200])) == pytest.approx(
+        -4000.0, abs=1e-9)
+
+
+def test_snr_of_references_whose_norm_underflows():
+    # "reference must not be identically zero": ||ref||^2 underflowed to 0
+    assert snr_db(np.array([1e-170, 1e-170]),
+                  np.array([2e-170, 2e-170])) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_snr_of_norms_whose_ratio_underflows():
+    # ||ref|| / ||est - ref|| = 1e-350 is 0 in double precision
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert snr_db(np.array([1e-150]), np.array([1e200])) == pytest.approx(
+            -7000.0, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.floats(min_value=1e-6, max_value=1e6))
+def test_snr_of_finite_nonzero_norms_is_the_plain_formula(seed, scale):
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(64) * scale
+    est = ref + rng.standard_normal(64) * scale * rng.uniform(1e-4, 10.0)
+    plain = 20.0 * math.log10(np.linalg.norm(ref)
+                              / np.linalg.norm(est - ref))
+    assert snr_db(ref, est) == min(SNR_CAP_DB, plain)
 
 
 def test_snr_rejects_zero_reference():

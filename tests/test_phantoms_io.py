@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_online import modelio
+from pnp_online import bessel
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import (DtGeometry, MeasurementModel,
                                 build_dt_model, factored_lambdas)
@@ -157,7 +157,7 @@ def test_pnpm2_write_matches_whole_array_oracle(incident, tmp_path):
     # last one
     geometry = DtGeometry(grid=40, num_transmitters=7, num_receivers=23,
                           incident=incident)
-    assert 23 % (modelio._SAVE_BLOCK // 40 ** 2) != 0
+    assert 23 % (bessel.ARRAY_BLOCK // 40 ** 2) != 0
     model = build_dt_model(geometry, make_truth(40, seed=3), seed=4)
     save_model(tmp_path / "m.pnpm", model)
     oracle = whole_array_save_model(tmp_path / "o.pnpm", model)

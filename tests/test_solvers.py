@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online.config import ExperimentConfig
-from pnp_online.denoisers import (AveragedFilterDenoiser, IdentityDenoiser,
-                                  TvProxDenoiser, tv_prox)
+from pnp_online.denoisers import (averaged_linear_filter, identity_denoiser,
+                                  tv_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import Image, grad_full
 from pnp_online.metrics import dist_to_fix
@@ -127,7 +127,7 @@ def test_operator_P_identity_zero_residual(small_dt_model):
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = make_truth(8, seed=3)
     model = zero_residual_dt_model(geometry, truth)
-    out = operator_P(model, IdentityDenoiser(), 1.0 / model.lipschitz, 0.1,
+    out = operator_P(model, identity_denoiser, 1.0 / model.lipschitz, 0.1,
                      truth.pixels)
     assert np.max(np.abs(out - truth.pixels)) < 1e-10
 
@@ -138,7 +138,7 @@ def test_operator_P_matches_one_ista_step(small_dt_model):
     lam = 1e-4
     sigma = math.sqrt(gamma * lam)
     x = np.random.default_rng(0).standard_normal(model.n) * 0.01
-    via_P = operator_P(model, TvProxDenoiser(), gamma, sigma, x)
+    via_P = operator_P(model, tv_denoiser, gamma, sigma, x)
     manual = tv_prox((x - gamma * grad_full(model, x)).reshape(model.shape),
                      gamma * lam, inner_tol=1e-12).ravel()
     assert np.array_equal(via_P, manual)
@@ -148,7 +148,7 @@ def test_converged_run_is_fixed_point(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=5000, seed=0,
                            dist_stride=5000, record_timing=False)
     x, _ = run_pnp_ista(model, den, cfg)
@@ -183,7 +183,7 @@ def test_fista_beats_ista_at_fifty_iterations():
     gamma = 1.0 / model.lipschitz
 
     def prox(z):
-        return tv_prox(z.reshape(1, 12), gamma * lam, inner_tol=1e-13).ravel()
+        return tv_prox(z, gamma * lam, inner_tol=1e-13)
 
     def objective(x):
         return datafit_value(model, x) + lam * float(np.sum(np.abs(np.diff(x))))
@@ -223,7 +223,7 @@ def test_admm_matches_ista_on_tv_problem():
     gamma = 1.0 / model.lipschitz
 
     def prox(z):
-        return tv_prox(z.reshape(3, 3), gamma * lam, inner_tol=1e-13).ravel()
+        return tv_prox(z, gamma * lam, inner_tol=1e-13)
 
     def objective(x):
         g = x.reshape(3, 3)
@@ -247,11 +247,10 @@ def test_pnp_ista_tv_identical_to_ista(small_dt_model):
     sigma = math.sqrt(gamma * lam)
     cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=100, seed=0,
                            record_timing=False)
-    x1, t1 = run_pnp_ista(model, TvProxDenoiser(), cfg)
+    x1, t1 = run_pnp_ista(model, tv_denoiser, cfg)
 
     def prox(z):
-        return tv_prox(z.reshape(model.shape), gamma * lam,
-                       inner_tol=1e-12).ravel()
+        return tv_prox(z, gamma * lam, inner_tol=1e-12)
 
     x2, t2 = run_ista(model, prox, cfg)
     assert np.array_equal(x1, x2)
@@ -263,7 +262,7 @@ def test_pnp_ista_identity_is_gradient_descent():
     gamma = 1.0 / model.lipschitz
     cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=30, seed=0,
                            record_timing=False)
-    x1, _ = run_pnp_ista(model, IdentityDenoiser(), cfg)
+    x1, _ = run_pnp_ista(model, identity_denoiser, cfg)
     x = np.zeros(model.n)
     for _ in range(30):
         x = x - gamma * grad_full(model, x)
@@ -274,7 +273,7 @@ def test_pnp_ista_prop2_bound_filter(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     ref = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
                            dist_stride=10_000, record_timing=False)
     xstar, _ = run_pnp_ista(model, den, ref)
@@ -295,7 +294,7 @@ def test_pnp_admm_identity_least_squares():
     cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
                            iterations=3000, seed=0, dist_stride=3000,
                            record_timing=False)
-    x, _ = run_pnp_admm(model, IdentityDenoiser(), cfg)
+    x, _ = run_pnp_admm(model, identity_denoiser, cfg)
     assert np.max(np.abs(x - least_squares_solution(model))) < 1e-6
 
 
@@ -303,7 +302,7 @@ def test_pnp_admm_converges_to_fix_P(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     cfg = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=4000, seed=0,
                            dist_stride=4000, record_timing=False)
     x, _ = run_pnp_admm(model, den, cfg)
@@ -317,7 +316,7 @@ def test_pnp_sgd_full_batch_equals_pnp_ista(small_dt_model):
     gamma = 1.0 / model.lipschitz
     cfg = ExperimentConfig(gamma=gamma, sigma=0.1, iterations=60, seed=0,
                            sample_mode="full", record_timing=False)
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     xs, ts = run_pnp_sgd(model, den, cfg)
     xi, ti = run_pnp_ista(model, den, cfg)
     assert np.array_equal(xs, xi)
@@ -329,7 +328,7 @@ def test_pnp_sgd_deterministic(small_dt_model):
     cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
                            iterations=50, seed=3, batch_size=2,
                            record_timing=False)
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     x1, t1 = run_pnp_sgd(model, den, cfg)
     x2, t2 = run_pnp_sgd(model, den, cfg)
     assert np.array_equal(x1, x2)
@@ -339,7 +338,7 @@ def test_pnp_sgd_deterministic(small_dt_model):
 
 def test_pnp_sgd_smaller_gamma_lower_plateau(small_dt_model):
     model, _ = small_dt_model
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     plateaus = []
     for scale in (1.0, 1.0 / 16.0):
         cfg = ExperimentConfig(gamma=scale / model.lipschitz, sigma=0.1,
@@ -354,7 +353,7 @@ def test_pnp_sgd_prop5_bound_seed_averaged(small_dt_model):
     model, _ = small_dt_model
     gamma = 1.0 / model.lipschitz
     sigma = 0.1
-    den = AveragedFilterDenoiser()
+    den = averaged_linear_filter
     ref = ExperimentConfig(gamma=gamma, sigma=sigma, iterations=10_000, seed=0,
                            dist_stride=10_000, record_timing=False)
     xstar, _ = run_pnp_ista(model, den, ref)
@@ -376,14 +375,9 @@ def test_pnp_sgd_prop5_bound_seed_averaged(small_dt_model):
 
 # ------------------------------------------------- trace distance and clock
 
-class FlatProxDenoiser:
-    """A flat regularizer prox as a denoiser, the way ISTA and ADMM use it."""
-
-    def __init__(self, prox):
-        self.prox = prox
-
-    def denoise(self, z, _sigma):
-        return self.prox(z.ravel()).reshape(z.shape)
+def prox_denoiser(prox):
+    """A regularizer prox as a denoiser, the way ISTA and ADMM plug it in."""
+    return lambda z, _sigma: prox(z)
 
 
 @pytest.mark.parametrize("algorithm", ["ista", "admm", "pnp-ista",
@@ -400,16 +394,14 @@ def test_trace_dist_is_dist_to_fix(small_dt_model, algorithm):
     outputs = []
     if algorithm in ("ista", "admm"):
         def prox(z):
-            return tv_prox(z.reshape(model.shape), gamma * lam,
-                           inner_tol=1e-12).ravel()
+            return tv_prox(z, gamma * lam, inner_tol=1e-12)
 
         run = run_ista if algorithm == "ista" else run_admm
         _, trace = run(model, recording(prox, outputs), cfg)
-        denoiser = FlatProxDenoiser(prox)
+        denoiser = prox_denoiser(prox)
     else:
-        denoiser = TvProxDenoiser()
-        recorded = TvProxDenoiser()
-        recorded.denoise = recording(recorded.denoise, outputs)
+        denoiser = tv_denoiser
+        recorded = recording(tv_denoiser, outputs)
         run = {"pnp-ista": run_pnp_ista, "pnp-admm": run_pnp_admm,
                "pnp-sgd": run_pnp_sgd}[algorithm]
         _, trace = run(model, recorded, cfg)
@@ -418,10 +410,9 @@ def test_trace_dist_is_dist_to_fix(small_dt_model, algorithm):
         assert dist == dist_to_fix(model, denoiser, cfg.gamma, cfg.sigma, x)
 
 
-class SleepingDenoiser(IdentityDenoiser):
-    def denoise(self, z, sigma):
-        time.sleep(0.02)
-        return super().denoise(z, sigma)
+def sleeping_denoiser(z, sigma):
+    time.sleep(0.02)
+    return identity_denoiser(z, sigma)
 
 
 @pytest.mark.parametrize("run", [run_pnp_ista, run_pnp_sgd, run_pnp_admm])
@@ -431,7 +422,7 @@ def test_elapsed_excludes_diagnostics(run):
     k = 10
     cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.1,
                            iterations=k, seed=0, batch_size=1)
-    _, trace = run(model, SleepingDenoiser(), cfg)
+    _, trace = run(model, sleeping_denoiser, cfg)
     assert all(math.isfinite(d) for d in trace.dist)
     assert k * 0.02 <= trace.elapsed[-1] < 1.5 * k * 0.02
 
@@ -452,10 +443,10 @@ def test_forward_backward_loop_starts_at_x0(run):
     cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
                            iterations=0, seed=0)
     x0 = np.arange(model.n, dtype=float)
-    x, _ = run(model, IdentityDenoiser(), cfg, x0=x0)
+    x, _ = run(model, identity_denoiser, cfg, x0=x0)
     assert np.array_equal(x, x0)
     with pytest.raises(ConfigurationError, match="x0 length mismatch"):
-        run(model, IdentityDenoiser(), cfg, x0=np.zeros(model.n + 1))
+        run(model, identity_denoiser, cfg, x0=np.zeros(model.n + 1))
 
 
 # ----------------------------------------------------------- counter-example

@@ -52,14 +52,18 @@ def _traced_span_counts(spans_json, argv):
 COMMON = ["--set", "grid=8", "--set", "transmitters=2", "--set",
           "receivers=4", "--set", "phantom=checker"]
 # the spans a refactor could bypass: the TV prox (through the denoiser or
-# the ISTA/ADMM regularizer prox), the CG data prox, the solver entry point
-# and the CSV/PGM writers
+# the ISTA/ADMM regularizer prox) or, in the "-filter" cases, the filter,
+# the CG data prox, the solver entry point and the CSV/PGM writers
 EXPECTED_SPANS = {
     "ista": {"denoisers.tv", "solvers.solve", "cli.output"},
     "admm": {"denoisers.tv", "linops.cg", "solvers.solve", "cli.output"},
     "pnp-ista": {"denoisers.tv", "solvers.solve", "cli.output"},
     "pnp-admm": {"denoisers.tv", "linops.cg", "solvers.solve", "cli.output"},
-    "pnp-sgd": {"denoisers.tv", "solvers.solve", "cli.output"}}
+    "pnp-sgd": {"denoisers.tv", "solvers.solve", "cli.output"},
+    "pnp-ista-filter": {"denoisers.filter", "solvers.solve", "cli.output"},
+    "pnp-admm-filter": {"denoisers.filter", "linops.cg", "solvers.solve",
+                        "cli.output"},
+    "pnp-sgd-filter": {"denoisers.filter", "solvers.solve", "cli.output"}}
 
 
 @pytest.fixture(scope="module")
@@ -72,30 +76,45 @@ def traced_model(tmp_path_factory):
     return model
 
 
-@pytest.mark.parametrize("algorithm", sorted(EXPECTED_SPANS))
-def test_traced_reconstruct_sees_the_layers(traced_model, algorithm):
+@pytest.mark.parametrize("case", sorted(EXPECTED_SPANS))
+def test_traced_reconstruct_sees_the_layers(traced_model, case):
     work = traced_model.parent
+    algorithm = case.removesuffix("-filter")
+    denoiser = "tv" if algorithm == case else "filter"
     counts = _traced_span_counts(
-        work / f"{algorithm}.json",
+        work / f"{case}.json",
         ["reconstruct", str(traced_model), *COMMON, "-o",
-         str(work / algorithm), "--set", "iterations=3",
-         "--set", f"algorithm={algorithm}", "--set", "denoiser=tv"])
-    assert {name for name in EXPECTED_SPANS[algorithm]
+         str(work / case), "--set", "iterations=3",
+         "--set", f"algorithm={algorithm}", "--set", f"denoiser={denoiser}"])
+    assert {name for name in EXPECTED_SPANS[case]
             if counts[name] == 0} == set()
     assert counts["solvers.solve"] == 1
 
 
-def _benchmark_run_module():
-    """perfbench/run.py, imported read-only for its workload table."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_run", ROOT / "perfbench" / "run.py")
+def _script_module(name, path):
+    """A script, imported read-only for its workload table."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # dataclass looks its module up
     spec.loader.exec_module(module)
     return module
 
 
-BENCH = _benchmark_run_module()
+BENCH = _script_module("perfbench_run", ROOT / "perfbench" / "run.py")
+BENCH_SCRIPT = _script_module("bench_script", ROOT / "scripts" / "bench.py")
+
+
+def test_bench_script_solves_the_benchmark_workloads():
+    """scripts/bench.py's solve split and commands run the workloads of
+    perfbench/run.py; the seed and record_timing each set on their own."""
+    def solve_keys(keys):
+        return {key: str(value) for key, value in keys.items()
+                if key not in ("seed", "record_timing")}
+
+    assert ({name: solve_keys({**BENCH_SCRIPT.BASE_KEYS, **keys})
+             for name, keys in BENCH_SCRIPT.WORKLOADS.items()}
+            == {name: solve_keys(workload.keys)
+                for name, workload in BENCH.WORKLOADS.items()})
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
