@@ -183,7 +183,7 @@ def layers(grid, transmitters, receivers):
     truth = cli.phantom_from_config(cfg)
     model = cli.model_from_config(cfg, truth)
     gamma, sigma = cli.resolve_gamma_sigma(cfg, model.lipschitz)
-    x = truth.pixels
+    x = truth.ravel()
     rows = np.random.default_rng(0).integers(0, model.num_components, 4)
     z = (x - gamma * grad_full(model, x)).reshape(model.shape)
     _, tv_info = tv_prox(z, sigma * sigma, return_info=True)

@@ -21,7 +21,7 @@ from pnp_online.config import load_config
 from pnp_online.denoisers import (certify_averaged, certify_pair,
                                   estimate_bounded_constant, filter_passes)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import DtGeometry, Image, build_dt_model
+from pnp_online.forward import DtGeometry, build_dt_model, truth_sha256
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 from pnp_online.modelio import load_model, save_model
@@ -68,14 +68,13 @@ def geometry_from_config(cfg):
 
 
 def phantom_from_config(cfg):
-    if cfg.phantom in ("blobs", "checker"):
-        img = phantom_generate(cfg.phantom, cfg.grid, seed=cfg.seed)
-    else:
-        img = phantom_generate("pgm", cfg.grid, seed=cfg.seed,
-                               pgm_path=cfg.phantom)
-    # contrast mapping keeps the first-Born linearization sensible
-    return Image(pixels=img.pixels * cfg.f_max, width=img.width,
-                 height=img.height)
+    """The truth: the phantom scaled by f_max, which keeps the first-Born
+    linearization sensible; not zero, so that its SNR is defined."""
+    truth = phantom_generate(cfg.phantom, cfg.grid, seed=cfg.seed) * cfg.f_max
+    if not truth.any():
+        raise ConfigurationError(f"phantom {cfg.phantom!r} scaled by f_max = "
+                                 f"{cfg.f_max!r} is zero everywhere")
+    return truth
 
 
 def model_from_config(cfg, truth):
@@ -104,7 +103,7 @@ def resolve_gamma_sigma(cfg, lipschitz):
 
 
 def achieved_input_snr_db(model, truth):
-    clean = model.apply(truth.pixels)
+    clean = model.apply(truth.ravel())
     err = model.measurements - clean
     signal = float(np.vdot(clean, clean).real)
     noise = float(np.vdot(err, err).real)
@@ -120,14 +119,14 @@ def run_algorithm(cfg, model, truth):
     denoiser = denoiser_from_config(cfg)
     prox = functools.partial(denoisers.tv_prox, lambda_scaled=gamma * cfg.lam)
     if cfg.algorithm == "ista":
-        return run_ista(model, prox, sconf, truth=truth.pixels)
+        return run_ista(model, prox, sconf, truth=truth)
     if cfg.algorithm == "admm":
-        return run_admm(model, prox, sconf, truth=truth.pixels)
+        return run_admm(model, prox, sconf, truth=truth)
     if cfg.algorithm == "pnp-ista":
-        return run_pnp_ista(model, denoiser, sconf, truth=truth.pixels)
+        return run_pnp_ista(model, denoiser, sconf, truth=truth)
     if cfg.algorithm == "pnp-admm":
-        return run_pnp_admm(model, denoiser, sconf, truth=truth.pixels)
-    return run_pnp_sgd(model, denoiser, sconf, truth=truth.pixels)
+        return run_pnp_admm(model, denoiser, sconf, truth=truth)
+    return run_pnp_sgd(model, denoiser, sconf, truth=truth)
 
 
 def write_trace(path, trace, head=(), tail=()):
@@ -172,11 +171,12 @@ def cmd_simulate(cfg, out_path):
 
 def check_truth(model, truth, model_path):
     """Raise if the model was simulated from another truth image."""
-    if model.truth_sha256 != truth.sha256():
+    fingerprint = truth_sha256(truth)
+    if model.truth_sha256 != fingerprint:
         raise ConfigurationError(
             f"{model_path} was simulated from another truth image (SHA-256 "
             f"{model.truth_sha256.hex()[:16]}..., this config gives "
-            f"{truth.sha256().hex()[:16]}...); reconstruct with the phantom, "
+            f"{fingerprint.hex()[:16]}...); reconstruct with the phantom, "
             f"f_max, grid and seed it was simulated with")
 
 
@@ -295,17 +295,10 @@ def cmd_compare(cfg, outdir):
 
     columns = ["k"] + [f"{name}_{what}" for name in runs
                        for what in ("snr_db", "elapsed_s")]
-    length = max(len(trace) for _, trace in runs.values())
-    rows = []
-    for k in range(length):
-        row = [k + 1]
-        for name in runs:
-            _, trace = runs[name]
-            if k < len(trace):
-                row.extend([trace.snr[k], trace.elapsed[k]])
-            else:
-                row.extend(["", ""])
-        rows.append(row)
+    # every run takes cfg.iterations steps, or raises DivergenceError
+    rows = [[k + 1, *(value for _, trace in runs.values()
+                      for value in (trace.snr[k], trace.elapsed[k]))]
+            for k in range(cfg.iterations)]
     csv_path = os.path.join(outdir, "compare.csv")
     os.makedirs(outdir, exist_ok=True)
     write_csv(csv_path, "pnp-compare-v1", columns, rows,

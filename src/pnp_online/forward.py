@@ -22,34 +22,10 @@ from pnp_online.linops import cg_solve_regularized, lambda_max_bound
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
 
-@dataclass
-class Image:
-    """Real-valued image on a 2D grid, stored as a flat vector."""
-
-    pixels: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=float).ravel()
-        if self.width * self.height != self.pixels.size:
-            raise ConfigurationError("width*height must equal pixel count")
-        if not np.all(np.isfinite(self.pixels)):
-            raise ConfigurationError("image pixels must be finite")
-
-    @property
-    def n(self):
-        return self.pixels.size
-
-    def sha256(self):
-        """SHA-256 digest (32 bytes) of the pixels as little-endian float64."""
-        return hashlib.sha256(self.pixels.astype("<f8").tobytes()).digest()
-
-    @classmethod
-    def from_grid(cls, grid):
-        grid = np.asarray(grid, dtype=float)
-        return cls(pixels=grid.ravel(), width=grid.shape[1],
-                   height=grid.shape[0])
+def truth_sha256(truth):
+    """SHA-256 digest (32 bytes) of a truth image as little-endian float64,
+    row-major: the fingerprint a PNPM2 file stores."""
+    return hashlib.sha256(np.asarray(truth, dtype="<f8").tobytes()).digest()
 
 
 @dataclass
@@ -155,9 +131,9 @@ class MeasurementModel:
 
     Every model carries the record a PNPM2 file stores: the `DtGeometry`,
     whose square grid gives `shape` and n, the noise seed, the requested
-    input SNR, and `truth_sha256`, the `Image.sha256` of the simulated
-    truth. `lambdas` holds lambda_max(H_i^H H_i) of every component, each
-    a certified upper bound from `lambda_max_bound`; unless given, they are
+    input SNR, and the digest `truth_sha256` of the simulated truth.
+    `lambdas` holds lambda_max(H_i^H H_i) of every component, each a
+    certified upper bound from `lambda_max_bound`; unless given, they are
     computed from S and U. `lipschitz`, the step's L, is their max.
     """
 
@@ -273,7 +249,8 @@ def _round_to_stored(array):
 
 
 def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
-    """Simulate first-Born DT measurements of a real contrast image.
+    """Simulate first-Born DT measurements of a real contrast image, the
+    finite (grid, grid) array `truth`.
 
     S[m, j] = k_b^2 * delta^2 * g(||r_m - r_j||) (midpoint-rule Born
     integral); the incident field is a point source at each transmitter, or
@@ -283,8 +260,11 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     The noisy Y is formed from them in full precision; then S, U and Y are
     rounded to complex64, so the model is the one its PNPM2 file loads.
     """
-    if truth.width != geometry.grid or truth.height != geometry.grid:
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (geometry.grid, geometry.grid):
         raise ConfigurationError("truth grid must match geometry grid")
+    if not np.all(np.isfinite(truth)):
+        raise ConfigurationError("truth pixels must be finite")
     k_b = geometry.wavenumber
     scale = (k_b ** 2) * (geometry.pixel_size ** 2)
     pixels = geometry.pixel_centers()
@@ -310,14 +290,14 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     rng = np.random.default_rng(seed)
     # One product S (u_i * x) per component, so a noiseless y_i equals
     # H_i x formed on its own bit for bit.
-    clean = np.array([scattering @ (u * truth.pixels) for u in incident])
+    clean = np.array([scattering @ (u * truth.ravel()) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db)
     for array in (scattering, incident, noisy):
         _round_to_stored(array)
     return MeasurementModel(measurements=noisy, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,
                             input_snr_db=input_snr_db,
-                            truth_sha256=truth.sha256())
+                            truth_sha256=truth_sha256(truth))
 
 
 def _gradient(model, rows, x):

@@ -1,6 +1,7 @@
 """Reconstruction diagnostics: fixed-point distance, SNR, least dist."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -8,6 +9,9 @@ from pnp_online.errors import ConfigurationError
 from pnp_online.solvers import operator_P
 
 SNR_CAP_DB = 300.0
+# The least norm whose square is a normal float: below it ||v||^2 is subnormal
+# and loses digits.
+_NORM_MIN = math.sqrt(sys.float_info.min)
 
 
 def dist_to_fix(model, denoiser, gamma, sigma, x):
@@ -19,8 +23,9 @@ def dist_to_fix(model, denoiser, gamma, sigma, x):
 def snr_db(reference, estimate):
     """Signal-to-error ratio 20 log10(||ref|| / ||est - ref||), capped at 300 dB.
 
-    Where a norm or their ratio over- or underflows, the norms are taken
-    with math.hypot, which scales, and divided in logs.
+    Where a norm or their ratio over- or underflows, or a norm's square
+    would be subnormal, the norms are taken with math.hypot, which scales,
+    and divided in logs.
     """
     reference = np.asarray(reference, dtype=float).ravel()
     estimate = np.asarray(estimate, dtype=float).ravel()
@@ -31,7 +36,7 @@ def snr_db(reference, estimate):
     with np.errstate(over="ignore"):
         ref_norm = np.linalg.norm(reference)
         err_norm = np.linalg.norm(estimate - reference)
-    if 0.0 < ref_norm < math.inf and 0.0 < err_norm < math.inf:
+    if _NORM_MIN <= ref_norm < math.inf and _NORM_MIN <= err_norm < math.inf:
         if ref_norm / err_norm > 0.0:
             return min(SNR_CAP_DB, 20.0 * math.log10(ref_norm / err_norm))
     elif ref_norm == 0.0 and not reference.any():

@@ -4,8 +4,8 @@ Layout, little-endian:
 - magic "PNPM2";
 - a fixed-size header: format-version byte 2, the dimensions n, M and I,
   the geometry record, the seed, the input SNR, and the 32-byte SHA-256 of
-  the truth image the measurements were simulated from (`Image.sha256` of
-  the scaled pixels);
+  the truth image the measurements were simulated from
+  (`forward.truth_sha256` of the scaled phantom);
 - I float64 lambda_i = lambda_max(H_i^H H_i), certified upper bounds from
   `lambda_max_bound` (L is their max);
 - row-major complex64 blocks: the shared scattering matrix S once, then one

@@ -3,7 +3,6 @@
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import Image
 from pnp_online.pgm import read_pgm
 
 
@@ -41,18 +40,15 @@ def phantom_from_pgm(path, grid=None):
     return pixels
 
 
-def phantom_generate(kind, grid, seed=0, pgm_path=None):
-    """Build a phantom Image with pixel values in [0, 1]."""
+def phantom_generate(name, grid, seed=0):
+    """The phantom `name`, "blobs", "checker" or a .pgm path, as a
+    (grid, grid) array with pixel values in [0, 1]."""
     if grid < 8:
         raise ConfigurationError("grid must be >= 8")
-    if kind == "blobs":
-        data = phantom_blobs(grid, seed)
-    elif kind == "checker":
-        data = phantom_checker(grid)
-    elif kind == "pgm":
-        if pgm_path is None:
-            raise ConfigurationError("pgm phantom needs a file path")
-        data = phantom_from_pgm(pgm_path, grid)
-    else:
-        raise ConfigurationError(f"unknown phantom kind {kind!r}")
-    return Image.from_grid(data)
+    if name == "blobs":
+        return phantom_blobs(grid, seed)
+    if name == "checker":
+        return phantom_checker(grid)
+    if name.endswith(".pgm"):
+        return phantom_from_pgm(name, grid)
+    raise ConfigurationError(f"unknown phantom kind {name!r}")

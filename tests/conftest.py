@@ -11,16 +11,15 @@ import pytest
 
 from pnp_online import modelio
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import (DtGeometry, Image, MeasurementModel,
-                                _apply_noise, build_dt_model,
-                                green_function_2d)
+from pnp_online.forward import (DtGeometry, MeasurementModel, _apply_noise,
+                                build_dt_model, green_function_2d,
+                                truth_sha256)
 from pnp_online.linops import lambda_max_bound
 from pnp_online.phantoms import phantom_generate
 
 
 def make_truth(grid, seed=0, contrast=0.05):
-    phantom = phantom_generate("blobs", grid, seed=seed)
-    return Image(pixels=phantom.pixels * contrast, width=grid, height=grid)
+    return phantom_generate("blobs", grid, seed=seed) * contrast
 
 
 def _grad2d(u):
@@ -107,8 +106,8 @@ def gaussian_model(n, M, I, seed, truth):
     """Noiseless random real Gaussian model, entries scaled by 1/sqrt(M)."""
     rng = np.random.default_rng(seed)
     matrices = rng.standard_normal((I, M, n)) / math.sqrt(M)
-    return StackedModel(matrices, matrices @ truth.pixels, truth.width,
-                        truth.height)
+    height, width = truth.shape
+    return StackedModel(matrices, matrices @ truth.ravel(), width, height)
 
 
 def stacked_model(h, y=None):
@@ -147,7 +146,7 @@ def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     then all three rounded to complex64 as whole copies."""
     scattering, incident = whole_array_dt_arrays(geometry)
     rng = np.random.default_rng(seed)
-    clean = np.array([scattering @ (u * truth.pixels) for u in incident])
+    clean = np.array([scattering @ (u * truth.ravel()) for u in incident])
     noisy = _apply_noise(clean, rng, input_snr_db)
     scattering, incident, noisy = (
         array.astype(np.complex64).astype(complex)
@@ -155,7 +154,7 @@ def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     return MeasurementModel(
         measurements=noisy, scattering=scattering, incident=incident,
         geometry=geometry, seed=seed, input_snr_db=input_snr_db,
-        truth_sha256=truth.sha256())
+        truth_sha256=truth_sha256(truth))
 
 
 def zero_residual_dt_model(geometry, truth):
@@ -163,9 +162,9 @@ def zero_residual_dt_model(geometry, truth):
     S and U, formed by `apply`, so the residual at the truth is zero."""
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=math.inf)
     return MeasurementModel(
-        measurements=model.apply(truth.pixels), scattering=model.scattering,
+        measurements=model.apply(truth.ravel()), scattering=model.scattering,
         incident=model.incident, geometry=geometry, seed=0,
-        input_snr_db=math.inf, truth_sha256=truth.sha256(),
+        input_snr_db=math.inf, truth_sha256=truth_sha256(truth),
         lambdas=model.lambdas)
 
 
@@ -238,7 +237,7 @@ def small_dt_model():
 @pytest.fixture(scope="session")
 def small_gaussian_model():
     """16-dim real Gaussian model, noiseless."""
-    truth = Image(pixels=np.linspace(0.0, 1.0, 16), width=4, height=4)
+    truth = np.linspace(0.0, 1.0, 16).reshape(4, 4)
     model = gaussian_model(n=16, M=24, I=4, seed=3, truth=truth)
     return model, truth
 

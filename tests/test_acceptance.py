@@ -17,7 +17,7 @@ from pnp_online.config import ExperimentConfig
 from pnp_online.denoisers import (averaged_linear_filter, certify_averaged,
                                   certify_pair, estimate_bounded_constant,
                                   shift_denoiser, tv_denoiser, tv_prox)
-from pnp_online.forward import (DtGeometry, Image, build_dt_model, grad_full,
+from pnp_online.forward import (DtGeometry, build_dt_model, grad_full,
                                 grad_minibatch, gradient_from_indices)
 from pnp_online.phantoms import phantom_generate
 from pnp_online.pgm import write_pgm
@@ -71,8 +71,7 @@ class AcceptanceContext:
         def build():
             geometry = DtGeometry(grid=16, num_transmitters=16,
                                   num_receivers=24)
-            phantom = phantom_generate("blobs", 16, seed=0)
-            truth = Image(pixels=phantom.pixels * 0.05, width=16, height=16)
+            truth = phantom_generate("blobs", 16, seed=0) * 0.05
             return build_dt_model(geometry, truth, seed=0,
                                   input_snr_db=40.0), truth
         return self.cached("model16", build)
@@ -80,8 +79,7 @@ class AcceptanceContext:
     def model32(self):
         def build():
             geometry = DtGeometry()
-            phantom = phantom_generate("blobs", 32, seed=0)
-            truth = Image(pixels=phantom.pixels * 0.05, width=32, height=32)
+            truth = phantom_generate("blobs", 32, seed=0) * 0.05
             return build_dt_model(geometry, truth, seed=0,
                                   input_snr_db=40.0), truth
         return self.cached("model32", build)
@@ -146,8 +144,7 @@ def write_dist_csv(outdir, name, dist):
 
 def test_criterion_1_pnp_ista_equals_ista(ctx):
     def gen(outdir):
-        phantom = phantom_generate("blobs", 16, seed=2)
-        truth = Image(pixels=phantom.pixels, width=16, height=16)
+        truth = phantom_generate("blobs", 16, seed=2)
         model = gaussian_model(n=256, M=384, I=4, seed=0, truth=truth)
         gamma = 1.0 / model.lipschitz
         lam = 1e-3 * model.lipschitz          # arbitrary tuning
@@ -210,17 +207,17 @@ def test_criterion_3_ista_admm_fixed_point_agreement(ctx):
     pgm_dir = ctx.artifact_dir("first", "criterion3")
     pgm_path = os.path.join(pgm_dir, "phantom.pgm")
     write_pgm(pgm_path,
-              (phantom_generate("blobs", 12, seed=5).pixels.reshape(12, 12)
+              (phantom_generate("blobs", 12, seed=5)
                * 65535).astype(np.uint16))
     phantoms = [
         ("blobs", phantom_generate("blobs", 12, seed=1)),
         ("checker", phantom_generate("checker", 12)),
-        ("pgm", phantom_generate("pgm", 12, pgm_path=pgm_path)),
+        ("pgm", phantom_generate(pgm_path, 12)),
     ]
     worst = 0.0
     rows = []
     for pname, phantom in phantoms:
-        truth = Image(pixels=phantom.pixels * 0.05, width=12, height=12)
+        truth = phantom * 0.05
         model = build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
         gamma = 1.0 / model.lipschitz
         lam = 1e-4 * model.lipschitz
@@ -415,8 +412,7 @@ def test_criterion_8_online_vs_batch_snr(ctx):
 
 def test_criterion_9_minibatch_unbiasedness(ctx):
     # exact enumeration at I = 3
-    phantom = phantom_generate("blobs", 8, seed=0)
-    truth = Image(pixels=phantom.pixels, width=8, height=8)
+    truth = phantom_generate("blobs", 8, seed=0)
     model3 = gaussian_model(n=64, M=48, I=3, seed=0, truth=truth)
     x = np.random.default_rng(1).standard_normal(64)
     acc = np.zeros(64)

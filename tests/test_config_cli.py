@@ -22,6 +22,7 @@ from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
 from pnp_online.linops import CgInfo
 from pnp_online.modelio import load_model
+from pnp_online.pgm import write_pgm
 from conftest import read_csv
 
 
@@ -351,6 +352,8 @@ TINY = ["--set", "grid=8", "--set", "transmitters=2", "--set", "receivers=4"]
     "wavelength=1e-300",       # OverflowError in k_b ** 2
     "ring_radius=1e308",       # exit 0, NaN in S and lipschitz = nan
     "f_max=1e308",             # exit 0, Inf in y_i
+    "f_max=0",                 # exit 0; every reconstruct then failed on
+                               # the zero truth, with no key named
     "outdir=/nonexistent/zzz",     # nothing read it: an unknown key
     "transmitters=1" + "0" * 30,   # ValueError in np.arange
     "receivers=1" + "0" * 30,
@@ -364,6 +367,22 @@ def test_cli_simulate_rejects_unrepresentable_model(tmp_path, capsys,
     assert "config error: " in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "compare"])
+def test_cli_rejects_blank_pgm_phantom_before_building(tmp_path, capsys,
+                                                       command):
+    # a blank PGM scales to a zero truth at any f_max; sweep and compare
+    # failed on it only after building the model
+    phantom = str(tmp_path / "blank.pgm")
+    write_pgm(phantom, np.zeros((8, 8), dtype=np.uint16))
+    out = str(tmp_path / "out")
+    assert main([command, *TINY, "--set", f"phantom={phantom}",
+                 "--set", "iterations=2", "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "f_max" in err and phantom in err
+    assert os.listdir(tmp_path) == ["blank.pgm"]
 
 
 def test_cli_reconstruct_rejects_zero_operator_without_gamma(tmp_path,

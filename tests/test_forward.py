@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from pnp_online.bessel import hankel1_0
 from pnp_online.errors import ConfigurationError
 from pnp_online import bessel
-from pnp_online.forward import (CyclingSampler, DtGeometry, Image,
-                                MeasurementModel, build_dt_model, grad_full,
-                                grad_minibatch, gradient_from_indices,
-                                green_function_2d, prox_datafit)
+from pnp_online.forward import (CyclingSampler, DtGeometry, MeasurementModel,
+                                build_dt_model, grad_full, grad_minibatch,
+                                gradient_from_indices, green_function_2d,
+                                prox_datafit)
 from conftest import (StackedModel, datafit_value, gaussian_model,
                       make_truth, stacked_model, whole_array_dt_arrays,
                       whole_array_dt_model)
@@ -85,9 +85,19 @@ def test_green_function_rejects_zero_distance():
 
 def test_dt_zero_truth_yields_zero_measurements():
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
-    truth = Image(pixels=np.zeros(64), width=8, height=8)
+    truth = np.zeros((8, 8))
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
     assert np.all(model.measurements == 0)
+
+
+@pytest.mark.parametrize("truth", [
+    np.zeros((8, 7)), np.zeros((3, 4)), np.zeros(64),
+    np.where(np.eye(8) > 0, np.nan, 0.0), np.full((8, 8), np.inf)],
+    ids=["8x7", "3x4", "flat", "nan", "inf"])
+def test_dt_build_rejects_truth_off_the_grid_or_not_finite(truth):
+    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    with pytest.raises(ConfigurationError, match="grid|finite"):
+        build_dt_model(geometry, truth)
 
 
 def test_dt_noiseless_deterministic():
@@ -101,7 +111,7 @@ def test_dt_noiseless_deterministic():
     scattering, incident = whole_array_dt_arrays(geometry)
     for u, y in zip(incident, a.measurements):
         assert np.array_equal(
-            y, (scattering @ (u * truth.pixels)).astype(np.complex64))
+            y, (scattering @ (u * truth.ravel())).astype(np.complex64))
 
 
 @pytest.mark.parametrize("incident", ["point", "plane"])
@@ -125,7 +135,7 @@ def test_dt_achieved_input_snr_is_exact(small_dt_model):
     model, truth = small_dt_model
     signal = noise = 0.0
     for h, y in zip(dense_matrices(model), model.measurements):
-        clean = h @ truth.pixels
+        clean = h @ truth.ravel()
         signal += float(np.sum(np.abs(clean) ** 2))
         noise += float(np.sum(np.abs(y - clean) ** 2))
     achieved = 10.0 * math.log10(signal / noise)
@@ -170,7 +180,7 @@ def test_dt_lambdas_match_dense_oracle_at_32():
 # ----------------------------------------------------------- Gaussian model
 
 def test_gaussian_single_component_adjoint():
-    truth = Image(pixels=np.zeros(9), width=3, height=3)
+    truth = np.zeros((3, 3))
     model = gaussian_model(n=9, M=9, I=1, seed=0, truth=truth)
     assert model.num_components == 1
     rng = np.random.default_rng(1)
@@ -180,14 +190,14 @@ def test_gaussian_single_component_adjoint():
 
 
 def test_gaussian_deterministic():
-    truth = Image(pixels=np.zeros(16), width=4, height=4)
+    truth = np.zeros((4, 4))
     a = gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
     b = gaussian_model(n=16, M=8, I=2, seed=9, truth=truth)
     assert np.array_equal(a.matrices, b.matrices)
 
 
 def test_gaussian_entry_variance_close_to_1_over_M():
-    truth = Image(pixels=np.zeros(144), width=12, height=12)
+    truth = np.zeros((12, 12))
     model = gaussian_model(n=144, M=100, I=1, seed=0, truth=truth)
     A = model.matrices[0]
     assert A.size >= 10_000
@@ -200,12 +210,12 @@ def test_gradient_vanishes_at_truth_noiseless():
     geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
     truth = make_truth(8, seed=3)
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=math.inf)
-    g = grad_full(model, truth.pixels)
+    g = grad_full(model, truth.ravel())
     assert np.max(np.abs(g)) < 1e-10
 
 
 def test_gradient_identity_operator_zero_measurement():
-    truth = Image(pixels=np.zeros(4), width=2, height=2)
+    truth = np.zeros((2, 2))
     model = gaussian_model(n=4, M=4, I=1, seed=0, truth=truth)
     # replace with an exact identity component
     model = stacked_model(np.eye(4))
@@ -235,7 +245,7 @@ def test_minibatch_full_batch_equals_grad_full(small_dt_model):
 
 
 def test_minibatch_enumeration_unbiased_exact():
-    truth = Image(pixels=np.linspace(0, 1, 9), width=3, height=3)
+    truth = np.linspace(0, 1, 9).reshape(3, 3)
     model = gaussian_model(n=9, M=6, I=3, seed=2, truth=truth)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(9)
@@ -381,7 +391,7 @@ def test_prox_datafit_identity_closed_form():
 
 
 def test_prox_datafit_matches_dense_solve():
-    truth = Image(pixels=np.zeros(12), width=4, height=3)
+    truth = np.zeros((3, 4))
     model = gaussian_model(n=12, M=10, I=2, seed=6, truth=truth)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(12)
@@ -399,7 +409,7 @@ def test_prox_datafit_matches_dense_solve():
 
 def test_prox_datafit_is_prox_of_datafit():
     # optimality: z + gamma * grad d(z) = x
-    truth = Image(pixels=np.zeros(8), width=4, height=2)
+    truth = np.zeros((2, 4))
     model = gaussian_model(n=8, M=8, I=2, seed=1, truth=truth)
     x = np.random.default_rng(2).standard_normal(8)
     z, _ = prox_datafit(model, 0.4, x, tol=1e-13)

@@ -31,7 +31,7 @@ def test_dist_to_fix_zero_residual_identity():
     truth = make_truth(8, seed=3)
     model = zero_residual_dt_model(geometry, truth)
     d = dist_to_fix(model, identity_denoiser, 1.0 / model.lipschitz, 0.1,
-                    truth.pixels)
+                    truth.ravel())
     assert d < 1e-20
 
 
@@ -106,6 +106,15 @@ def test_snr_of_norms_whose_ratio_underflows():
         warnings.simplefilter("error")
         assert snr_db(np.array([1e-150]), np.array([1e200])) == pytest.approx(
             -7000.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-160, 1e-200])
+def test_snr_of_norms_whose_square_is_subnormal(scale):
+    # ||ref||^2 lost digits as a subnormal: this read 20.0000075 dB at
+    # 1e-158 and 19.9973 dB at 1e-160
+    ref = np.array([1.0, 0.3, 0.7])
+    assert snr_db(ref * scale, ref * 1.1 * scale) == pytest.approx(
+        20.0, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)

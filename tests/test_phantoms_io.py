@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online import bessel
+from pnp_online.config import ExperimentConfig
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import (DtGeometry, MeasurementModel,
-                                build_dt_model, factored_lambdas)
+                                build_dt_model, factored_lambdas,
+                                truth_sha256)
 from pnp_online.modelio import load_model, save_model
 from pnp_online.pgm import (PgmParseError, image_to_pgm16, read_pgm,
                             write_pgm)
@@ -200,7 +202,20 @@ def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
     back = load_model(path)
     assert back.lambdas.tolist() == stored.tolist()
     assert back.lipschitz == stored.max()
-    assert back.truth_sha256 == make_truth(32, seed=0).sha256()
+    assert back.truth_sha256 == truth_sha256(make_truth(32, seed=0))
+
+
+@pytest.mark.parametrize("grid, f_max, digest", [
+    (8, 0.05,
+     "3a7d7654d10a5a4c22f41c579dcd0249cba56be2317ff7ce4bace97f983eb3b4"),
+    (32, ExperimentConfig().f_max,
+     "adecd88d789701584febf6d2b392fb161875879bebe1cdf119669fb134436506")],
+    ids=["checker-8", "checker-32"])
+def test_truth_fingerprint_is_pinned(grid, f_max, digest):
+    # the fingerprint PNPM2 files store: a change to the bytes it hashes
+    # would orphan every model file simulated before it
+    truth = phantom_generate("checker", grid) * f_max
+    assert truth_sha256(truth).hex() == digest
 
 
 def test_pnpm2_save_refuses_arrays_not_exact_in_complex64(tmp_path):
@@ -234,7 +249,7 @@ def test_pnpm2_preserves_achieved_snr(dt_model_32, tmp_path):
     signal = noise = 0.0
     truth = make_truth(32, seed=0)
     for u, y in zip(back.incident, back.measurements):
-        clean = back.scattering @ (u * truth.pixels)
+        clean = back.scattering @ (u * truth.ravel())
         signal += float(np.sum(np.abs(clean) ** 2))
         noise += float(np.sum(np.abs(y - clean) ** 2))
     achieved = 10.0 * math.log10(signal / noise)

@@ -11,7 +11,7 @@ from pnp_online.config import ExperimentConfig
 from pnp_online.denoisers import (averaged_linear_filter, identity_denoiser,
                                   tv_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import Image, grad_full
+from pnp_online.forward import grad_full
 from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (composition_alpha, corollary1_constant,
                                 estimate_gradient_noise, fista_q_update,
@@ -25,7 +25,7 @@ from conftest import (StackedModel, datafit_value, gaussian_model,
 
 def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
     rng = np.random.default_rng(seed)
-    truth = Image(pixels=rng.uniform(0, 1, n), width=n, height=1)
+    truth = rng.uniform(0, 1, n).reshape(1, n)
     model = gaussian_model(n=n, M=M, I=I, seed=seed, truth=truth)
     if noisy:
         # perturb measurements so the least-squares solution is nontrivial
@@ -128,8 +128,8 @@ def test_operator_P_identity_zero_residual(small_dt_model):
     truth = make_truth(8, seed=3)
     model = zero_residual_dt_model(geometry, truth)
     out = operator_P(model, identity_denoiser, 1.0 / model.lipschitz, 0.1,
-                     truth.pixels)
-    assert np.max(np.abs(out - truth.pixels)) < 1e-10
+                     truth.ravel())
+    assert np.max(np.abs(out - truth.ravel())) < 1e-10
 
 
 def test_operator_P_matches_one_ista_step(small_dt_model):

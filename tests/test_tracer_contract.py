@@ -9,6 +9,7 @@ past it, shows only in a traced benchmark run.
 import collections
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,3 +135,21 @@ def test_traced_workload_meets_the_benchmark_self_test(tmp_path, workload):
                                      str(tmp_path / "r"), *args]))
     assert {metric: counts[metric.removesuffix("_calls")]
             for metric in spec.expected_counts} == spec.expected_counts
+
+
+
+def test_bench_script_in_process_layers_run(monkeypatch):
+    """scripts/bench.py's layers, and its solve split of each workload, run
+    on a tiny model; no other test calls the package the way they do."""
+    monkeypatch.setattr(BENCH_SCRIPT, "REPEATS", 2)
+    monkeypatch.setattr(BENCH_SCRIPT, "SPLIT_RUNS", 2)
+    tiny = {"grid": 8, "transmitters": 2, "receivers": 4, "iterations": 3}
+    results = {"layers": BENCH_SCRIPT.layers(8, 2, 4)}
+    for name, keys in BENCH_SCRIPT.WORKLOADS.items():
+        results[name] = BENCH_SCRIPT.solve_split({**keys, **tiny})
+        assert results[name].keys() == {"solve", *BENCH_SCRIPT.SPLIT}
+    assert {(group, name) for group, layers in results.items()
+            for name, result in layers.items()
+            if not math.isfinite(result["median"])} == set()
+    assert {"build_dt_model", "grad_full", "tv_prox",
+            "load_model"} <= results["layers"].keys()
