@@ -9,8 +9,10 @@
 
 It times the package in src/ of the checkout that holds this script, with
 OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
-- "environment": the BLAS thread count, nproc, and the Python, numpy,
-  scipy and BLAS versions;
+- "environment": the BLAS thread count, nproc, the Python, numpy, scipy
+  and BLAS versions, and whether Python writes bytecode caches (under
+  PYTHONDONTWRITEBYTECODE=1 every `pnp` child compiles the package, which
+  added about 12 ms to its import on 2 vCPUs);
 - "layers": per grid, the median and quartiles of each layer over REPEATS
   in-process calls, after one untimed call; `build_dt_model`,
   `save_model` and `load_model` add the tracemalloc peak of one call
@@ -133,7 +135,8 @@ def environment():
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "scipy": scipy,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "writes_bytecode": not sys.dont_write_bytecode}
 
 
 def traced_peaks(cfg, truth, path):

@@ -6,9 +6,16 @@ Hankel asymptotic expansion with optimal truncation. The crossover at
 giving roughly 1e-10 absolute accuracy on both sides.
 
 `hankel1_0_array` evaluates the same recurrences over a whole array, each
-element stopping at the term where the scalar loop stops. The scalar
-`hankel1_0` is the reference that the tests check it against; nothing in
-the package calls it, and perfbench/tracer.py counts its binding.
+element stopping at the term where the scalar loop stops. It works in
+blocks of ARRAY_BLOCK elements. A block with no element below the cutoff
+is evaluated in place, and there the asymptotic recurrence runs on whole
+arrays until the first element stops (by the smallest-term rule or the
+1e-18 rule), then on index arrays of the elements still live; the series
+loops gather the elements below the cutoff. Each element gets the same
+operations in the same order either way, so the tests check it bit for
+bit against the gather-based loops, and to 1e-14 against the scalar
+`hankel1_0`. Nothing in the package calls `hankel1_0`; perfbench/tracer.py
+counts its binding.
 """
 
 import math
@@ -121,32 +128,51 @@ def _y0_series_array(x, j0):
     return (2.0 / math.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j0 + total)
 
 
-def _hankel1_0_asymptotic_array(x):
+# `live` indexes the elements whose asymptotic recurrence still runs: every
+# element, as a slice, until the first one stops, so the whole-array steps
+# gather and scatter nothing; then an index array of the rest.
+_EVERY = slice(None)
+
+
+def _narrow(live, keep):
+    """The elements of `live` that the mask `keep` over them retains."""
+    return np.flatnonzero(keep) if live is _EVERY else live[keep]
+
+
+def _hankel1_0_asymptotic_array(x, out):
     # The powers i^k cycle through 1, i, -1, -i, so the real and imaginary
     # parts of the sum are accumulated separately.
     total = [np.ones_like(x), np.zeros_like(x)]
     coef = np.ones_like(x)
-    live = np.arange(x.size)
+    prev_mag = np.ones_like(x)   # |coef| of the live elements
+    live = _EVERY
     for k in range(1, _MAX_ASYMPTOTIC_TERMS):
-        if live.size == 0:
-            break
         c = coef[live] * (-((2 * k - 1) ** 2) / (8.0 * k * x[live]))
         mag = np.abs(c)
-        keep = ~(mag > np.abs(coef[live]))
-        live, c, mag = live[keep], c[keep], mag[keep]
+        grows = mag > prev_mag
+        if grows.any():
+            keep = ~grows
+            live, c, mag = _narrow(live, keep), c[keep], mag[keep]
+            if live.size == 0:
+                break
         part = total[k % 2]
         if k % 4 < 2:
             part[live] += c
         else:
             part[live] -= c
         coef[live] = c
-        live = live[~(mag < 1e-18)]
+        prev_mag = mag
+        stop = mag < 1e-18
+        if stop.any():
+            keep = ~stop
+            live, prev_mag = _narrow(live, keep), mag[keep]
+            if live.size == 0:
+                break
     amplitude = np.sqrt(2.0 / (math.pi * x))
     phase = x - 0.25 * math.pi
     p_re = amplitude * np.cos(phase)
     p_im = amplitude * np.sin(phase)
     t_re, t_im = total
-    out = np.empty(x.shape, dtype=complex)
     out.real = p_re * t_re - p_im * t_im
     out.imag = p_re * t_im + p_im * t_re
     return out
@@ -165,9 +191,15 @@ def hankel1_0_array(x):
         xb = flat[lo:lo + ARRAY_BLOCK]
         ob = out[lo:lo + ARRAY_BLOCK]
         small = xb < _SERIES_CUTOFF
+        if not small.any():     # a whole asymptotic block: no gather or scatter
+            _hankel1_0_asymptotic_array(xb, ob)
+            continue
         xs = xb[small]
         j0 = _j0_series_array(xs)
         ob.real[small] = j0
         ob.imag[small] = _y0_series_array(xs, j0)
-        ob[~small] = _hankel1_0_asymptotic_array(xb[~small])
+        if not small.all():
+            big = ~small
+            ob[big] = _hankel1_0_asymptotic_array(
+                xb[big], np.empty(np.count_nonzero(big), dtype=complex))
     return out.reshape(x.shape)

@@ -195,16 +195,21 @@ def load_config(path=None, overrides=None):
     if path is not None:
         if not os.path.exists(path):
             raise ConfigurationError(f"config file {path!r} not found")
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                values[key.strip()] = _coerce(key.strip(), value)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"config file {path!r} is not UTF-8 "
+                                     f"text ({err.reason})") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            values[key.strip()] = _coerce(key.strip(), value)
     values.update(parse_overrides(overrides))
     seed_env = os.environ.get("PNP_SEED")
     if seed_env is not None:

@@ -228,13 +228,13 @@ def row_slices(rows, cols):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _row_blocks(shape, block):
-    """The complex array of `shape` whose rows `rows` (a slice) are
-    block(rows), formed a row block at a time."""
-    out = np.empty(shape, dtype=complex)
+def _row_blocks(shape, fill):
+    """The complex array of `shape`, formed a row block at a time:
+    fill(rows, out) writes its rows `rows` (a slice) into their view out."""
+    array = np.empty(shape, dtype=complex)
     for rows in row_slices(*shape):
-        out[rows] = block(rows)
-    return out
+        fill(rows, array[rows])
+    return array
 
 
 def _round_to_stored(array):
@@ -256,7 +256,8 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     integral); the incident field is a point source at each transmitter, or
     a unit plane wave aimed at the origin when geometry.incident == "plane".
     S and U are formed a row block at a time, each element as a whole-array
-    build forms it, so they are the build's only arrays of their size.
+    build forms it, and each block is written into its rows, so they are the
+    build's only arrays of their size.
     The noisy Y is formed from them in full precision; then S, U and Y are
     rounded to complex64, so the model is the one its PNPM2 file loads.
     """
@@ -272,20 +273,29 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     transmitters = geometry.transmitter_positions()
 
     def green(sources, rows):
-        return green_function_2d(k_b, np.linalg.norm(
-            sources[rows, None, :] - pixels[None, :, :], axis=2))
+        # sqrt(dx*dx + dy*dy): the bits of np.linalg.norm(sources[rows,
+        # None] - pixels, axis=2), without its (rows, n, 2) temporaries
+        dist = np.subtract.outer(sources[rows, 0], pixels[:, 0])
+        dist *= dist
+        dy = np.subtract.outer(sources[rows, 1], pixels[:, 1])
+        dy *= dy
+        dist += dy
+        return green_function_2d(k_b, np.sqrt(dist, out=dist))
 
-    scattering = _row_blocks((len(receivers), len(pixels)),
-                             lambda rows: scale * green(receivers, rows))
+    scattering = _row_blocks(
+        (len(receivers), len(pixels)),
+        lambda rows, out: np.multiply(scale, green(receivers, rows), out=out))
     if geometry.incident == "point":
-        incident = _row_blocks((len(transmitters), len(pixels)),
-                               lambda rows: green(transmitters, rows))
+        incident = _row_blocks(
+            (len(transmitters), len(pixels)),
+            lambda rows, out: np.copyto(out, green(transmitters, rows)))
     else:
         directions = -transmitters / np.linalg.norm(transmitters, axis=1,
                                                     keepdims=True)
         phase = directions @ pixels.T
-        incident = _row_blocks(phase.shape,
-                               lambda rows: np.exp(1j * k_b * phase[rows]))
+        incident = _row_blocks(
+            phase.shape,
+            lambda rows, out: np.exp(1j * k_b * phase[rows], out=out))
 
     rng = np.random.default_rng(seed)
     # One product S (u_i * x) per component, so a noiseless y_i equals

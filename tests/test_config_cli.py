@@ -56,6 +56,18 @@ def test_load_config_missing_file_rejected():
         load_config("/nonexistent/exp.cfg")
 
 
+def test_cli_config_file_not_utf8_exits_2(tmp_path, capsys):
+    # a 0xff byte in the file ended in a UnicodeDecodeError traceback (exit 1)
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"grid = 8\n\xff\n")
+    out = tmp_path / "model.pnpm"
+    assert main(["simulate", "-c", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err and str(path) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_parse_overrides_rejects_bare_token():
     with pytest.raises(ConfigurationError):
         parse_overrides(["grid"])
