@@ -23,7 +23,9 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   seconds of the whole solve and of each phase in SPLIT: the step
   gradient, the denoiser, CG and the `dist` diagnostic, with the calls of
   each phase per solve; the calls that `dist_to_fix` makes count as
-  `dist`;
+  `dist`. The denoiser and `dist` phases add the TV inner iterations
+  (`TvInfo`) their `tv_prox` calls ran per solve, and a TV workload's
+  denoiser phase its microseconds per inner iteration;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
   `pnp reconstruct`, under "simulate-64" those of `pnp simulate` alone at
@@ -226,14 +228,14 @@ def layers(grid, transmitters, receivers):
 
 def solve_split(keys):
     """The seconds and calls of each phase of the workload's solve."""
-    from pnp_online import cli
+    from pnp_online import cli, denoisers
     from pnp_online.config import load_config
 
     keys = {**BASE_KEYS, **keys, "record_timing": "false"}
     cfg = load_config(overrides=[f"{k}={v}" for k, v in keys.items()])
     truth = cli.phantom_from_config(cfg)
     model = cli.model_from_config(cfg, truth)
-    seconds, calls, inside = {}, {}, []
+    seconds, calls, tv_iterations, inside = {}, {}, {}, []
 
     def timed(phase, fn):
         def wrapper(*args, **kwargs):
@@ -249,7 +251,17 @@ def solve_split(keys):
                 inside.pop()
         return wrapper
 
-    originals = []
+    def counting_tv_iterations(fn):
+        """tv_prox, adding its inner iterations to those of the phase it
+        runs in; it is called only inside a timed phase."""
+        def wrapper(*args, return_info=False, **kwargs):
+            x, info = fn(*args, return_info=True, **kwargs)
+            tv_iterations[inside[0]] += info.iterations
+            return (x, info) if return_info else x
+        return wrapper
+
+    originals = [(denoisers, "tv_prox", denoisers.tv_prox)]
+    denoisers.tv_prox = counting_tv_iterations(denoisers.tv_prox)
     for phase, bindings in SPLIT.items():
         for module_name, name in bindings:
             module = importlib.import_module(f"pnp_online.{module_name}")
@@ -260,6 +272,7 @@ def solve_split(keys):
         for run in range(SPLIT_RUNS + 1):
             seconds.update(dict.fromkeys(SPLIT, 0.0))
             calls.update(dict.fromkeys(SPLIT, 0))
+            tv_iterations.update(dict.fromkeys(SPLIT, 0))
             start = time.perf_counter()
             cli.run_algorithm(cfg, model, truth)
             solve = time.perf_counter() - start
@@ -268,23 +281,39 @@ def solve_split(keys):
                 for phase in SPLIT:
                     samples[phase].append(seconds[phase])
     finally:
-        for module, name, fn in originals:
+        for module, name, fn in reversed(originals):
             setattr(module, name, fn)
-    return {phase: {**summary(runs, "s"),
-                    **({"calls": calls[phase]} if phase in calls else {})}
-            for phase, runs in samples.items()}
+    split = {phase: {**summary(runs, "s"),
+                     **({"calls": calls[phase]} if phase in calls else {})}
+             for phase, runs in samples.items()}
+    for phase in ("denoiser", "dist"):
+        split[phase]["tv_iterations"] = tv_iterations[phase]
+    if tv_iterations["denoiser"]:
+        # the denoiser phase of a TV run is its tv_prox calls alone
+        split["denoiser"]["us_per_tv_iteration"] = summary(
+            [1e6 * t / tv_iterations["denoiser"]
+             for t in samples["denoiser"]], "us")
+    return split
 
 
 def run_command(argv, env, cwd):
-    """One `pnp` child: (wall s, peak RSS MB); exits on a failed command."""
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "pnp_online.cli", *argv],
-                            cwd=cwd, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
+    """One `pnp` child: (wall s, peak RSS MB); exits on a failed command.
+
+    Its stdout and stderr go to a log file in `cwd`, as perfbench's do:
+    where stdout goes alone moved the peak RSS of a 48 x 48 reconstruct
+    by 0.4 MB."""
+    log = Path(cwd) / "command.log"
+    with open(log, "wb") as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pnp_online.cli", *argv], cwd=cwd,
+            env=env, stdout=out, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
-        sys.exit(f"bench: pnp {argv[0]} exited {proc.returncode}")
+        tail = log.read_text(errors="replace").strip()[-400:]
+        sys.exit(f"bench: pnp {argv[0]} exited {proc.returncode}: {tail}")
     return wall, usage.ru_maxrss / 1024.0
 
 

@@ -32,29 +32,6 @@ class TvInfo:
     converged: bool
 
 
-class _DualPair:
-    """A dual pair (px, py) in one flat zero-initialised buffer.
-
-    The buffer holds a zero, px (h*w values, row-major), a zero row of w
-    values, py, and w zeros. Under the Neumann boundary of grad the last
-    column of px and the last row of py stay zero (`gx_live` and `gy_live`
-    leave them out), so read flat, px[k] - px[k-1] and py[k] - py[k-w] are
-    the divergence terms of the textbook loop at every pixel k: the zero
-    column of px ends each row, and the leading zero and the zero row stand
-    in for px[-1] and the row above py. `cur` and `prev` are two (2, h*w)
-    views, so both fields' differences take one ufunc call. Every value
-    outside px and py stays zero, so whole-buffer steps run on `flat`.
-    """
-
-    def __init__(self, h, w):
-        m = h * w
-        self.flat = np.zeros(1 + 2 * (m + w))
-        self.cur = self.flat[1:].reshape(2, m + w)[:, :m]
-        self.prev = self.flat[:2 * (m + 1)].reshape(2, m + 1)[:, :m]
-        self.gx_live = self.cur[0].reshape(h, w)[:, :w - 1]
-        self.gy_live = self.cur[1, :m - w]
-
-
 def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
             return_info=False):
     """Proximal operator of lambda_scaled * ||D x||_1 at the 2D array z.
@@ -67,15 +44,28 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
     return_info=True the result is (x, TvInfo): iterations run, the last
     gap (inf if none was evaluated) and whether it met inner_tol.
 
-    The dual iterates, the momentum point and grad x live in flat buffers
-    (_DualPair), so each step is one ufunc call over both fields: div p is
-    one subtraction of shifted views and two adds, the projection an
-    in-place maximum and minimum, and the gap's four sums one reduction of
-    a contiguous (4, h*w) scratch. Buffers are allocated once per call, and
-    the x of the last gap test is the result. The floating-point
-    operations and their order are those of the textbook loop kept in the
-    tests as the bitwise oracle, so for a C-ordered z the output is
-    bit-identical to it; other layouts are copied to C order first.
+    The dual iterate, its successor, the momentum point and grad x each
+    live in one flat zero-initialised buffer: a zero, the x field (h*w
+    values, row-major), a zero row of w values, the y field, and w zeros.
+    Under the Neumann boundary of grad the last column of the x field and
+    the last row of the y field stay zero, so read flat, px[k] - px[k-1]
+    and py[k] - py[k-w] are the divergence terms of the textbook loop at
+    every pixel k: the zero column of px ends each row, and the leading
+    zero and the zero row stand in for px[-1] and the row above py. `cur`
+    and `prev` are two (2, h*w) views of a buffer, so both fields'
+    differences take one ufunc call, and since every value outside the two
+    fields stays zero, the other steps run on whole buffers: the
+    projection is an in-place maximum and minimum, and the gap's |g| and
+    p*g fill a (4, h*w + w) scratch whose zero padding its one reduction
+    leaves out, each of its four sums running over h*w contiguous values.
+    The x-difference is one contiguous subtraction of x shifted by one,
+    whose values across a row end are then overwritten by the Neumann
+    zeros. An inner iteration makes 22 array calls. Buffers are allocated
+    once per call, and the x of the last gap test is the result. The
+    floating-point operations and their order are those of the textbook
+    loop kept in the tests as the bitwise oracle, so for a C-ordered z the
+    output is bit-identical to it; other layouts are copied to C order
+    first.
     """
     z = np.ascontiguousarray(z, dtype=float)
     if z.ndim != 2:
@@ -89,53 +79,69 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
     lam = lambda_scaled
     h, w = z.shape
     m = h * w
-    p, p_new, q, g = (_DualPair(h, w) for _ in range(4))
+
+    def dual():
+        """A zeroed buffer in the layout above: (flat, its body after the
+        leading zero, cur, prev)."""
+        flat = np.zeros(1 + 2 * (m + w))
+        return (flat, flat[1:], flat[1:].reshape(2, m + w)[:, :m],
+                flat[:2 * (m + 1)].reshape(2, m + 1)[:, :m])
+
+    p, p_new = dual(), dual()
+    q_flat, _, q_cur, q_prev = dual()
+    g_flat, g_body, g_cur, _ = dual()
+    gx_head, gx_edge = g_cur[0, :m - 1], g_cur[0].reshape(h, w)[:, w - 1]
+    gy_live = g_cur[1, :m - w]
     x = np.empty((h, w))
     x_flat, z_flat = x.reshape(-1), z.reshape(-1)
-    x_right, x_left = x[:, 1:], x[:, :w - 1]
+    x_next, x_head = x_flat[1:], x_flat[:m - 1]
     x_down, x_up = x_flat[w:], x_flat[:m - w]
     div = np.empty((2, m))
     div_x, div_y = div
-    sums = np.empty((4, m))            # |gx|, |gy|, px*gx, py*gy
-    abs_g, p_times_g = sums[:2], sums[2:]
+    sums = np.empty((4, m + w))        # |gx|, |gy|, px*gx, py*gy
+    abs_g, p_times_g = sums[:2].reshape(-1), sums[2:].reshape(-1)
+    terms = sums[:, :m]
 
-    def x_and_grad(d):
-        """x = z + div d, summed as the reference (x part + y part, then
-        z), and g = grad x."""
-        np.subtract(d.cur, d.prev, out=div)
+    def x_and_grad(cur, prev):
+        """x = z + div d for the dual d with views cur and prev, summed as
+        the reference (x part + y part, then z), and g = grad x."""
+        np.subtract(cur, prev, out=div)
         np.add(div_x, div_y, out=div_x)
         np.add(z_flat, div_x, out=x_flat)
-        np.subtract(x_right, x_left, out=g.gx_live)
-        np.subtract(x_down, x_up, out=g.gy_live)
+        np.subtract(x_next, x_head, out=gx_head)
+        gx_edge.fill(0.0)
+        np.subtract(x_down, x_up, out=gy_live)
 
     tau = 0.125
-    q_prev = 1.0
+    t = 1.0
     gap = math.inf
     done = 0
     while done < inner_iters:
         done += 1
-        x_and_grad(q)
-        np.multiply(g.flat, tau, out=p_new.flat)
-        np.add(q.flat, p_new.flat, out=p_new.flat)
-        np.maximum(p_new.flat, -lam, out=p_new.flat)
-        np.minimum(p_new.flat, lam, out=p_new.flat)
-        q_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * q_prev * q_prev))
-        beta = (q_prev - 1.0) / q_new
-        np.subtract(p_new.flat, p.flat, out=q.flat)
-        np.multiply(q.flat, beta, out=q.flat)
-        np.add(p_new.flat, q.flat, out=q.flat)
+        x_and_grad(q_cur, q_prev)
+        p_flat, new_flat = p[0], p_new[0]
+        np.multiply(g_flat, tau, out=new_flat)
+        np.add(q_flat, new_flat, out=new_flat)
+        np.maximum(new_flat, -lam, out=new_flat)
+        np.minimum(new_flat, lam, out=new_flat)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        np.subtract(new_flat, p_flat, out=q_flat)
+        np.multiply(q_flat, beta, out=q_flat)
+        np.add(new_flat, q_flat, out=q_flat)
         p, p_new = p_new, p
-        q_prev = q_new
+        t = t_new
 
-        x_and_grad(p)
-        np.abs(g.cur, out=abs_g)
-        np.multiply(p.cur, g.cur, out=p_times_g)
-        abs_x, abs_y, pg_x, pg_y = np.add.reduce(sums, axis=1).tolist()
+        _, p_body, p_cur, p_prev = p
+        x_and_grad(p_cur, p_prev)
+        np.abs(g_body, out=abs_g)
+        np.multiply(p_body, g_body, out=p_times_g)
+        abs_x, abs_y, pg_x, pg_y = np.add.reduce(terms, axis=1).tolist()
         gap = lam * (abs_x + abs_y) - (pg_x + pg_y)
         if gap <= inner_tol:
             break
     if done == 0:
-        x_and_grad(p)
+        x_and_grad(*p[2:])
     if return_info:
         return x, TvInfo(iterations=done, gap=gap,
                          converged=bool(gap <= inner_tol))

@@ -17,9 +17,11 @@ lambda_i a model computes are certified for the very operator
 the file that every block is finite and exact in complex64, so the bytes
 it writes are that operator. It writes S a block of rows at a time
 (`forward.row_slices`) and each u_i and y_i on its own, so it holds no
-complex64 copy of S, U or Y. The loader widens each block to complex128
-once, which is exact, so the solvers' products need no per-call upcast;
-saving a loaded model reproduces the file byte for byte.
+complex64 copy of S, U or Y. The loader reads S in the same row blocks
+and widens each block into its rows of a complex128 S, once, which is
+exact, so the solvers' products need no per-call upcast, and it holds no
+complex64 copy of S either; saving a loaded model reproduces the file
+byte for byte.
 
 The loader does no eigen work. It rejects a file whose magic or version is
 unknown, whose header holds an empty dimension or an invalid geometry,
@@ -150,19 +152,22 @@ def load_model(path):
                 raise ConfigurationError("truncated PNPM2 data block")
             return np.frombuffer(raw, dtype=dtype)
 
-        def read_block(count):
-            block = read(count, np.complex64).astype(np.complex128)
+        def read_block(out):
+            """Fill the complex128 view `out` from the next complex64s."""
+            block = read(out.size, np.complex64)
             if not np.all(np.isfinite(block)):
                 raise ConfigurationError("PNPM2 data block holds NaN or Inf")
-            return block
+            out[...] = block.reshape(out.shape)
 
         lambdas = read(I, "<f8").astype(float)
-        scattering = read_block(M * n).reshape(M, n)
+        scattering = np.empty((M, n), dtype=complex)
+        for rows in row_slices(M, n):
+            read_block(scattering[rows])
         incident = np.empty((I, n), dtype=complex)
         measurements = np.empty((I, M), dtype=complex)
         for i in range(I):
-            incident[i] = read_block(n)
-            measurements[i] = read_block(M)
+            read_block(incident[i])
+            read_block(measurements[i])
     _check_lambdas(lambdas, scattering, incident)
     return MeasurementModel(measurements=measurements, scattering=scattering,
                             incident=incident, geometry=geometry, seed=seed,

@@ -195,6 +195,24 @@ def test_simulate_peak_memory_is_about_its_model(tmp_path):
     assert save_peak <= 1.5 * model_bytes
 
 
+def test_load_peak_memory_is_about_its_model(tmp_path):
+    # With few transmitters S is most of the model and the back projection
+    # is small, so the peak is the loader's own. Reading S whole, as bytes
+    # before widening, peaks at 1.44 times S + U; reading it in row
+    # blocks, at about 1.07.
+    geometry = DtGeometry(grid=64, num_transmitters=4, num_receivers=96)
+    path = tmp_path / "m.pnpm"
+    save_model(path, build_dt_model(geometry, make_truth(64, seed=0), seed=0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (model.scattering.nbytes + model.incident.nbytes)
+
+
 def test_pnpm2_stores_lambdas_of_the_rounded_operator(dt_model_32, tmp_path):
     path = tmp_path / "m.pnpm"
     save_model(path, dt_model_32)

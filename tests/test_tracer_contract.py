@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from pnp_online import denoisers
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -144,12 +146,21 @@ def test_bench_script_in_process_layers_run(monkeypatch):
     monkeypatch.setattr(BENCH_SCRIPT, "REPEATS", 2)
     monkeypatch.setattr(BENCH_SCRIPT, "SPLIT_RUNS", 2)
     tiny = {"grid": 8, "transmitters": 2, "receivers": 4, "iterations": 3}
+    unpatched = denoisers.tv_prox
     results = {"layers": BENCH_SCRIPT.layers(8, 2, 4)}
     for name, keys in BENCH_SCRIPT.WORKLOADS.items():
         results[name] = BENCH_SCRIPT.solve_split({**keys, **tiny})
         assert results[name].keys() == {"solve", *BENCH_SCRIPT.SPLIT}
+        assert denoisers.tv_prox is unpatched
     assert {(group, name) for group, layers in results.items()
             for name, result in layers.items()
             if not math.isfinite(result["median"])} == set()
     assert {"build_dt_model", "grad_full", "tv_prox",
             "load_model"} <= results["layers"].keys()
+    # the TV inner iterations of the step denoiser and of dist, per solve
+    tv_iterations = {name: [results[name][phase]["tv_iterations"]
+                            for phase in ("denoiser", "dist")]
+                     for name in BENCH_SCRIPT.WORKLOADS}
+    assert tv_iterations["admm-filter"] == [0, 0]
+    assert min(tv_iterations["sgd-tv"] + tv_iterations["setup-48"]) >= 3
+    assert results["sgd-tv"]["denoiser"]["us_per_tv_iteration"]["median"] > 0
