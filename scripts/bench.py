@@ -29,8 +29,10 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
   `pnp reconstruct`, under "simulate-64" those of `pnp simulate` alone at
-  64 x 64, and under "compare" those of `pnp compare` at its defaults, the
-  workloads taking turns run by run;
+  64 x 64, under "compare" those of `pnp compare` at its defaults, and
+  under "startup" those of `pnp --help`, the fixed cost of every child
+  (start Python, import the package, parse, exit), the workloads taking
+  turns run by run;
 - "tier1", with --tier1 only: the wall time, exit status and outcome
   counts of one run of scripts/run_tests.sh.
 
@@ -328,6 +330,7 @@ def child_env(tree):
 def jobs():
     """(workload, command, argv) of every child command, in run order."""
     untimed = ["--set", "record_timing=false"]
+    yield "startup", "help", ["--help"]
     for name, keys in {**WORKLOADS, **SIMULATE_ONLY}.items():
         sets = [arg for k, v in {**BASE_KEYS, **keys}.items()
                 for arg in ("--set", f"{k}={v}")] + untimed

@@ -10,6 +10,7 @@ divergence, 4 I/O error.
 import argparse
 import dataclasses
 import functools
+import gc
 import math
 import os
 import sys
@@ -466,5 +467,19 @@ def main(argv=None):
     return 0
 
 
-if __name__ == "__main__":
+def run_process():
+    """The `pnp` process: freeze the heap its imports made, then exit with
+    `main()`'s code.
+
+    The frozen objects (numpy's and this package's modules, functions and
+    types) live until the process ends anyway. Frozen, no collection scans
+    them again, those of interpreter shutdown included, which saved about
+    9 ms a child (2 vCPUs). `main()` itself leaves the GC state alone,
+    since tests and perfbench/traced_cli.py call it in their own process.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run_process()

@@ -1,14 +1,15 @@
 """Flat key=value experiment configuration with command-line overrides.
 
 The file format is deliberately diff-friendly: one `key = value` per line,
-'#' comments. Unknown keys are rejected so typos fail loudly at parse time,
-and `validate` rejects values no command can use: an `algorithm`,
-`denoiser`, `sample_mode` or `incident` outside its list, a non-finite
-float (only `input_snr_db` may be inf, for noiseless data), a finite
-`input_snr_db` outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside
-[GRID_MIN, GRID_MAX], a negative `iterations`, a `gamma` or `gamma_scale`
-that is not positive, a negative `lam` or `sigma`, a `dist_stride` below
-1, a `seed` outside [0, SEED_MAX], `transmitters` or `receivers` outside
+'#' comments. Unknown keys, and a key that a file sets twice, are rejected
+so typos fail loudly at parse time (`--set` overrides the file), and
+`validate` rejects values no command can use: an `algorithm`, `denoiser`,
+`sample_mode` or `incident` outside its list, a non-finite float (only
+`input_snr_db` may be inf, for noiseless data), a finite `input_snr_db`
+outside [-SNR_DB_MAX, SNR_DB_MAX], a grid outside [GRID_MIN, GRID_MAX], an
+`iterations` outside [0, ITERATIONS_MAX], a `gamma` or `gamma_scale` that
+is not positive, a negative `lam` or `sigma`, a `dist_stride` below 1, a
+`seed` outside [0, SEED_MAX], `transmitters` or `receivers` outside
 [1, TRANSMITTERS_MAX] or [1, RECEIVERS_MAX], a `batch_size` outside
 [1, BATCH_MAX], and a `cert_pairs` below 1. The loops read this config
 itself, once cli.run_algorithm has set its gamma and sigma; certify bounds
@@ -45,6 +46,12 @@ SNR_DB_MAX = 3000.0
 # in simulate (which builds and writes S and U in blocks) and in
 # reconstruct alike, and about 7e13 flops for its lambda_i.
 TRANSMITTERS_MAX = RECEIVERS_MAX = 1024
+# Solver or counter-example steps. Every step keeps its row until the CSV
+# is written: counterexample held about 440 B a step (72 MB peak at 10^5
+# steps, 437 MB at 10^6), and a reconstruct trace keeps batch_size drawn
+# indices a step besides. 10^8 steps were killed for want of memory on a
+# 7 GiB machine; the scripts and tests take at most 6 000.
+ITERATIONS_MAX = 100_000
 # Components per minibatch gradient: a draw forms batch_size x grid^2
 # complex products, 1 GiB at 1024 and GRID_MAX, and the trace stores every
 # drawn index.
@@ -98,9 +105,10 @@ class ExperimentConfig:
                     f"got {self.phantom!r}")
             if not os.path.exists(self.phantom):
                 raise ConfigurationError(f"phantom file {self.phantom!r} not found")
-        if self.iterations < 0:
+        if not 0 <= self.iterations <= ITERATIONS_MAX:
             raise ConfigurationError(
-                f"iterations must be >= 0, got {self.iterations}")
+                f"iterations must lie in [0, {ITERATIONS_MAX}], "
+                f"got {self.iterations}")
         for name, top in (("transmitters", TRANSMITTERS_MAX),
                           ("receivers", RECEIVERS_MAX),
                           ("batch_size", BATCH_MAX)):
@@ -191,7 +199,7 @@ def parse_overrides(pairs):
 
 def load_config(path=None, overrides=None):
     """Build an ExperimentConfig from an optional file plus overrides."""
-    values = {}
+    values, lines_of = {}, {}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigurationError(f"config file {path!r} not found")
@@ -209,7 +217,13 @@ def load_config(path=None, overrides=None):
                 raise ConfigurationError(
                     f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip()] = _coerce(key.strip(), value)
+            key = key.strip()
+            values[key] = _coerce(key, value)
+            if key in lines_of:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key} is set again (first on line "
+                    f"{lines_of[key]})")
+            lines_of[key] = lineno
     values.update(parse_overrides(overrides))
     seed_env = os.environ.get("PNP_SEED")
     if seed_env is not None:

@@ -2,10 +2,13 @@
 
 import contextlib
 import dataclasses
+import gc
 import io
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 from pnp_online import cli, forward, linops, metrics, modelio, solvers
 from pnp_online.cli import main, write_csv
 from pnp_online.config import (ALGORITHMS, BATCH_MAX, DENOISERS, GRID_MAX,
-                               GRID_MIN, RECEIVERS_MAX, SEED_MAX,
-                               TRANSMITTERS_MAX, ExperimentConfig,
+                               GRID_MIN, ITERATIONS_MAX, RECEIVERS_MAX,
+                               SEED_MAX, TRANSMITTERS_MAX, ExperimentConfig,
                                dump_config, load_config, parse_overrides)
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import prox_datafit
@@ -49,6 +52,20 @@ def test_load_config_unknown_key_rejected(tmp_path):
     path.write_text("gird = 16\n")
     with pytest.raises(ConfigurationError):
         load_config(str(path))
+
+
+def test_cli_config_key_set_twice_exits_2(tmp_path, capsys):
+    # the second line used to win silently, and simulate exited 0
+    path = tmp_path / "twice.cfg"
+    path.write_text("grid = 16\n# a comment\nseed = 3\ngrid = 20\n")
+    out = tmp_path / "model.pnpm"
+    assert main(["simulate", "-c", str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:4: grid is set again (first on line 1)" in err
+    assert not out.exists()
+    # --set still overrides a key the file sets once
+    path.write_text("grid = 16\nseed = 3\n")
+    assert load_config(str(path), ["grid=20", "grid=24"]).grid == 24
 
 
 def test_load_config_missing_file_rejected():
@@ -681,6 +698,18 @@ def test_cli_exit_code_grid_out_of_range(grid, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_iterations_past_bound_exits_2(tmp_path, capsys):
+    # 10^8 counter-example steps were killed for want of memory (exit 137)
+    assert ExperimentConfig(iterations=ITERATIONS_MAX).validate()
+    out = tmp_path / "ce"
+    assert main(["counterexample", "--set",
+                 f"iterations={ITERATIONS_MAX + 1}", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"iterations must lie in [0, {ITERATIONS_MAX}]" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _stalled_prox(model, gamma, x):
     """A data prox whose inner CG never converges (one CG iteration)."""
     return prox_datafit(model, gamma, x, max_iter=1)
@@ -759,6 +788,70 @@ def test_cli_simulate_reconstruct_pipeline(tmp_path):
     assert columns[:3] == ["k", "dist", "snr_db"]
     assert len(rows) == 50
     assert os.path.exists(out + ".recon.pgm")
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
+def _child(args):
+    """Run `python args` with this package on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_process_entry_alone_freezes_the_heap():
+    """`python -m pnp_online.cli` and the `pnp` script freeze the GC heap;
+    importing the module or calling main() leaves the GC state alone."""
+    probe = (
+        "import gc, sys\n"
+        "before = gc.isenabled(), gc.get_freeze_count()\n"
+        "from pnp_online import cli\n"
+        "imported = gc.isenabled(), gc.get_freeze_count()\n"
+        "sys.argv = ['pnp', 'counterexample', '--set', 'iterations=-1']\n"
+        "try:\n"
+        "    cli.run_process()\n"
+        "except SystemExit as exit:\n"
+        "    print(before == imported, before[1], exit.code,\n"
+        "          gc.get_freeze_count() > 0)\n")
+    proc = _child(["-c", probe])
+    assert proc.stdout.split() == ["True", "0", "2", "True"], proc.stderr
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert main(["counterexample", "--set", "iterations=-1"]) == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml")) as fh:
+        assert 'pnp = "pnp_online.cli:run_process"' in fh.read().splitlines()
+
+
+def test_cli_child_process_writes_what_main_writes(tmp_path, capsys):
+    """A `python -m pnp_online.cli` child writes the bytes an in-process
+    main() writes, and exits as it does."""
+    keys = [*SMALL, "--set", "record_timing=false", "--set", "iterations=20"]
+    runs = {}
+    for where in ("main", "child"):
+        out = tmp_path / where
+        out.mkdir()
+        argvs = [["simulate", *keys, "-o", str(out / "m.pnpm")],
+                 ["reconstruct", str(out / "m.pnpm"), *keys,
+                  "-o", str(out / "r")],
+                 ["simulate", *keys, "--set", "iterations=-1",
+                  "-o", str(out / "bad.pnpm")]]
+        if where == "main":
+            codes = [main(argv) for argv in argvs]
+            err = capsys.readouterr().err
+        else:
+            procs = [_child(["-m", "pnp_online.cli", *argv])
+                     for argv in argvs]
+            codes = [proc.returncode for proc in procs]
+            err = "".join(proc.stderr for proc in procs)
+        runs[where] = codes, err, {
+            name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert runs["main"][0] == [0, 0, 2]
+    assert sorted(runs["main"][2]) == ["m.pnpm", "m.pnpm.meta.txt",
+                                       "r.recon.pgm", "r.recon.pgm.meta.txt",
+                                       "r.trace.csv"]
+    assert runs["child"] == runs["main"]
 
 
 def test_cli_reconstruct_records_lipschitz_gamma_sigma(tmp_path):
