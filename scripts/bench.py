@@ -12,7 +12,10 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
 - "environment": the BLAS thread count, nproc, the Python, numpy, scipy
   and BLAS versions, and whether Python writes bytecode caches (under
   PYTHONDONTWRITEBYTECODE=1 every `pnp` child compiles the package, which
-  added about 12 ms to its import on 2 vCPUs);
+  added about 12 ms to its import on 2 vCPUs) and whether it has the
+  builtin SHA-256 module that lets a `pnp` process block OpenSSL's
+  _hashlib (`cli.run_process`; without it every child's peak RSS is about
+  3.4 MiB higher);
 - "layers": per grid, the median and quartiles of each layer over REPEATS
   in-process calls, after one untimed call; `build_dt_model`,
   `save_model` and `load_model` add the tracemalloc peak of one call
@@ -57,6 +60,7 @@ minutes of the test suite.
 import argparse
 import importlib
 import importlib.metadata
+import importlib.util
 import json
 import os
 import platform
@@ -129,6 +133,7 @@ def time_ms(fn):
 
 def environment():
     import numpy
+    from pnp_online.cli import BUILTIN_SHA256
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
         scipy = importlib.metadata.version("scipy")
@@ -140,7 +145,9 @@ def environment():
             "numpy": numpy.__version__,
             "scipy": scipy,
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "writes_bytecode": not sys.dont_write_bytecode}
+            "writes_bytecode": not sys.dont_write_bytecode,
+            "builtin_sha256":
+                importlib.util.find_spec(BUILTIN_SHA256) is not None}
 
 
 def traced_peaks(cfg, truth, path):

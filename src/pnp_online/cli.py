@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import gc
+import importlib.util
 import math
 import os
 import sys
@@ -59,13 +60,18 @@ def _cell(value):
 # ---------------------------------------------------------------------------
 # Construction helpers shared by the commands.
 
+# The DtGeometry field that each geometry key of the config sets.
+GEOMETRY_KEYS = {"domain_side": "domain_side", "grid": "grid",
+                 "wavelength": "wavelength",
+                 "eps_background": "eps_background",
+                 "transmitters": "num_transmitters",
+                 "receivers": "num_receivers", "ring_radius": "ring_radius",
+                 "incident": "incident"}
+
+
 def geometry_from_config(cfg):
-    return DtGeometry(domain_side=cfg.domain_side, grid=cfg.grid,
-                      wavelength=cfg.wavelength,
-                      eps_background=cfg.eps_background,
-                      num_transmitters=cfg.transmitters,
-                      num_receivers=cfg.receivers,
-                      ring_radius=cfg.ring_radius, incident=cfg.incident)
+    return DtGeometry(**{field: getattr(cfg, key)
+                         for key, field in GEOMETRY_KEYS.items()})
 
 
 def phantom_from_config(cfg):
@@ -170,6 +176,20 @@ def cmd_simulate(cfg, out_path):
     return out_path
 
 
+def check_geometry(model, cfg, model_path):
+    """Raise if the config's geometry keys differ from the model's."""
+    geometry = geometry_from_config(cfg)
+    differ = [f"{key} = {getattr(geometry, field)!r} here, "
+              f"{getattr(model.geometry, field)!r} in the model"
+              for key, field in GEOMETRY_KEYS.items()
+              if getattr(geometry, field) != getattr(model.geometry, field)]
+    if differ:
+        raise ConfigurationError(
+            f"{model_path} was simulated with another geometry "
+            f"({'; '.join(differ)}); reconstruct with the geometry keys it "
+            f"was simulated with")
+
+
 def check_truth(model, truth, model_path):
     """Raise if the model was simulated from another truth image."""
     fingerprint = truth_sha256(truth)
@@ -188,6 +208,7 @@ def cmd_reconstruct(cfg, model_path, out_prefix):
     pgm_path = out_prefix + ".recon.pgm"
     gamma, sigma = resolve_gamma_sigma(cfg, model.lipschitz)
     check_truth(model, truth, model_path)
+    check_geometry(model, cfg, model_path)
     step = [f"lipschitz = {model.lipschitz!r}", f"gamma = {gamma!r}",
             f"sigma = {sigma!r}"]
     try:
@@ -467,17 +488,33 @@ def main(argv=None):
     return 0
 
 
+# CPython's builtin SHA-256 module, which hashlib serves sha256 from when
+# OpenSSL's _hashlib cannot be imported
+BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+
+
 def run_process():
-    """The `pnp` process: freeze the heap its imports made, then exit with
-    `main()`'s code.
+    """The `pnp` process: freeze the heap its imports made, keep OpenSSL
+    out, then exit with `main()`'s code.
 
     The frozen objects (numpy's and this package's modules, functions and
     types) live until the process ends anyway. Frozen, no collection scans
     them again, those of interpreter shutdown included, which saved about
-    9 ms a child (2 vCPUs). `main()` itself leaves the GC state alone,
+    9 ms a child (2 vCPUs).
+
+    OpenSSL's _hashlib added about 3.4 MiB to every child's peak RSS, and
+    the process needs none of it: it hashes one truth image with SHA-256
+    (`forward.truth_sha256`), and `numpy.random` imports hashlib only
+    through `secrets` and `hmac`. Blocked, hashlib serves SHA-256 from the
+    builtin module, with the same digest, and hmac compares digests with
+    `_operator._compare_digest`. Without that module hashlib would have no
+    sha256 at all, so the block needs it, and a _hashlib already loaded
+    is kept. `main()` itself leaves the GC state and the imports alone,
     since tests and perfbench/traced_cli.py call it in their own process.
     """
     gc.freeze()
+    if importlib.util.find_spec(BUILTIN_SHA256) is not None:
+        sys.modules.setdefault("_hashlib", None)
     sys.exit(main())
 
 

@@ -7,7 +7,6 @@ d(x) = (1/I) sum_i (1/2)||y_i - H_i x||^2, so minibatch gradients estimate
 the full gradient without rescaling.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,9 @@ from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 def truth_sha256(truth):
     """SHA-256 digest (32 bytes) of a truth image as little-endian float64,
     row-major: the fingerprint a PNPM2 file stores."""
+    # imported here, so that importing the package loads no OpenSSL: the
+    # `pnp` process blocks it (cli.run_process)
+    import hashlib
     return hashlib.sha256(np.asarray(truth, dtype="<f8").tobytes()).digest()
 
 

@@ -802,26 +802,82 @@ def _child(args):
 
 
 def test_cli_process_entry_alone_freezes_the_heap():
-    """`python -m pnp_online.cli` and the `pnp` script freeze the GC heap;
-    importing the module or calling main() leaves the GC state alone."""
+    """`python -m pnp_online.cli` and the `pnp` script freeze the GC heap
+    and block OpenSSL's _hashlib; importing the module or calling main()
+    leaves the GC state and the imports alone."""
     probe = (
         "import gc, sys\n"
-        "before = gc.isenabled(), gc.get_freeze_count()\n"
+        "def state():\n"
+        "    return (gc.isenabled(), gc.get_freeze_count(),\n"
+        "            '_hashlib' in sys.modules)\n"
+        "before = state()\n"
         "from pnp_online import cli\n"
-        "imported = gc.isenabled(), gc.get_freeze_count()\n"
+        "imported = state()\n"
         "sys.argv = ['pnp', 'counterexample', '--set', 'iterations=-1']\n"
         "try:\n"
         "    cli.run_process()\n"
         "except SystemExit as exit:\n"
-        "    print(before == imported, before[1], exit.code,\n"
-        "          gc.get_freeze_count() > 0)\n")
+        "    print(before == imported, before[1], before[2], exit.code,\n"
+        "          gc.get_freeze_count() > 0,\n"
+        "          sys.modules.get('_hashlib', 0) is None)\n")
     proc = _child(["-c", probe])
-    assert proc.stdout.split() == ["True", "0", "2", "True"], proc.stderr
-    state = gc.isenabled(), gc.get_freeze_count()
+    assert proc.stdout.split() == ["True", "0", "False", "2", "True",
+                                   "True"], proc.stderr
+    state = (gc.isenabled(), gc.get_freeze_count(),
+             sys.modules.get("_hashlib", 0))
     assert main(["counterexample", "--set", "iterations=-1"]) == 2
-    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    assert (gc.isenabled(), gc.get_freeze_count(),
+            sys.modules.get("_hashlib", 0)) == state
     with open(os.path.join(SRC, os.pardir, "pyproject.toml")) as fh:
         assert 'pnp = "pnp_online.cli:run_process"' in fh.read().splitlines()
+
+
+# A `pnp` process through cli.run_process that runs sys.argv[1] first and
+# prints at exit whether OpenSSL's _hashlib and hashlib were loaded.
+PROCESS_PROBE = (
+    "import atexit, sys\n"
+    "exec(sys.argv[1])\n"
+    "atexit.register(lambda: print(sys.modules.get('_hashlib') is not None,\n"
+    "                              'hashlib' in sys.modules))\n"
+    "from pnp_online import cli\n"
+    "sys.argv = ['pnp', *sys.argv[2:]]\n"
+    "cli.run_process()\n")
+
+PROCESS_KEYS = [*SMALL, "--set", "record_timing=false",
+                "--set", "iterations=20"]
+
+
+def _process(prelude, argv):
+    return _child(["-c", PROCESS_PROBE, prelude, *argv])
+
+
+def test_cli_process_runs_without_openssl(tmp_path):
+    """A `pnp` simulate and reconstruct hash the truth and draw numbers
+    with _hashlib never loaded."""
+    model = str(tmp_path / "m.pnpm")
+    for argv in (["simulate", *PROCESS_KEYS, "-o", model],
+                 ["reconstruct", model, *PROCESS_KEYS,
+                  "-o", str(tmp_path / "r")]):
+        proc = _process("", argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+
+def test_cli_process_keeps_openssl_without_builtin_sha256(tmp_path):
+    """Where CPython has no builtin SHA-256 module, the `pnp` process
+    leaves _hashlib importable, which then serves the same digest; blocked,
+    hashlib would have no sha256 and the run would end in a traceback."""
+    models = {}
+    for name, prelude in (
+            ("normal", ""),
+            ("no_builtin", "sys.modules['_sha256'] = None\n"
+                           "sys.modules['_sha2'] = None")):
+        models[name] = tmp_path / f"{name}.pnpm"
+        proc = _process(prelude, ["simulate", *PROCESS_KEYS,
+                                  "-o", str(models[name])])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(name == "no_builtin"), "True"]
+    assert models["no_builtin"].read_bytes() == models["normal"].read_bytes()
 
 
 def test_cli_child_process_writes_what_main_writes(tmp_path, capsys):
@@ -991,6 +1047,25 @@ def test_cli_reconstruct_rejects_another_truth(small_model_bytes, tmp_path,
                  "--set", "iterations=3", "--set", override]) == 2
     err = capsys.readouterr().err
     assert "simulated from another truth image" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out + ".trace.csv")
+
+
+def test_cli_reconstruct_rejects_another_geometry(small_model_bytes, tmp_path,
+                                                  capsys):
+    # a model reconstructed with another wavelength and transmitter count
+    # used to exit 0 and solve on the stored geometry
+    model = tmp_path / "m.pnpm"
+    model.write_bytes(small_model_bytes)
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out,
+                 "--set", "iterations=3", "--set", "wavelength=0.02",
+                 "--set", "transmitters=3"]) == 2
+    err = capsys.readouterr().err
+    assert "simulated with another geometry" in err
+    assert "wavelength = 0.02 here, 0.0084 in the model" in err
+    assert "transmitters = 3 here, 4 in the model" in err
+    assert "receivers" not in err
     assert "Traceback" not in err
     assert not os.path.exists(out + ".trace.csv")
 
