@@ -39,10 +39,21 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
     Anisotropic TV, by accelerated dual projection (FGP, Beck & Teboulle
     2009): projected FISTA on the dual variable p = (px, py) with step 1/8
     (an upper bound on ||D||^2), returning x = z + div p once the duality
-    gap is <= inner_tol or after inner_iters iterations. The defaults are
-    the inner-solve policy of every TV call the package makes. With
-    return_info=True the result is (x, TvInfo): iterations run, the last
-    gap (inf if none was evaluated) and whether it met inner_tol.
+    gap is <= inner_tol * max(1, 10 ||z||^2) or after inner_iters
+    iterations: the absolute gap inner_tol while ||z||^2 <= 0.1 and the
+    relative gap 10 inner_tol ||z||^2 above, an inexact prox in the sense
+    of Schmidt, Le Roux & Bach (NIPS 2011). The prox objective is
+    1-strongly convex, so a gap g bounds the error of x by
+    ||x - x*||^2 <= 2 g: at the default ||x - x*|| is at most
+    max(sqrt(2e-12), sqrt(2e-11) ||z||), in the units of z. The stopping
+    gap is never below inner_tol, so the rule never runs more inner
+    iterations than an absolute gap of inner_tol, and runs exactly those
+    while ||z||^2 <= 0.1; inner_tol = 0 asks for an exact solve. Where
+    10 inner_tol ||z||^2 is not finite (||z||^2 overflowed), inner_tol
+    alone applies. The defaults are the inner-solve policy of every TV
+    call the package makes. With return_info=True the result is
+    (x, TvInfo): iterations run, the last gap (inf if none was evaluated)
+    and whether it met the rule.
 
     The dual iterate, its successor, the momentum point and grad x each
     live in one flat zero-initialised buffer: a zero, the x field (h*w
@@ -112,6 +123,10 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
         gx_edge.fill(0.0)
         np.subtract(x_down, x_up, out=gy_live)
 
+    with np.errstate(over="ignore"):   # an inf ||z||^2 falls back below
+        tol = inner_tol * max(1.0, 10.0 * float(z_flat @ z_flat))
+    if not math.isfinite(tol):
+        tol = inner_tol
     tau = 0.125
     t = 1.0
     gap = math.inf
@@ -138,13 +153,13 @@ def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
         np.multiply(p_body, g_body, out=p_times_g)
         abs_x, abs_y, pg_x, pg_y = np.add.reduce(terms, axis=1).tolist()
         gap = lam * (abs_x + abs_y) - (pg_x + pg_y)
-        if gap <= inner_tol:
+        if gap <= tol:
             break
     if done == 0:
         x_and_grad(*p[2:])
     if return_info:
         return x, TvInfo(iterations=done, gap=gap,
-                         converged=bool(gap <= inner_tol))
+                         converged=bool(gap <= tol))
     return x
 
 

@@ -158,7 +158,7 @@ def test_criterion_1_pnp_ista_equals_ista(ctx):
         x_pnp, t_pnp = run_pnp_ista(model, denoiser, cfg)
 
         def prox(z):
-            return tv_prox(z, gamma * lam, inner_tol=1e-12)
+            return tv_prox(z, gamma * lam)
 
         x_ista, _ = run_ista(model, recording(prox, ista_outputs), cfg)
         assert len(pnp_outputs) == len(ista_outputs) == 400

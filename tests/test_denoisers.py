@@ -1,6 +1,7 @@
 """Denoisers: TV prox vs dual-QP oracle, filter spectrum, certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,10 +38,16 @@ def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12):
 
     tv_prox must reproduce it bit for bit; it is the oracle for the
     preallocated padded-buffer kernel, not a second implementation to use.
+    It stops at the same rule: gap <= inner_tol * max(1, 10 ||z||^2),
+    inner_tol alone where that is not finite.
     """
     z = np.asarray(z, dtype=float)
     if lambda_scaled == 0.0:
         return z.copy()
+    with np.errstate(over="ignore"):
+        tol = inner_tol * max(1.0, 10.0 * float(z.ravel() @ z.ravel()))
+    if not math.isfinite(tol):
+        tol = inner_tol
     lam = lambda_scaled
     px = np.zeros_like(z)
     py = np.zeros_like(z)
@@ -65,7 +72,7 @@ def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12):
         gx, gy = _grad2d(x)
         penalty = lam * float(np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
         gap = penalty - float(np.sum(px * gx) + np.sum(py * gy))
-        if gap <= inner_tol:
+        if gap <= tol:
             break
     return z + _div2d(px, py)
 
@@ -176,9 +183,12 @@ SIDES = [1, 2, 3, 5, 8, 13, 32, 48]
 @example(48, 48, 1e-5, 200, 1e-12, 0.05, 4)
 @example(32, 32, 0.05, 200, 1e-12, 0.05, 5)
 # The benchmark operating points: sgd-tv (32^2) and setup-48 at their
-# lambda = sigma^2, with z at the spread of a workload iterate
+# lambda = sigma^2, with z at the spread of a workload iterate, where
+# 10 ||z||^2 > 1 and the relative part of the rule binds
 @example(32, 32, 1.1723e-5, 200, 1e-12, 0.02, 6)
 @example(48, 48, 2.8011e-5, 200, 1e-12, 0.014, 7)
+# and a z ten times smaller, 10 ||z||^2 = 0.04, where the floor binds
+@example(32, 32, 1e-5, 200, 1e-12, 0.002, 8)
 def test_tv_prox_bit_identical_to_reference(h, w, lam, iters, tol, scale,
                                             seed):
     z = np.random.default_rng(seed).standard_normal((h, w)) * scale
@@ -203,11 +213,12 @@ def test_tv_prox_non_c_ordered_input_matches_reference():
 
 
 def test_tv_prox_info_converged_two_pixel():
+    # ||z||^2 = 1, so inner_tol = 1e-13 stops at a gap of 1e-12
     z = np.array([[0.0, 1.0]])
-    x, info = tv_prox(z, 0.2, inner_iters=5000, inner_tol=1e-12,
+    x, info = tv_prox(z, 0.2, inner_iters=5000, inner_tol=1e-13,
                       return_info=True)
     assert np.array_equal(x, tv_prox(z, 0.2, inner_iters=5000,
-                                     inner_tol=1e-12))
+                                     inner_tol=1e-13))
     assert np.allclose(x, [[0.2, 0.8]], atol=1e-9)
     assert info.converged
     assert 1 <= info.iterations < 5000
@@ -232,6 +243,74 @@ def test_tv_prox_info_without_iterations():
     assert info == TvInfo(0, math.inf, False)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 5, 8, 13, 32]), st.sampled_from([2, 5, 8, 32]),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.sampled_from([1e-3, 0.05, 1.0]), st.integers(0, 2**32 - 1))
+@example(32, 32, -3.0, 0.05, 0)          # the floor alone
+@example(32, 32, 0.0, 0.05, 1)           # the relative part binds
+@example(8, 8, 3.0, 1.0, 2)
+def test_tv_prox_relative_rule_never_runs_longer(h, w, log_scale,
+                                                 lam_over_scale, seed):
+    # z from 1e-3 to 1e3 in scale, lambda in proportion to it
+    scale = 10.0 ** log_scale
+    z = np.random.default_rng(seed).standard_normal((h, w)) * scale
+    lam = lam_over_scale * scale
+    # inner_tol divided by the rule's factor max(1, 10 ||z||^2) stops at
+    # an absolute gap of 1e-12, the package's floor
+    factor = max(1.0, 10.0 * float(np.sum(z * z)))
+    info = tv_prox(z, lam, return_info=True)[1]
+    info_abs = tv_prox(z, lam, inner_tol=1e-12 / factor, return_info=True)[1]
+    assert info.iterations <= info_abs.iterations
+    assert info.converged or not info_abs.converged
+
+
+def gap_rounding(x, lam):
+    """A bound on the rounding error of the duality gap tv_prox computes at
+    x: both of its sums have at most x.size * 2 terms, each at most
+    lam |(D x)_k| in size since |p| <= lam, and a sum of n terms is off by
+    at most n eps times the sum of their sizes."""
+    gx, gy = _grad2d(x)
+    return 4.0 * x.size * np.finfo(float).eps * lam * float(
+        np.sum(np.abs(gx)) + np.sum(np.abs(gy)))
+
+
+@pytest.mark.parametrize("shape,scale,lam_over_scale,seed", [
+    ((8, 8), 1.0, 0.05, 0), ((8, 8), 1.0, 0.3, 1), ((12, 10), 30.0, 0.02, 2),
+    ((16, 16), 1e3, 0.05, 3), ((16, 16), 1e3, 0.5, 4), ((5, 9), 0.2, 0.1, 5),
+    ((16, 16), 1e-3, 0.05, 6)])
+def test_tv_prox_relative_rule_error_bound(shape, scale, lam_over_scale,
+                                           seed):
+    # 1-strong convexity of the prox objective: a true gap g puts x within
+    # sqrt(2 g) of the exact prox x*. The converged solve stands in for x*
+    # by the triangle inequality with its own certificate, and each gap is
+    # allowed its rounding (gap_rounding): the stated allowance.
+    z = np.random.default_rng(seed).standard_normal(shape) * scale
+    lam = lam_over_scale * scale
+    tol = 1e-12 * max(1.0, 10.0 * float(np.sum(z * z)))
+    x, info = tv_prox(z, lam, inner_iters=20_000, return_info=True)
+    star, star_info = tv_prox(z, lam, inner_iters=20_000, inner_tol=0.0,
+                              return_info=True)
+    assert info.converged and info.gap <= tol
+    assert info.iterations <= star_info.iterations
+    bound = (math.sqrt(2.0 * (tol + gap_rounding(x, lam)))
+             + math.sqrt(2.0 * (max(star_info.gap, 0.0)
+                                + gap_rounding(star, lam))))
+    assert float(np.sum((x - star) ** 2)) <= bound ** 2
+
+
+def test_tv_prox_overflowing_norm_falls_back_to_the_floor():
+    # ||z||^2 overflows to inf: the relative part would accept any gap and
+    # report convergence after one iteration; the floor runs to the cap
+    z = np.random.default_rng(0).uniform(-1, 1, (16, 16)) * 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, info = tv_prox(z, 1e150, return_info=True)
+    assert info.iterations == 200 and not info.converged
+    assert math.isfinite(info.gap) and info.gap > 1e-12
+    assert np.array_equal(x, reference_tv_prox(z, 1e150))
+
+
 def test_tv_prox_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         tv_prox(np.zeros(4), 0.1)
@@ -246,8 +325,8 @@ def test_tv_prox_nonexpansive_property(seed, lam):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(6, 6))
     y = rng.uniform(-2, 2, size=(6, 6))
-    dx = tv_prox(x, lam, inner_iters=2000, inner_tol=1e-13)
-    dy = tv_prox(y, lam, inner_iters=2000, inner_tol=1e-13)
+    dx = tv_prox(x, lam, inner_iters=2000, inner_tol=0.0)
+    dy = tv_prox(y, lam, inner_iters=2000, inner_tol=0.0)
     assert np.sum((dx - dy) ** 2) <= np.sum((x - y) ** 2) + 1e-7
 
 
