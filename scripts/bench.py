@@ -27,7 +27,10 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   gradient, the denoiser, CG and the `dist` diagnostic, with the calls of
   each phase per solve; the calls that `dist_to_fix` makes count as
   `dist`. The denoiser and `dist` phases add the TV inner iterations
-  (`TvInfo`) their `tv_prox` calls ran per solve, and a TV workload's
+  their `tv_prox` calls ran per solve and the calls stopped at the
+  iteration cap (`TvInfo`: "tv_iterations", "tv_capped"), the `cg` phase
+  the CG iterations (`CgInfo`: "cg_iterations"; a warm-started solve
+  makes one more Gram matvec, its initial residual), and a TV workload's
   denoiser phase its microseconds per inner iteration;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
@@ -112,6 +115,12 @@ SPLIT = {"gradient": (("solvers", "grad_full"),
          "cg": (("forward", "cg_solve_regularized"),),
          "dist": (("metrics", "dist_to_fix"),)}
 SPLIT_RUNS = 5
+# The inner-solve counts each phase adds per solve: TV inner iterations and
+# the TV calls stopped at their iteration cap (`TvInfo`), and CG iterations
+# (`CgInfo`).
+INNER = {"denoiser": ("tv_iterations", "tv_capped"),
+         "cg": ("cg_iterations",),
+         "dist": ("tv_iterations", "tv_capped")}
 
 
 def summary(samples, unit):
@@ -237,14 +246,14 @@ def layers(grid, transmitters, receivers):
 
 def solve_split(keys):
     """The seconds and calls of each phase of the workload's solve."""
-    from pnp_online import cli, denoisers
+    from pnp_online import cli, denoisers, forward
     from pnp_online.config import load_config
 
     keys = {**BASE_KEYS, **keys, "record_timing": "false"}
     cfg = load_config(overrides=[f"{k}={v}" for k, v in keys.items()])
     truth = cli.phantom_from_config(cfg)
     model = cli.model_from_config(cfg, truth)
-    seconds, calls, tv_iterations, inside = {}, {}, {}, []
+    seconds, calls, inner, inside = {}, {}, {}, []
 
     def timed(phase, fn):
         def wrapper(*args, **kwargs):
@@ -260,17 +269,31 @@ def solve_split(keys):
                 inside.pop()
         return wrapper
 
-    def counting_tv_iterations(fn):
-        """tv_prox, adding its inner iterations to those of the phase it
-        runs in; it is called only inside a timed phase."""
+    def counting_tv(fn):
+        """tv_prox, adding its inner iterations and whether it stopped at
+        its iteration cap to the phase it runs in; it is called only inside
+        a timed phase."""
         def wrapper(*args, return_info=False, **kwargs):
             x, info = fn(*args, return_info=True, **kwargs)
-            tv_iterations[inside[0]] += info.iterations
+            inner[inside[0]]["tv_iterations"] += info.iterations
+            inner[inside[0]]["tv_capped"] += not info.converged
             return (x, info) if return_info else x
         return wrapper
 
-    originals = [(denoisers, "tv_prox", denoisers.tv_prox)]
-    denoisers.tv_prox = counting_tv_iterations(denoisers.tv_prox)
+    def counting_cg(fn):
+        """cg_solve_regularized, adding its iterations to the `cg` phase;
+        the timed binding calls it."""
+        def wrapper(*args, **kwargs):
+            z, info = fn(*args, **kwargs)
+            inner["cg"]["cg_iterations"] += info.iterations
+            return z, info
+        return wrapper
+
+    originals = [(denoisers, "tv_prox", denoisers.tv_prox),
+                 (forward, "cg_solve_regularized",
+                  forward.cg_solve_regularized)]
+    denoisers.tv_prox = counting_tv(denoisers.tv_prox)
+    forward.cg_solve_regularized = counting_cg(forward.cg_solve_regularized)
     for phase, bindings in SPLIT.items():
         for module_name, name in bindings:
             module = importlib.import_module(f"pnp_online.{module_name}")
@@ -281,7 +304,8 @@ def solve_split(keys):
         for run in range(SPLIT_RUNS + 1):
             seconds.update(dict.fromkeys(SPLIT, 0.0))
             calls.update(dict.fromkeys(SPLIT, 0))
-            tv_iterations.update(dict.fromkeys(SPLIT, 0))
+            inner.update({phase: dict.fromkeys(INNER[phase], 0)
+                          for phase in INNER})
             start = time.perf_counter()
             cli.run_algorithm(cfg, model, truth)
             solve = time.perf_counter() - start
@@ -293,15 +317,14 @@ def solve_split(keys):
         for module, name, fn in reversed(originals):
             setattr(module, name, fn)
     split = {phase: {**summary(runs, "s"),
-                     **({"calls": calls[phase]} if phase in calls else {})}
+                     **({"calls": calls[phase]} if phase in calls else {}),
+                     **inner.get(phase, {})}
              for phase, runs in samples.items()}
-    for phase in ("denoiser", "dist"):
-        split[phase]["tv_iterations"] = tv_iterations[phase]
-    if tv_iterations["denoiser"]:
+    tv_iterations = inner["denoiser"]["tv_iterations"]
+    if tv_iterations:
         # the denoiser phase of a TV run is its tv_prox calls alone
         split["denoiser"]["us_per_tv_iteration"] = summary(
-            [1e6 * t / tv_iterations["denoiser"]
-             for t in samples["denoiser"]], "us")
+            [1e6 * t / tv_iterations for t in samples["denoiser"]], "us")
     return split
 
 

@@ -335,12 +335,15 @@ def grad_minibatch(model, x, B, rng):
     return gradient_from_indices(model, indices, x), indices
 
 
-def prox_datafit(model, gamma, x, tol=1e-12, max_iter=None):
-    """prox of gamma*d at x: (z, CgInfo) from CG on (I + gamma G) z = rhs."""
+def prox_datafit(model, gamma, x, tol=1e-12, max_iter=None, x0=None):
+    """prox of gamma*d at x: (z, CgInfo) from CG on (I + gamma G) z = rhs,
+    rhs = x + gamma (1/I) sum_i Re(H_i^H y_i), started at the guess x0
+    (zero if None)."""
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     rhs = np.asarray(x, dtype=float) + gamma * model.back_projection
-    return cg_solve_regularized(model, gamma, rhs, tol=tol, max_iter=max_iter)
+    return cg_solve_regularized(model, gamma, rhs, tol=tol, max_iter=max_iter,
+                                x0=x0)
 
 
 class CyclingSampler:

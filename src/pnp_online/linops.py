@@ -133,12 +133,16 @@ def power_iteration_lipschitz(gram_apply, n, tol=1e-8, max_iter=5000, seed=0):
 
 @dataclass
 class CgInfo:
+    """How one CG solve went (`cg_solve_regularized`)."""
+
     converged: bool
     iterations: int
     relative_residual: float
+    residual: np.ndarray | None = None
 
 
-def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None):
+def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None,
+                         x0=None):
     """Solve (I + gamma * G) z = rhs by conjugate gradients, G = model's Gram.
 
     G x is `model.gram_apply(x)`, the real, symmetric positive semidefinite
@@ -146,6 +150,15 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None):
     n = `model.n`. The system is then positive definite for any gamma > 0,
     so plain CG applies. Returns (z, CgInfo); the defaults are the one
     inner-solve policy of the package's data prox.
+
+    CG starts at zero, or at the initial guess `x0`, whose true residual
+    rhs - (x0 + gamma G x0) costs one Gram matvec; a guess that already
+    meets the tolerance is returned with 0 iterations. A residual, a norm
+    of rhs or a step's curvature p . (p + gamma G p) that is not finite
+    (an overflow, or a NaN in rhs or x0) stops the solve at once, not
+    converged, with a NaN relative residual.
+    CgInfo.residual is the last residual rhs - (z + gamma G z) the solve
+    formed, the recursive one once it has run an iteration.
     """
     rhs = np.asarray(rhs, dtype=float)
     if gamma <= 0:
@@ -161,26 +174,42 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None):
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), CgInfo(converged=True, iterations=0,
-                                          relative_residual=0.0)
+                                          relative_residual=0.0,
+                                          residual=np.zeros_like(rhs))
 
-    z = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
+    if x0 is None:
+        z = np.zeros_like(rhs)
+        r = rhs.copy()
+    else:
+        z = np.array(x0, dtype=float)
+        if z.shape != rhs.shape:
+            raise ConfigurationError("x0 length must match the model's n")
+        r = rhs - matvec(z)
     rs = float(r @ r)
-    converged = False
+    finite = math.isfinite(rs) and math.isfinite(rhs_norm)
+    converged = finite and bool(np.sqrt(rs) <= tol * rhs_norm)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        ap = matvec(p)
-        alpha = rs / float(p @ ap)
-        z = z + alpha * p
-        r = r - alpha * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * rhs_norm:
+    if finite and not converged:
+        p = r.copy()
+        for iterations in range(1, max_iter + 1):
+            ap = matvec(p)
+            curvature = float(p @ ap)
+            if not math.isfinite(curvature):
+                finite = False
+                break
+            alpha = rs / curvature
+            z = z + alpha * p
+            r = r - alpha * ap
+            rs_new = float(r @ r)
+            if not math.isfinite(rs_new):
+                finite = False
+                break
+            if np.sqrt(rs_new) <= tol * rhs_norm:
+                rs = rs_new
+                converged = True
+                break
+            p = r + (rs_new / rs) * p
             rs = rs_new
-            converged = True
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-
+    relative = float(np.sqrt(rs) / rhs_norm) if finite else math.nan
     return z, CgInfo(converged=converged, iterations=iterations,
-                     relative_residual=float(np.sqrt(rs) / rhs_norm))
+                     relative_residual=relative, residual=r)

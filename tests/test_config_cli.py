@@ -710,9 +710,9 @@ def test_cli_iterations_past_bound_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _stalled_prox(model, gamma, x):
+def _stalled_prox(model, gamma, x, x0=None):
     """A data prox whose inner CG never converges (one CG iteration)."""
-    return prox_datafit(model, gamma, x, max_iter=1)
+    return prox_datafit(model, gamma, x, max_iter=1, x0=x0)
 
 
 def test_cli_reconstruct_writes_solver_warnings(tmp_path, monkeypatch):
@@ -738,7 +738,7 @@ def test_cli_diverged_trace_keeps_solver_warnings(tmp_path, monkeypatch):
     model = str(tmp_path / "m.pnpm")
     assert main(["simulate", *SMALL, "-o", model]) == 0
 
-    def exploding_prox(model, gamma, x):
+    def exploding_prox(model, gamma, x, x0=None):
         return np.full(model.n, 1e100), CgInfo(converged=False, iterations=1,
                                                relative_residual=0.5)
 
@@ -771,6 +771,21 @@ def test_cli_divergence_prints_one_stderr_line(tiny_model, tmp_path, capsys,
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical divergence: ")
+
+
+def test_cli_admm_overflowing_data_prox_diverges_at_once(tiny_model, tmp_path,
+                                                        capsys):
+    """CG used to run all its 10 n iterations on NaN first: 10 240, 4-5 s,
+    in one data prox at 32 x 32."""
+    out = tmp_path / "r"
+    assert main(["reconstruct", str(tiny_model), *TINY, "-o", str(out),
+                 "--set", "algorithm=pnp-admm", "--set", "denoiser=identity",
+                 "--set", "gamma=1e300"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical divergence: NaN or Inf in the inner CG "
+                   "residual at iteration 1"]
+    assert open(f"{out}.trace.csv").read().splitlines()[-1] == (
+        "# diverged: NaN or Inf in the inner CG residual at iteration 1")
 
 
 def test_cli_simulate_reconstruct_pipeline(tmp_path):

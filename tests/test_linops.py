@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_online.forward import BornComponentOperator
+from pnp_online.errors import ConfigurationError
+from pnp_online.forward import BornComponentOperator, prox_datafit
 from pnp_online.linops import (cg_solve_regularized, lambda_max_bound,
                                power_iteration_lipschitz, smaller_gram)
 from conftest import stacked_model
@@ -202,6 +203,113 @@ def test_cg_stall_is_reported_by_info_alone(caplog):
                                    max_iter=1)
     assert not info.converged and info.iterations == 1
     assert caplog.records == []
+
+
+def reference_cg(model, gamma, rhs, tol=1e-12, max_iter=None):
+    """CG from zero as the package ran it before it took an initial guess:
+    the bitwise oracle of the cold start."""
+    if max_iter is None:
+        max_iter = 10 * model.n
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0
+    z = np.zeros_like(rhs)
+    r = rhs.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        ap = p + gamma * model.gram_apply(p)
+        alpha = rs / float(p @ ap)
+        z = z + alpha * p
+        r = r - alpha * ap
+        rs_new = float(r @ r)
+        if np.sqrt(rs_new) <= tol * rhs_norm:
+            break
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return z, iterations
+
+
+def test_cg_cold_start_is_bit_identical_to_reference(small_dt_model):
+    model, _ = small_dt_model
+    gamma = 1.0 / model.lipschitz
+    rhs = np.random.default_rng(3).standard_normal(model.n)
+    for tol in (1e-12, 1e-6):
+        oracle, iterations = reference_cg(model, gamma, rhs, tol=tol)
+        z, info = cg_solve_regularized(model, gamma, rhs, tol=tol, x0=None)
+        assert np.array_equal(z, oracle)
+        assert info.iterations == iterations and info.converged
+
+
+def test_cg_from_the_solution_runs_no_iteration():
+    rng = np.random.default_rng(4)
+    H = rng.standard_normal((12, 10))
+    gamma = 0.3
+    rhs = rng.standard_normal(10)
+    solution = np.linalg.solve(np.eye(10) + gamma * H.T @ H, rhs)
+    z, info = cg_solve_regularized(stacked_model(H), gamma, rhs, x0=solution)
+    assert info.converged and info.iterations == 0
+    assert np.array_equal(z, solution)
+    assert info.relative_residual <= 1e-12
+
+
+def test_cg_from_any_guess_reaches_the_cold_start_solution(small_dt_model):
+    model, _ = small_dt_model
+    gamma = 1.0 / model.lipschitz
+    rng = np.random.default_rng(5)
+    rhs = rng.standard_normal(model.n)
+    cold, _ = cg_solve_regularized(model, gamma, rhs)
+    for x0 in (rng.standard_normal(model.n), 1e3 * rng.standard_normal(model.n),
+               cold + 1e-6 * rng.standard_normal(model.n)):
+        z, info = cg_solve_regularized(model, gamma, rhs, x0=x0)
+        assert info.converged and info.relative_residual <= 1e-12
+        assert np.linalg.norm(z - cold) <= 1e-10 * np.linalg.norm(cold)
+    # the guess is not modified
+    x0 = rng.standard_normal(model.n)
+    kept = x0.copy()
+    cg_solve_regularized(model, gamma, rhs, x0=x0)
+    assert np.array_equal(x0, kept)
+
+
+def test_cg_residual_is_that_of_the_returned_solution(small_dt_model):
+    model, _ = small_dt_model
+    gamma = 1.0 / model.lipschitz
+    rhs = np.random.default_rng(6).standard_normal(model.n)
+    for x0 in (None, np.ones(model.n)):
+        z, info = cg_solve_regularized(model, gamma, rhs, x0=x0)
+        true = rhs - (z + gamma * model.gram_apply(z))
+        assert np.linalg.norm(info.residual - true) <= 1e-14 * np.linalg.norm(rhs)
+
+
+def test_cg_x0_of_another_length_is_a_config_error():
+    with pytest.raises(ConfigurationError, match="x0 length"):
+        cg_solve_regularized(stacked_model(np.eye(3)), 1.0, np.ones(3),
+                             x0=np.ones(4))
+
+
+def test_cg_stops_at_a_non_finite_residual(small_dt_model):
+    # an overflowing step used to run all 10 n iterations on NaN (10 240,
+    # 4 s, at 32 x 32) and return a NaN solution
+    model, _ = small_dt_model
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, info = prox_datafit(model, 1e300, np.zeros(model.n))
+        assert not info.converged and info.iterations <= 1
+        assert math.isnan(info.relative_residual)
+        # a finite rhs whose steps overflow a few iterations in
+        z, info = cg_solve_regularized(model, 1e300, np.ones(model.n))
+        assert not info.converged and info.iterations <= 20
+        assert math.isnan(info.relative_residual)
+        assert np.all(np.isfinite(z))
+        rhs = np.ones(model.n)
+        rhs[3] = math.nan
+        for x0 in (None, np.zeros(model.n)):
+            _, info = cg_solve_regularized(model, 0.5, rhs, x0=x0)
+            assert not info.converged and info.iterations == 0
+            assert math.isnan(info.relative_residual)
+        _, info = cg_solve_regularized(model, 0.5, np.ones(model.n),
+                                       x0=np.full(model.n, math.inf))
+        assert not info.converged and info.iterations == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_online.config import ExperimentConfig
+from pnp_online import cli, solvers
+from pnp_online.config import ExperimentConfig, load_config
 from pnp_online.denoisers import (averaged_linear_filter, identity_denoiser,
                                   tv_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import grad_full
+from pnp_online.forward import grad_full, prox_datafit
 from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (composition_alpha, corollary1_constant,
                                 estimate_gradient_noise, fista_q_update,
-                                huber_gradient, operator_P, prop2_bound,
-                                run_admm, run_counterexample, run_ista,
+                                galerkin_guess, huber_gradient, operator_P,
+                                prop2_bound, run_admm, run_counterexample, run_ista,
                                 run_pnp_admm, run_pnp_ista, run_pnp_sgd,
                                 sgd_bound)
 from conftest import (StackedModel, datafit_value, gaussian_model,
@@ -309,6 +310,92 @@ def test_pnp_admm_converges_to_fix_P(small_dt_model):
                            dist_stride=4000, record_timing=False)
     x, _ = run_pnp_admm(model, den, cfg)
     assert np.max(np.abs(x - operator_P(model, den, gamma, sigma, x))) < 1e-8
+
+
+def cold_start_admm(model, denoiser, config):
+    """The ADMM loop with every data prox solved by CG from zero: the
+    oracle of the warm-started loop."""
+    x, s = np.zeros(model.n), np.zeros(model.n)
+    for _ in range(config.iterations):
+        z, info = prox_datafit(model, config.gamma, x - s)
+        assert info.converged
+        x = denoiser((z + s).reshape(model.shape), config.sigma).ravel()
+        s = s + (z - x)
+    return x
+
+
+def spd_pairs(rng, n, count, gamma=0.4):
+    """A = I + gamma H^T H and `count` pairs (z, A z), z standard normal."""
+    H = rng.standard_normal((n + 3, n))
+    A = np.eye(n) + gamma * H.T @ H
+    zs = rng.standard_normal((count, n))
+    return A, [(z, A @ z) for z in zs]
+
+
+def test_galerkin_guess_reproduces_a_right_side_in_the_span():
+    rng = np.random.default_rng(0)
+    A, pairs = spd_pairs(rng, 20, 5)
+    weights = rng.standard_normal(5)
+    rhs = sum(w * image for w, (_, image) in zip(weights, pairs))
+    guess = galerkin_guess(pairs, rhs)
+    expected = sum(w * z for w, (z, _) in zip(weights, pairs))
+    assert np.linalg.norm(guess - expected) <= 1e-10 * np.linalg.norm(expected)
+    # a right side outside the span: the error is A-orthogonal to the span
+    rhs = rng.standard_normal(20)
+    error = np.linalg.solve(A, rhs) - galerkin_guess(pairs, rhs)
+    assert max(abs(z @ A @ error) for z, _ in pairs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_galerkin_guess_of_nearly_dependent_history_stays_finite():
+    rng = np.random.default_rng(1)
+    A, [(z, image)] = spd_pairs(rng, 20, 1)
+    nudge = 1e-15 * rng.standard_normal(20)
+    pairs = [(z, image), (z.copy(), image.copy()), (z + nudge, A @ (z + nudge)),
+             (2.0 * z, 2.0 * image), (np.zeros(20), np.zeros(20))]
+    rhs = 3.0 * image
+    guess = galerkin_guess(pairs, rhs)
+    assert np.all(np.isfinite(guess))
+    assert np.linalg.norm(guess - 3.0 * z) <= 1e-10 * np.linalg.norm(z)
+    assert np.array_equal(galerkin_guess([], rhs), np.zeros(20))
+
+
+def test_pnp_admm_matches_cold_start_oracle(small_dt_model):
+    model, _ = small_dt_model
+    for denoiser, sigma in ((averaged_linear_filter, 0.3), (tv_denoiser, 0.05)):
+        cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=sigma,
+                               iterations=40, seed=0, dist_stride=40,
+                               record_timing=False)
+        x, trace = run_pnp_admm(model, denoiser, cfg)
+        oracle = cold_start_admm(model, denoiser, cfg)
+        assert np.linalg.norm(x - oracle) <= 1e-9 * np.linalg.norm(oracle)
+        assert trace.warnings == []
+
+
+def test_pnp_admm_warm_start_cuts_the_cg_work(monkeypatch):
+    """The benchmark's admm-filter run: 540 Gram matvecs from zero."""
+    keys = {"phantom": "checker", "seed": 0, "grid": 32, "transmitters": 16,
+            "receivers": 48, "algorithm": "pnp-admm", "denoiser": "filter",
+            "iterations": 60, "record_timing": "false"}
+    cfg = load_config(overrides=[f"{k}={v}" for k, v in keys.items()])
+    truth = cli.phantom_from_config(cfg)
+    model = cli.model_from_config(cfg, truth)
+    matvecs = []
+
+    def counting_prox(model, gamma, x, x0=None):
+        z, info = prox_datafit(model, gamma, x, x0=x0)
+        # a warm start adds the matvec of its initial residual
+        matvecs.append(info.iterations + (x0 is not None))
+        return z, info
+
+    monkeypatch.setattr(solvers, "prox_datafit", counting_prox)
+    cli.run_algorithm(cfg, model, truth)
+    warm = sum(matvecs)
+    matvecs.clear()
+    monkeypatch.setattr(solvers, "galerkin_guess", lambda solved, rhs: None)
+    cli.run_algorithm(cfg, model, truth)
+    cold = sum(matvecs)
+    assert len(matvecs) == 60
+    assert warm < 0.7 * cold
 
 
 # ----------------------------------------------------------------- PnP-SGD

@@ -7,6 +7,7 @@ past it, shows only in a traced benchmark run.
 """
 
 import collections
+import functools
 import importlib.util
 import json
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from pnp_online import denoisers
+from pnp_online import denoisers, forward, linops
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -164,3 +165,19 @@ def test_bench_script_in_process_layers_run(monkeypatch):
     assert tv_iterations["admm-filter"] == [0, 0]
     assert min(tv_iterations["sgd-tv"] + tv_iterations["setup-48"]) >= 3
     assert results["sgd-tv"]["denoiser"]["us_per_tv_iteration"]["median"] > 0
+    # the TV calls stopped at their iteration cap, and the CG iterations
+    assert {name: [results[name][phase]["tv_capped"]
+                   for phase in ("denoiser", "dist")]
+            for name in BENCH_SCRIPT.WORKLOADS} == dict.fromkeys(
+                BENCH_SCRIPT.WORKLOADS, [0, 0])
+    assert {name: results[name]["cg"]["cg_iterations"] > 0
+            for name in BENCH_SCRIPT.WORKLOADS} == {
+                "sgd-tv": False, "admm-filter": True, "setup-48": False}
+    assert forward.cg_solve_regularized is linops.cg_solve_regularized
+    # a TV prox allowed no inner iteration stops at its cap in every call
+    monkeypatch.setattr(denoisers, "tv_prox",
+                        functools.partial(unpatched, inner_iters=0))
+    capped = BENCH_SCRIPT.solve_split({**BENCH_SCRIPT.WORKLOADS["sgd-tv"],
+                                       **tiny})
+    assert [capped[phase]["tv_capped"] for phase in ("denoiser", "dist")] == [
+        capped["denoiser"]["calls"], capped["dist"]["calls"]]
