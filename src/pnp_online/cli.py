@@ -60,18 +60,12 @@ def _cell(value):
 # ---------------------------------------------------------------------------
 # Construction helpers shared by the commands.
 
-# The DtGeometry field that each geometry key of the config sets.
-GEOMETRY_KEYS = {"domain_side": "domain_side", "grid": "grid",
-                 "wavelength": "wavelength",
-                 "eps_background": "eps_background",
-                 "transmitters": "num_transmitters",
-                 "receivers": "num_receivers", "ring_radius": "ring_radius",
-                 "incident": "incident"}
+# The config's geometry keys: DtGeometry's fields, in the config's order.
+GEOMETRY_KEYS = [f.name for f in dataclasses.fields(DtGeometry)]
 
 
 def geometry_from_config(cfg):
-    return DtGeometry(**{field: getattr(cfg, key)
-                         for key, field in GEOMETRY_KEYS.items()})
+    return DtGeometry(**{key: getattr(cfg, key) for key in GEOMETRY_KEYS})
 
 
 def phantom_from_config(cfg):
@@ -159,18 +153,9 @@ def cmd_simulate(cfg, out_path):
     save_model(out_path, model)
     achieved = achieved_input_snr_db(model, truth)
     with open(out_path + ".meta.txt", "w", encoding="ascii") as fh:
-        fh.write(f"grid = {cfg.grid}\n"
-                 f"domain_side = {cfg.domain_side}\n"
-                 f"wavelength = {cfg.wavelength}\n"
-                 f"eps_background = {cfg.eps_background}\n"
-                 f"transmitters = {cfg.transmitters}\n"
-                 f"receivers = {cfg.receivers}\n"
-                 f"ring_radius = {cfg.ring_radius}\n"
-                 f"incident = {cfg.incident}\n"
-                 f"phantom = {cfg.phantom}\n"
-                 f"f_max = {cfg.f_max}\n"
-                 f"seed = {cfg.seed}\n"
-                 f"requested_input_snr_db = {cfg.input_snr_db}\n"
+        for key in (*GEOMETRY_KEYS, "phantom", "f_max", "seed"):
+            fh.write(f"{key} = {getattr(cfg, key)}\n")
+        fh.write(f"requested_input_snr_db = {cfg.input_snr_db}\n"
                  f"achieved_input_snr_db = {achieved!r}\n"
                  f"lipschitz = {model.lipschitz!r}\n")
     return out_path
@@ -179,10 +164,10 @@ def cmd_simulate(cfg, out_path):
 def check_geometry(model, cfg, model_path):
     """Raise if the config's geometry keys differ from the model's."""
     geometry = geometry_from_config(cfg)
-    differ = [f"{key} = {getattr(geometry, field)!r} here, "
-              f"{getattr(model.geometry, field)!r} in the model"
-              for key, field in GEOMETRY_KEYS.items()
-              if getattr(geometry, field) != getattr(model.geometry, field)]
+    differ = [f"{key} = {getattr(geometry, key)!r} here, "
+              f"{getattr(model.geometry, key)!r} in the model"
+              for key in GEOMETRY_KEYS
+              if getattr(geometry, key) != getattr(model.geometry, key)]
     if differ:
         raise ConfigurationError(
             f"{model_path} was simulated with another geometry "
@@ -369,23 +354,24 @@ CERT_ALPHA = 0.5
 CERT_TOL = 1e-9
 CERT_DOMAIN_SCALE = 2.0
 # certify's work: (cert_pairs + 5) x max(grid, 48)^2 x (filter passes +
-# 200, the TV prox's cap). A pass or TV iteration took up to 30 ns a pixel
-# at 256^2, or 65 us below 48^2 (one BLAS thread). A pair calls each
-# denoiser twice, and the straddling pair and the 8 bounded-constant samples
-# count as 5 pairs more: about 5 minutes at the bound (2 pairs at GRID_MAX,
-# sigma = 10), and at most 10 791 pairs at any grid.
+# denoisers.TV_INNER_ITERS, the TV prox's cap). A pass or TV iteration
+# took up to 30 ns a pixel at 256^2, or 65 us below 48^2 (one BLAS
+# thread). A pair calls each denoiser twice, and the straddling pair and
+# the 8 bounded-constant samples count as 5 pairs more: about 5 minutes at
+# the bound (2 pairs at GRID_MAX, sigma = 10), at most 10 791 at any grid.
 CERT_WORK_MAX = 5e9
 
 
 def cmd_certify(cfg, outdir):
     gamma_sigma_probe = math.sqrt(cfg.lam)  # sigma at gamma = 1 reference
     sigma = cfg.sigma if cfg.sigma is not None else gamma_sigma_probe
-    pair_work = max(cfg.grid, 48) ** 2 * (filter_passes(sigma) + 200)
+    cap = denoisers.TV_INNER_ITERS
+    pair_work = max(cfg.grid, 48) ** 2 * (filter_passes(sigma) + cap)
     if (cfg.cert_pairs + 5) * pair_work > CERT_WORK_MAX:
         # the work is not formatted: cert_pairs may be past a float's range
         raise ConfigurationError(
             f"certify's work, (cert_pairs + 5) x max(grid, 48)^2 x (filter "
-            f"passes + 200), is past {CERT_WORK_MAX:g}: at this grid and "
+            f"passes + {cap}), is past {CERT_WORK_MAX:g}: at this grid and "
             f"sigma, cert_pairs must be <= "
             f"{int(CERT_WORK_MAX // pair_work) - 5}")
     rows = []

@@ -24,16 +24,17 @@ import os
 from dataclasses import dataclass
 
 from pnp_online.errors import ConfigurationError
+from pnp_online.forward import INCIDENTS, DtGeometry
+from pnp_online.phantoms import GRID_MIN, PHANTOMS
 
 ALGORITHMS = ("ista", "admm", "pnp-ista", "pnp-admm", "pnp-sgd")
 DENOISERS = ("tv", "filter", "identity")
 SAMPLE_MODES = ("replacement", "cycle", "full")
-INCIDENTS = ("point", "plane")
-# Pixels per side. A 256 x 256 DT model already holds a 48 x 65 536 complex
-# Green matrix (50 MB) with the default receivers; the phantoms need 8.
-# simulate and reconstruct each peak near S + U plus one U-sized product
-# (see TRANSMITTERS_MAX).
-GRID_MIN, GRID_MAX = 8, 256
+# Pixels per side, from phantoms.GRID_MIN. A 256 x 256 DT model already
+# holds a 48 x 65 536 complex Green matrix (50 MB) with the default
+# receivers; simulate and reconstruct each peak near S + U plus one U-sized
+# product (see TRANSMITTERS_MAX).
+GRID_MAX = 256
 # numpy's generators take no negative seed, and PNPM files store the seed
 # as an int64.
 SEED_MAX = 2 ** 63 - 1
@@ -60,18 +61,18 @@ BATCH_MAX = 1024
 
 @dataclass
 class ExperimentConfig:
-    # forward model
-    grid: int = 32
-    domain_side: float = 0.18
-    wavelength: float = 0.0084
-    eps_background: float = 1.0
-    transmitters: int = 16
-    receivers: int = 48
-    ring_radius: float = 1.6
-    incident: str = "point"
+    # forward model: DtGeometry's fields and defaults
+    grid: int = DtGeometry.grid
+    domain_side: float = DtGeometry.domain_side
+    wavelength: float = DtGeometry.wavelength
+    eps_background: float = DtGeometry.eps_background
+    transmitters: int = DtGeometry.transmitters
+    receivers: int = DtGeometry.receivers
+    ring_radius: float = DtGeometry.ring_radius
+    incident: str = DtGeometry.incident
     input_snr_db: float = 40.0
     # phantom
-    phantom: str = "blobs"             # "blobs", "checker", or a .pgm path
+    phantom: str = "blobs"             # a name in PHANTOMS or a .pgm path
     f_max: float = 0.05                # contrast scale for [0,1] phantoms
     # reconstruction
     algorithm: str = "pnp-sgd"
@@ -98,11 +99,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ConfigurationError(f"unknown {name} {value!r}")
-        if self.phantom not in ("blobs", "checker"):
+        if self.phantom not in PHANTOMS:
             if not self.phantom.endswith(".pgm"):
                 raise ConfigurationError(
-                    f"phantom must be 'blobs', 'checker', or a .pgm path, "
-                    f"got {self.phantom!r}")
+                    f"phantom must be {', '.join(map(repr, PHANTOMS))}, or "
+                    f"a .pgm path, got {self.phantom!r}")
             if not os.path.exists(self.phantom):
                 raise ConfigurationError(f"phantom file {self.phantom!r} not found")
         if not 0 <= self.iterations <= ITERATIONS_MAX:

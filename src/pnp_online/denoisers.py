@@ -21,6 +21,8 @@ from pnp_online.errors import ConfigurationError
 # filter then already returns the mean of any grid up to 52 pixels a side,
 # to double precision, so more passes add time and no smoothing there.
 FILTER_PASSES_MAX = 10_000
+# tv_prox's default cap on its dual iterations; certify's work counts it.
+TV_INNER_ITERS = 200
 
 
 @dataclass
@@ -32,7 +34,7 @@ class TvInfo:
     converged: bool
 
 
-def tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12,
+def tv_prox(z, lambda_scaled, inner_iters=TV_INNER_ITERS, inner_tol=1e-12,
             return_info=False):
     """Proximal operator of lambda_scaled * ||D x||_1 at the 2D array z.
 

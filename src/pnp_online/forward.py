@@ -20,6 +20,9 @@ from pnp_online.linops import cg_solve_regularized, lambda_max_bound
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
+# The incident fields; a name's index is its code in a PNPM2 header.
+INCIDENTS = ("point", "plane")
+
 
 def truth_sha256(truth):
     """SHA-256 digest (32 bytes) of a truth image as little-endian float64,
@@ -32,16 +35,17 @@ def truth_sha256(truth):
 
 @dataclass
 class DtGeometry:
-    """Circular transmitter/receiver ring around a square object domain."""
+    """Circular transmitter/receiver ring around a square object domain;
+    its fields, in order, are the config's geometry keys."""
 
-    domain_side: float = 0.18        # meters
     grid: int = 32                   # pixels per side
+    domain_side: float = 0.18        # meters
     wavelength: float = 0.0084       # meters
     eps_background: float = 1.0
-    num_transmitters: int = 16
-    num_receivers: int = 48
+    transmitters: int = 16
+    receivers: int = 48
     ring_radius: float = 1.6         # meters, shared by tx and rx rings
-    incident: str = "point"          # "point" or "plane"
+    incident: str = "point"          # one of INCIDENTS
 
     def __post_init__(self):
         for name in ("domain_side", "wavelength", "eps_background",
@@ -57,9 +61,10 @@ class DtGeometry:
             raise ConfigurationError(
                 "ring_radius must exceed domain_side/sqrt(2) so sources sit "
                 "outside the object domain")
-        if self.incident not in ("point", "plane"):
-            raise ConfigurationError("incident must be 'point' or 'plane'")
-        if min(self.grid, self.num_transmitters, self.num_receivers) < 1:
+        if self.incident not in INCIDENTS:
+            raise ConfigurationError(
+                "incident must be " + " or ".join(map(repr, INCIDENTS)))
+        if min(self.grid, self.transmitters, self.receivers) < 1:
             raise ConfigurationError("grid and array counts must be positive")
 
     @property
@@ -81,12 +86,6 @@ class DtGeometry:
         angles = 2.0 * math.pi * np.arange(count) / count
         return self.ring_radius * np.column_stack([np.cos(angles),
                                                    np.sin(angles)])
-
-    def transmitter_positions(self):
-        return self.ring_positions(self.num_transmitters)
-
-    def receiver_positions(self):
-        return self.ring_positions(self.num_receivers)
 
 
 def green_function_2d(k_b, r):
@@ -271,8 +270,8 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     k_b = geometry.wavenumber
     scale = (k_b ** 2) * (geometry.pixel_size ** 2)
     pixels = geometry.pixel_centers()
-    receivers = geometry.receiver_positions()
-    transmitters = geometry.transmitter_positions()
+    receivers = geometry.ring_positions(geometry.receivers)
+    transmitters = geometry.ring_positions(geometry.transmitters)
 
     def green(sources, rows):
         # sqrt(dx*dx + dy*dy): the bits of np.linalg.norm(sources[rows,

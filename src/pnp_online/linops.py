@@ -156,7 +156,9 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None,
     meets the tolerance is returned with 0 iterations. A residual, a norm
     of rhs or a step's curvature p . (p + gamma G p) that is not finite
     (an overflow, or a NaN in rhs or x0) stops the solve at once, not
-    converged, with a NaN relative residual.
+    converged, with a NaN relative residual. A nonzero rhs whose squared
+    norm underflows is solved scaled by a power of two, which CG carries
+    exactly.
     CgInfo.residual is the last residual rhs - (z + gamma G z) the solve
     formed, the recursive one once it has run an iteration.
     """
@@ -171,11 +173,17 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None,
     def matvec(z):
         return z + gamma * model.gram_apply(z)
 
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
+    if not rhs.any():
         return np.zeros_like(rhs), CgInfo(converged=True, iterations=0,
                                           relative_residual=0.0,
                                           residual=np.zeros_like(rhs))
+    rhs_norm = np.linalg.norm(rhs)
+    exponent = 0
+    if rhs_norm < 2.0 ** -511:        # rhs . rhs < the least normal double
+        exponent = math.frexp(np.abs(rhs).max())[1]
+        rhs = np.ldexp(rhs, -exponent)
+        rhs_norm = np.linalg.norm(rhs)
+        x0 = None if x0 is None else np.ldexp(x0, -exponent)
 
     if x0 is None:
         z = np.zeros_like(rhs)
@@ -211,5 +219,7 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None,
             p = r + (rs_new / rs) * p
             rs = rs_new
     relative = float(np.sqrt(rs) / rhs_norm) if finite else math.nan
+    if exponent:
+        z, r = np.ldexp(z, exponent), np.ldexp(r, exponent)
     return z, CgInfo(converged=converged, iterations=iterations,
                      relative_residual=relative, residual=r)

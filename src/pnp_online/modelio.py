@@ -3,9 +3,9 @@
 Layout, little-endian:
 - magic "PNPM2";
 - a fixed-size header: format-version byte 2, the dimensions n, M and I,
-  the geometry record, the seed, the input SNR, and the 32-byte SHA-256 of
-  the truth image the measurements were simulated from
-  (`forward.truth_sha256` of the scaled phantom);
+  the geometry record (the incident as its index in `forward.INCIDENTS`),
+  the seed, the input SNR, and the SHA-256 (32 bytes) of the simulated
+  truth, `forward.truth_sha256` of the scaled phantom;
 - I float64 lambda_i = lambda_max(H_i^H H_i), certified upper bounds from
   `lambda_max_bound` (L is their max);
 - row-major complex64 blocks: the shared scattering matrix S once, then one
@@ -46,7 +46,8 @@ import struct
 import numpy as np
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import DtGeometry, MeasurementModel, row_slices
+from pnp_online.forward import (INCIDENTS, DtGeometry, MeasurementModel,
+                                row_slices)
 from pnp_online.linops import rounding_margin
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
@@ -54,8 +55,9 @@ from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 MAGIC = b"PNPM2"
 VERSION = 2
 _HEADER = struct.Struct("<B III dddd III B q d 32s")
-_INCIDENT_CODES = {"point": 0, "plane": 1}
-_INCIDENT_NAMES = {v: k for k, v in _INCIDENT_CODES.items()}
+# The geometry record's fields in header order; the incident's code follows.
+_HEADER_GEOMETRY = ("domain_side", "wavelength", "eps_background",
+                    "ring_radius", "grid", "transmitters", "receivers")
 
 
 def _data_blocks(model):
@@ -80,13 +82,9 @@ def save_model(path, model):
                                  "values; no PNPM2 file written")
     geometry = model.geometry
     header = _HEADER.pack(VERSION, model.n, model.M, model.num_components,
-                          geometry.domain_side, geometry.wavelength,
-                          geometry.eps_background, geometry.ring_radius,
-                          geometry.grid, geometry.num_transmitters,
-                          geometry.num_receivers,
-                          _INCIDENT_CODES[geometry.incident],
-                          model.seed, model.input_snr_db,
-                          model.truth_sha256)
+                          *(getattr(geometry, k) for k in _HEADER_GEOMETRY),
+                          INCIDENTS.index(geometry.incident),
+                          model.seed, model.input_snr_db, model.truth_sha256)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header)
@@ -124,9 +122,8 @@ def load_model(path):
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ConfigurationError("truncated PNPM2 header")
-        (version, n, M, I, domain_side, wavelength, eps_background,
-         ring_radius, grid, num_tx, num_rx, incident_code, seed,
-         input_snr_db, truth_sha256) = _HEADER.unpack(header)
+        (version, n, M, I, *stored, incident_code, seed, input_snr_db,
+         truth_sha256) = _HEADER.unpack(header)
         if version != VERSION:
             raise ConfigurationError(f"unsupported PNPM2 version {version}")
         if min(n, M, I) < 1:
@@ -138,12 +135,11 @@ def load_model(path):
         if actual != expected:
             raise ConfigurationError(f"PNPM2 file has {actual} bytes, "
                                      f"its header implies {expected}")
-        geometry = DtGeometry(domain_side=domain_side, grid=grid,
-                              wavelength=wavelength,
-                              eps_background=eps_background,
-                              num_transmitters=num_tx, num_receivers=num_rx,
-                              ring_radius=ring_radius,
-                              incident=_INCIDENT_NAMES.get(incident_code))
+        # a code past INCIDENTS gives no name, which DtGeometry rejects
+        geometry = DtGeometry(
+            **dict(zip(_HEADER_GEOMETRY, stored)),
+            incident=(INCIDENTS[incident_code]
+                      if incident_code < len(INCIDENTS) else None))
 
         def read(count, dtype):
             size = count * np.dtype(dtype).itemsize

@@ -40,15 +40,19 @@ def phantom_from_pgm(path, grid=None):
     return pixels
 
 
+# The phantoms by name, each a function of (grid, seed).
+PHANTOMS = {"blobs": phantom_blobs,
+            "checker": lambda grid, seed: phantom_checker(grid)}
+GRID_MIN = 8  # pixels per side that the phantoms need
+
+
 def phantom_generate(name, grid, seed=0):
-    """The phantom `name`, "blobs", "checker" or a .pgm path, as a
-    (grid, grid) array with pixel values in [0, 1]."""
-    if grid < 8:
-        raise ConfigurationError("grid must be >= 8")
-    if name == "blobs":
-        return phantom_blobs(grid, seed)
-    if name == "checker":
-        return phantom_checker(grid)
+    """The phantom `name`, one of PHANTOMS or a .pgm path, as a (grid, grid)
+    array with pixel values in [0, 1]."""
+    if grid < GRID_MIN:
+        raise ConfigurationError(f"grid must be >= {GRID_MIN}")
+    if name in PHANTOMS:
+        return PHANTOMS[name](grid, seed)
     if name.endswith(".pgm"):
         return phantom_from_pgm(name, grid)
     raise ConfigurationError(f"unknown phantom kind {name!r}")

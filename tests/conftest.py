@@ -125,8 +125,8 @@ def whole_array_dt_arrays(geometry):
     k_b = geometry.wavenumber
     delta = geometry.pixel_size
     pixels = geometry.pixel_centers()
-    receivers = geometry.receiver_positions()
-    transmitters = geometry.transmitter_positions()
+    receivers = geometry.ring_positions(geometry.receivers)
+    transmitters = geometry.ring_positions(geometry.transmitters)
     dist_rx = np.linalg.norm(receivers[:, None, :] - pixels[None, :, :],
                              axis=2)
     scattering = (k_b ** 2) * (delta ** 2) * green_function_2d(k_b, dist_rx)
@@ -168,6 +168,11 @@ def zero_residual_dt_model(geometry, truth):
         lambdas=model.lambdas)
 
 
+# The PNPM2 header's incident byte, as the file format fixes it; the oracle
+# spells it out rather than reading it from modelio.
+PNPM2_INCIDENT_CODES = {"point": 0, "plane": 1}
+
+
 def whole_array_save_model(path, model):
     """`modelio.save_model` from whole complex64 copies of S, U and Y, with
     each lambda_i from the widened column chunks of those copies."""
@@ -188,8 +193,8 @@ def whole_array_save_model(path, model):
     header = modelio._HEADER.pack(
         modelio.VERSION, model.n, model.M, model.num_components,
         geometry.domain_side, geometry.wavelength, geometry.eps_background,
-        geometry.ring_radius, geometry.grid, geometry.num_transmitters,
-        geometry.num_receivers, modelio._INCIDENT_CODES[geometry.incident],
+        geometry.ring_radius, geometry.grid, geometry.transmitters,
+        geometry.receivers, PNPM2_INCIDENT_CODES[geometry.incident],
         model.seed, model.input_snr_db, model.truth_sha256)
     with open(path, "wb") as fh:
         fh.write(modelio.MAGIC)
@@ -228,7 +233,7 @@ def recording(fn, outputs):
 @pytest.fixture(scope="session")
 def small_dt_model():
     """16x16 DT model with 4 illuminations and 12 receivers, 40 dB noise."""
-    geometry = DtGeometry(grid=16, num_transmitters=4, num_receivers=12)
+    geometry = DtGeometry(grid=16, transmitters=4, receivers=12)
     truth = make_truth(16, seed=1)
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
     return model, truth

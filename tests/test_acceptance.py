@@ -69,8 +69,7 @@ class AcceptanceContext:
 
     def model16(self):
         def build():
-            geometry = DtGeometry(grid=16, num_transmitters=16,
-                                  num_receivers=24)
+            geometry = DtGeometry(grid=16, transmitters=16, receivers=24)
             truth = phantom_generate("blobs", 16, seed=0) * 0.05
             return build_dt_model(geometry, truth, seed=0,
                                   input_snr_db=40.0), truth
@@ -203,7 +202,7 @@ def test_criterion_2_batch_running_average_bound(ctx):
 # -------------------------------------------------------------- criterion 3
 
 def test_criterion_3_ista_admm_fixed_point_agreement(ctx):
-    geometry = DtGeometry(grid=12, num_transmitters=6, num_receivers=18)
+    geometry = DtGeometry(grid=12, transmitters=6, receivers=18)
     pgm_dir = ctx.artifact_dir("first", "criterion3")
     pgm_path = os.path.join(pgm_dir, "phantom.pgm")
     write_pgm(pgm_path,

@@ -148,13 +148,13 @@ def reference_hankel1_0_array(x):
 def test_hankel_array_matches_oracle_on_benchmark_distances(
         grid, transmitters, receivers):
     # every k_b r that build_dt_model passes at the benchmark's sizes
-    geometry = DtGeometry(grid=grid, num_transmitters=transmitters,
-                          num_receivers=receivers)
+    geometry = DtGeometry(grid=grid, transmitters=transmitters,
+                          receivers=receivers)
     pixels = geometry.pixel_centers()
     x = geometry.wavenumber * np.concatenate([
         np.linalg.norm(sources[:, None, :] - pixels[None, :, :], axis=2)
-        for sources in (geometry.receiver_positions(),
-                        geometry.transmitter_positions())])
+        for sources in (geometry.ring_positions(receivers),
+                        geometry.ring_positions(transmitters))])
     assert (hankel1_0_array(x).tobytes()
             == reference_hankel1_0_array(x).tobytes())
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnp_online import cli, forward, linops, metrics, modelio, solvers
+from pnp_online import (cli, denoisers, forward, linops, metrics, modelio,
+                        solvers)
 from pnp_online.cli import main, write_csv
 from pnp_online.config import (ALGORITHMS, BATCH_MAX, DENOISERS, GRID_MAX,
                                GRID_MIN, ITERATIONS_MAX, RECEIVERS_MAX,
@@ -333,6 +334,25 @@ def test_cli_exit_code_corrupt_model_header(small_model_bytes, tmp_path,
     out = str(tmp_path / "r")
     assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(out + ".trace.csv")
+
+
+@pytest.mark.parametrize("code", [2, 255])
+def test_cli_incident_code_past_the_names_is_one_config_error(
+        small_model_bytes, tmp_path, capsys, code):
+    # a code that names no incident: an index into forward.INCIDENTS must
+    # not turn it into an IndexError
+    from pnp_online.modelio import _HEADER, MAGIC
+    fields = list(_HEADER.unpack_from(small_model_bytes, len(MAGIC)))
+    fields[11] = code
+    model = tmp_path / "bad.pnpm"
+    model.write_bytes(MAGIC + _HEADER.pack(*fields)
+                      + small_model_bytes[len(MAGIC) + _HEADER.size:])
+    out = str(tmp_path / "r")
+    assert main(["reconstruct", str(model), *SMALL, "-o", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: incident must be ")
     assert not os.path.exists(out + ".trace.csv")
 
 
@@ -997,6 +1017,24 @@ def test_cli_meta_lipschitz_is_the_reconstruct_lipschitz(tmp_path):
     assert meta == trace
 
 
+def test_cli_simulate_meta_starts_with_the_geometry_keys(tmp_path):
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *TINY, "--set", "incident=plane",
+                 "-o", model]) == 0
+    lines = open(model + ".meta.txt").read().splitlines()
+    assert lines[:9] == ["grid = 8", "domain_side = 0.18",
+                         "wavelength = 0.0084", "eps_background = 1.0",
+                         "transmitters = 2", "receivers = 4",
+                         "ring_radius = 1.6", "incident = plane",
+                         "phantom = blobs"]
+
+
+def test_geometry_keys_are_the_config_geometry():
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert cli.GEOMETRY_KEYS == keys[:8]
+    assert cli.geometry_from_config(load_config()) == forward.DtGeometry()
+
+
 def test_cli_sweep_cell_equals_simulate_then_reconstruct(tmp_path):
     # sweep solved on the complex128 arrays it built, and reconstruct on the
     # complex64-rounded ones simulate wrote: the traces differed from row 1
@@ -1223,6 +1261,16 @@ def test_cli_certify_rejects_pair_count(tmp_path, capsys, pairs, message):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+def test_cli_certify_work_counts_the_tv_prox_default_cap(tmp_path, capsys):
+    import inspect
+    cap = inspect.signature(denoisers.tv_prox).parameters["inner_iters"]
+    assert cap.default == denoisers.TV_INNER_ITERS == 200
+    assert main(["certify", "-o", str(tmp_path / "out"), "--set", "grid=8",
+                 "--set", "cert_pairs=100000"]) == 2
+    assert ("x (filter passes + 200), is past 5e+09"
+            in capsys.readouterr().err)
 
 
 def test_cli_sweep_small(tmp_path):

@@ -84,7 +84,7 @@ def test_green_function_rejects_zero_distance():
 # ----------------------------------------------------------------- DT model
 
 def test_dt_zero_truth_yields_zero_measurements():
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     truth = np.zeros((8, 8))
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
     assert np.all(model.measurements == 0)
@@ -95,13 +95,13 @@ def test_dt_zero_truth_yields_zero_measurements():
     np.where(np.eye(8) > 0, np.nan, 0.0), np.full((8, 8), np.inf)],
     ids=["8x7", "3x4", "flat", "nan", "inf"])
 def test_dt_build_rejects_truth_off_the_grid_or_not_finite(truth):
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     with pytest.raises(ConfigurationError, match="grid|finite"):
         build_dt_model(geometry, truth)
 
 
 def test_dt_noiseless_deterministic():
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     truth = make_truth(8, seed=2)
     a = build_dt_model(geometry, truth, seed=5, input_snr_db=math.inf)
     b = build_dt_model(geometry, truth, seed=5, input_snr_db=math.inf)
@@ -118,7 +118,7 @@ def test_dt_noiseless_deterministic():
 def test_dt_build_matches_whole_array_oracle(incident):
     # 40^2 pixels make row blocks of 5: neither 23 receivers nor 7
     # transmitters fill their last block
-    geometry = DtGeometry(grid=40, num_transmitters=7, num_receivers=23,
+    geometry = DtGeometry(grid=40, transmitters=7, receivers=23,
                           incident=incident)
     assert 23 % (bessel.ARRAY_BLOCK // 40 ** 2) != 0
     assert 7 % (bessel.ARRAY_BLOCK // 40 ** 2) != 0
@@ -168,7 +168,7 @@ def test_dt_lipschitz_matches_dense_oracle(small_dt_model):
 
 
 def test_dt_lambdas_match_dense_oracle_at_32():
-    geometry = DtGeometry(grid=32, num_transmitters=16, num_receivers=48)
+    geometry = DtGeometry(grid=32, transmitters=16, receivers=48)
     model = build_dt_model(geometry, make_truth(32, seed=2), seed=0)
     for u, bound in zip(model.incident, model.lambdas):
         oracle = float(np.linalg.svd(model.scattering * u,
@@ -207,7 +207,7 @@ def test_gaussian_entry_variance_close_to_1_over_M():
 # ------------------------------------------------------------------ gradient
 
 def test_gradient_vanishes_at_truth_noiseless():
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     truth = make_truth(8, seed=3)
     model = build_dt_model(geometry, truth, seed=0, input_snr_db=math.inf)
     g = grad_full(model, truth.ravel())

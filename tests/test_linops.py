@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnp_online.errors import ConfigurationError
-from pnp_online.forward import BornComponentOperator, prox_datafit
+from pnp_online.forward import prox_datafit
 from pnp_online.linops import (cg_solve_regularized, lambda_max_bound,
                                power_iteration_lipschitz, smaller_gram)
 from conftest import stacked_model
@@ -141,14 +141,14 @@ def test_lambda_max_bound_on_dt_components(small_dt_model):
 
 
 def test_born_adjoint_matches_conjugate_transpose(small_dt_model):
+    # the model's Re(H_i^H y), one component at a time
     model, _ = small_dt_model
     rng = np.random.default_rng(2)
-    for u in model.incident:
-        op = BornComponentOperator(model.scattering, u)
+    for i, u in enumerate(model.incident):
         y = rng.standard_normal(model.M) + 1j * rng.standard_normal(model.M)
-        expected = (model.scattering * u).conj().T @ y
-        assert np.allclose(op.adjoint_apply(y), expected, rtol=1e-13,
-                           atol=1e-13 * np.max(np.abs(expected)))
+        expected = ((model.scattering * u).conj().T @ y).real
+        assert np.allclose(model.adjoint_sum(y[None], [i]), expected,
+                           rtol=1e-13, atol=1e-13 * np.max(np.abs(expected)))
 
 
 def test_cg_zero_operator_returns_rhs():
@@ -161,6 +161,20 @@ def test_cg_identity_halves_rhs():
     rhs = np.linspace(-1.0, 1.0, 5)
     z, _ = cg_solve_regularized(stacked_model(np.eye(5)), 1.0, rhs)
     assert np.allclose(z, rhs / 2.0, atol=1e-12)
+
+
+def test_cg_solves_a_rhs_whose_squared_norm_underflows():
+    # rhs . rhs underflowed to 0, and CG returned z = 0 as converged
+    H = np.eye(4) + 0.1
+    unit = np.linalg.solve(np.eye(4) + H.T @ H, np.arange(1.0, 5.0))
+    rhs = 1e-200 * np.arange(1.0, 5.0)
+    assert np.linalg.norm(rhs) == 0.0
+    z, info = cg_solve_regularized(stacked_model(H), 1.0, rhs)
+    assert info.converged and info.relative_residual <= 1e-12
+    assert np.allclose(z, 1e-200 * unit, rtol=1e-12, atol=0)
+    assert np.all(np.abs(info.residual) <= 1e-12 * np.abs(rhs).max())
+    z, info = cg_solve_regularized(stacked_model(H), 1.0, rhs, x0=z)
+    assert info.converged and info.iterations == 0
 
 
 def test_cg_random_vs_dense_lu():

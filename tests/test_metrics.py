@@ -27,7 +27,7 @@ def test_dist_to_fix_converged_iterate(small_dt_model):
 def test_dist_to_fix_zero_residual_identity():
     from pnp_online.forward import DtGeometry
     from conftest import make_truth, zero_residual_dt_model
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     truth = make_truth(8, seed=3)
     model = zero_residual_dt_model(geometry, truth)
     d = dist_to_fix(model, identity_denoiser, 1.0 / model.lipschitz, 0.1,

@@ -133,7 +133,7 @@ def test_pgm_round_trip_property(tmp_path_factory, h, w, seed):
 
 @pytest.fixture(scope="module")
 def dt_model_32():
-    geometry = DtGeometry(grid=32, num_transmitters=8, num_receivers=24)
+    geometry = DtGeometry(grid=32, transmitters=8, receivers=24)
     truth = make_truth(32, seed=0)
     return build_dt_model(geometry, truth, seed=0, input_snr_db=40.0)
 
@@ -157,7 +157,7 @@ def test_pnpm2_round_trip_bit_identical(dt_model_32, tmp_path):
 def test_pnpm2_write_matches_whole_array_oracle(incident, tmp_path):
     # 40^2 pixels make blocks of 5 rows of S: 23 receivers do not fill the
     # last one
-    geometry = DtGeometry(grid=40, num_transmitters=7, num_receivers=23,
+    geometry = DtGeometry(grid=40, transmitters=7, receivers=23,
                           incident=incident)
     assert 23 % (bessel.ARRAY_BLOCK // 40 ** 2) != 0
     model = build_dt_model(geometry, make_truth(40, seed=3), seed=4)
@@ -177,7 +177,7 @@ def test_simulate_peak_memory_is_about_its_model(tmp_path):
     # S + U with three receivers per transmitter) and block-sized
     # temporaries; whole-array ones (distances, Green values, a scaled S,
     # complex64 copies of S and U) exceed it.
-    geometry = DtGeometry(grid=64, num_transmitters=32, num_receivers=96)
+    geometry = DtGeometry(grid=64, transmitters=32, receivers=96)
     truth = make_truth(64, seed=0)
     path = tmp_path / "m.pnpm"
     tracemalloc.start()
@@ -200,7 +200,7 @@ def test_load_peak_memory_is_about_its_model(tmp_path):
     # is small, so the peak is the loader's own. Reading S whole, as bytes
     # before widening, peaks at 1.44 times S + U; reading it in row
     # blocks, at about 1.07.
-    geometry = DtGeometry(grid=64, num_transmitters=4, num_receivers=96)
+    geometry = DtGeometry(grid=64, transmitters=4, receivers=96)
     path = tmp_path / "m.pnpm"
     save_model(path, build_dt_model(geometry, make_truth(64, seed=0), seed=0))
     tracemalloc.start()
@@ -251,7 +251,7 @@ def test_pnpm2_save_refuses_arrays_not_exact_in_complex64(tmp_path):
 
 
 def test_pnpm2_same_seed_byte_identical(tmp_path):
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     truth = make_truth(8, seed=1)
     a = tmp_path / "a.pnpm"
     b = tmp_path / "b.pnpm"

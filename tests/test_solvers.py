@@ -125,7 +125,7 @@ def test_composition_alpha_inequality_chain():
 def test_operator_P_identity_zero_residual(small_dt_model):
     from pnp_online.forward import DtGeometry
     from conftest import make_truth, zero_residual_dt_model
-    geometry = DtGeometry(grid=8, num_transmitters=2, num_receivers=6)
+    geometry = DtGeometry(grid=8, transmitters=2, receivers=6)
     truth = make_truth(8, seed=3)
     model = zero_residual_dt_model(geometry, truth)
     out = operator_P(model, identity_denoiser, 1.0 / model.lipschitz, 0.1,
