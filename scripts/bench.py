@@ -29,9 +29,10 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   `dist`. The denoiser and `dist` phases add the TV inner iterations
   their `tv_prox` calls ran per solve and the calls stopped at the
   iteration cap (`TvInfo`: "tv_iterations", "tv_capped"), the `cg` phase
-  the CG iterations (`CgInfo`: "cg_iterations"; a warm-started solve
-  makes one more Gram matvec, its initial residual), and a TV workload's
-  denoiser phase its microseconds per inner iteration;
+  the CG iterations (`CgInfo`: "cg_iterations") and its Gram matvecs
+  ("gram_matvecs": the iterations plus one per warm-started solve, its
+  initial residual), and a TV workload's denoiser phase its microseconds
+  per inner iteration;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
   `pnp reconstruct`, under "simulate-64" those of `pnp simulate` alone at
@@ -117,9 +118,9 @@ SPLIT = {"gradient": (("solvers", "grad_full"),
 SPLIT_RUNS = 5
 # The inner-solve counts each phase adds per solve: TV inner iterations and
 # the TV calls stopped at their iteration cap (`TvInfo`), and CG iterations
-# (`CgInfo`).
+# (`CgInfo`) and Gram matvecs.
 INNER = {"denoiser": ("tv_iterations", "tv_capped"),
-         "cg": ("cg_iterations",),
+         "cg": ("cg_iterations", "gram_matvecs"),
          "dist": ("tv_iterations", "tv_capped")}
 
 
@@ -281,11 +282,14 @@ def solve_split(keys):
         return wrapper
 
     def counting_cg(fn):
-        """cg_solve_regularized, adding its iterations to the `cg` phase;
-        the timed binding calls it."""
+        """cg_solve_regularized, adding its iterations and Gram matvecs to
+        the `cg` phase; the timed binding calls it. A guess x0 (passed by
+        keyword, as `prox_datafit` does) costs one more matvec."""
         def wrapper(*args, **kwargs):
             z, info = fn(*args, **kwargs)
             inner["cg"]["cg_iterations"] += info.iterations
+            inner["cg"]["gram_matvecs"] += (
+                info.iterations + (kwargs.get("x0") is not None))
             return z, info
         return wrapper
 

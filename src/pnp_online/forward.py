@@ -16,7 +16,7 @@ from pnp_online.bessel import ARRAY_BLOCK, hankel1_0_array
 # Unused here; perfbench/tracer.py counts this binding.
 from pnp_online.bessel import hankel1_0  # noqa: F401
 from pnp_online.errors import ConfigurationError
-from pnp_online.linops import cg_solve_regularized, lambda_max_bound
+from pnp_online.linops import CG_TOL, cg_solve_regularized, lambda_max_bound
 # Unused here; perfbench/tracer.py patches this binding.
 from pnp_online.linops import power_iteration_lipschitz  # noqa: F401
 
@@ -334,10 +334,15 @@ def grad_minibatch(model, x, B, rng):
     return gradient_from_indices(model, indices, x), indices
 
 
-def prox_datafit(model, gamma, x, tol=1e-12, max_iter=None, x0=None):
+def prox_datafit(model, gamma, x, tol=CG_TOL, max_iter=None, x0=None):
     """prox of gamma*d at x: (z, CgInfo) from CG on (I + gamma G) z = rhs,
     rhs = x + gamma (1/I) sum_i Re(H_i^H y_i), started at the guess x0
-    (zero if None)."""
+    (zero if None).
+
+    This is the one inner-solve policy of the package's data prox: CG to a
+    relative residual `tol` within `max_iter` iterations (CG_TOL = 1e-12
+    and 10 n by default). The ADMM loop passes each call a tolerance from
+    its summable schedule (`solvers.run_pnp_admm`)."""
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
     rhs = np.asarray(x, dtype=float) + gamma * model.back_projection

@@ -17,6 +17,10 @@ _GRAM_CHUNK = 256
 # The squaring stops once a step's term in the log of the bound is below
 # this, which bounds the bound's excess over lambda_max by the same amount.
 _SQUARING_TOL = 1e-16
+# CG's default stop: a relative residual of 1e-12, the one owner of the
+# number for `cg_solve_regularized`, `forward.prox_datafit` and the floor
+# of the ADMM loop's tolerance schedule.
+CG_TOL = 1e-12
 
 
 def smaller_gram(columns, shape):
@@ -141,30 +145,35 @@ class CgInfo:
     residual: np.ndarray | None = None
 
 
-def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None,
+def cg_solve_regularized(model, gamma, rhs, tol=CG_TOL, max_iter=None,
                          x0=None):
     """Solve (I + gamma * G) z = rhs by conjugate gradients, G = model's Gram.
 
     G x is `model.gram_apply(x)`, the real, symmetric positive semidefinite
     averaged Gram (1/I) sum_i Re(H_i^H H_i) of a `MeasurementModel` on R^n,
     n = `model.n`. The system is then positive definite for any gamma > 0,
-    so plain CG applies. Returns (z, CgInfo); the defaults are the one
-    inner-solve policy of the package's data prox.
+    so plain CG applies. Returns (z, CgInfo). CG stops once the relative
+    residual ||r|| / ||rhs|| is at most `tol`, which must lie in [0, 1)
+    (`CG_TOL` by default), or after `max_iter` iterations (10 n by
+    default).
 
     CG starts at zero, or at the initial guess `x0`, whose true residual
     rhs - (x0 + gamma G x0) costs one Gram matvec; a guess that already
     meets the tolerance is returned with 0 iterations. A residual, a norm
     of rhs or a step's curvature p . (p + gamma G p) that is not finite
     (an overflow, or a NaN in rhs or x0) stops the solve at once, not
-    converged, with a NaN relative residual. A nonzero rhs whose squared
-    norm underflows is solved scaled by a power of two, which CG carries
-    exactly.
+    converged, with a NaN relative residual. A nonzero rhs with
+    ||rhs|| < 2^-511 / tol (2^-511 at tol = 0), whose squared norm or
+    squared stopping residual would fall below the least normal double, is
+    solved scaled by a power of two, which CG carries exactly.
     CgInfo.residual is the last residual rhs - (z + gamma G z) the solve
     formed, the recursive one once it has run an iteration.
     """
     rhs = np.asarray(rhs, dtype=float)
     if gamma <= 0:
         raise ConfigurationError("gamma must be positive")
+    if not 0.0 <= tol < 1.0:
+        raise ConfigurationError("tol must lie in [0, 1)")
     if rhs.shape != (model.n,):
         raise ConfigurationError("rhs length must match the model's n")
     if max_iter is None:
@@ -179,7 +188,9 @@ def cg_solve_regularized(model, gamma, rhs, tol=1e-12, max_iter=None,
                                           residual=np.zeros_like(rhs))
     rhs_norm = np.linalg.norm(rhs)
     exponent = 0
-    if rhs_norm < 2.0 ** -511:        # rhs . rhs < the least normal double
+    # below it, the squared stopping residual (tol ||rhs||)^2, or rhs . rhs
+    # at tol = 0, is less than the least normal double
+    if rhs_norm < (2.0 ** -511 / tol if tol else 2.0 ** -511):
         exponent = math.frexp(np.abs(rhs).max())[1]
         rhs = np.ldexp(rhs, -exponent)
         rhs_norm = np.linalg.norm(rhs)

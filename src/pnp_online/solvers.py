@@ -27,21 +27,32 @@ import numpy as np
 from pnp_online.errors import ConfigurationError, DivergenceError
 from pnp_online.forward import (CyclingSampler, grad_full,
                                 gradient_from_indices, prox_datafit)
+from pnp_online.linops import CG_TOL
 
 DIVERGENCE_FACTOR = 1e6
 # The default dist_stride is 1 up to this many pixels, and 10 above.
 DIST_EVERY_ITERATION_MAX_N = 4096
 # The ADMM data prox starts CG from the Galerkin projection of its right
 # side onto its last GALERKIN_WINDOW solutions. On the benchmark's
-# `admm-filter` run (32 x 32, 60 iterations, seeds 0 and 97) the Gram
-# matvecs went from 540 cold to 332-336 with 6 solutions, 314-319 with 8
-# and 328 with 12: the older solutions bring more rounding than direction.
+# `admm-filter` run (32 x 32, 60 iterations, seeds 0 and 97, under the
+# tolerance schedule below) the Gram matvecs went from 481 cold to 233
+# with 6 solutions, 213-214 with 8 and 218-219 with 12: the older
+# solutions bring more rounding than direction. At a fixed 1e-12 the
+# counts were 540 cold, 332-336, 314-319 and 328.
 GALERKIN_WINDOW = 8
 # The projection drops a solution whose A-norm^2 left after the newer ones
 # is at most this share of its own: that remainder is rounding. The same
-# runs took 362-364 matvecs at 1e-16, 325-326 at 1e-14, 347 at 1e-10 and
-# 386 at 1e-8.
+# runs took 263-267 matvecs at 1e-16, 225-229 at 1e-14, 240-241 at 1e-10
+# and 299-300 at 1e-8 (at a fixed 1e-12: 362-364, 325-326, 347 and 386).
 GALERKIN_DROP = 1e-12
+# The ADMM loop's k-th data prox stops at the relative residual
+# max(CG_TOL, DATA_PRECISION / k^2). The stored model (S, U and Y) is exact
+# in complex64, whose unit roundoff is 2^-24, so a first solve finer than
+# that resolves rounding of the data. The errors are summable
+# (sum_k 2^-24 / k^2 = 2^-24 pi^2 / 6, about 1e-7), which keeps inexact
+# ADMM and the averaged PnP iteration convergent, and from k = 245 on the
+# rule is CG_TOL itself.
+DATA_PRECISION = 2.0 ** -24
 
 
 def fista_q_update(q_prev):
@@ -235,14 +246,20 @@ def galerkin_guess(solved, rhs):
 def run_pnp_admm(model, denoiser, config, truth=None):
     """The ADMM loop from zero, with the data prox solved by CG.
 
+    The k-th CG solve (k = 1, 2, ...) stops at the relative residual
+    max(CG_TOL, DATA_PRECISION / k^2): 2^-24 at k = 1, CG_TOL from k = 245
+    on. On the benchmark's `admm-filter` run that cuts the Gram matvecs
+    from 314 at a fixed CG_TOL to 213, and moves the final iterate by
+    2.5e-11 relative.
+
     The first CG solve starts at zero and every later one at
     `galerkin_guess` on the last GALERKIN_WINDOW converged solves. Each is
     kept with its image A z = rhs - r, its right side
     rhs = x - s + gamma (1/I) sum_i Re(H_i^H y_i) less the residual r that
     CG left: the image to rounding, where rhs alone is off by up to
-    1e-12 ||rhs||, an error that the guess's coefficients amplify on nearly
-    dependent solutions (the benchmark run took 383-385 matvecs with it,
-    and 422-424 with 12 solutions). A CG solve that meets a value that is
+    tol ||rhs||, an error that the guess's coefficients amplify on nearly
+    dependent solutions (the benchmark run took 370-371 matvecs with it,
+    and 409 with 12 solutions). A CG solve that meets a value that is
     not finite is a divergence.
     """
     x, s = np.zeros(model.n), np.zeros(model.n)
@@ -252,7 +269,8 @@ def run_pnp_admm(model, denoiser, config, truth=None):
         v = x - s
         rhs = v + config.gamma * model.back_projection
         guess = galerkin_guess(solved, rhs) if solved else None
-        z, info = prox_datafit(model, config.gamma, v, x0=guess)
+        tol = max(CG_TOL, DATA_PRECISION / k ** 2)
+        z, info = prox_datafit(model, config.gamma, v, tol=tol, x0=guess)
         if info.converged:
             solved.appendleft((z, rhs - info.residual))
         elif not math.isfinite(info.relative_residual):

@@ -730,9 +730,9 @@ def test_cli_iterations_past_bound_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def _stalled_prox(model, gamma, x, x0=None):
+def _stalled_prox(model, gamma, x, tol, x0=None):
     """A data prox whose inner CG never converges (one CG iteration)."""
-    return prox_datafit(model, gamma, x, max_iter=1, x0=x0)
+    return prox_datafit(model, gamma, x, tol=tol, max_iter=1, x0=x0)
 
 
 def test_cli_reconstruct_writes_solver_warnings(tmp_path, monkeypatch):
@@ -758,7 +758,7 @@ def test_cli_diverged_trace_keeps_solver_warnings(tmp_path, monkeypatch):
     model = str(tmp_path / "m.pnpm")
     assert main(["simulate", *SMALL, "-o", model]) == 0
 
-    def exploding_prox(model, gamma, x, x0=None):
+    def exploding_prox(model, gamma, x, tol, x0=None):
         return np.full(model.n, 1e100), CgInfo(converged=False, iterations=1,
                                                relative_residual=0.5)
 

@@ -177,6 +177,42 @@ def test_cg_solves_a_rhs_whose_squared_norm_underflows():
     assert info.converged and info.iterations == 0
 
 
+@pytest.mark.parametrize("tol", [1e-12, 2.0 ** -24])
+@pytest.mark.parametrize("scale", [1e-150, 1e-153])
+def test_cg_of_a_tiny_rhs_runs_as_at_unit_scale(scale, tol):
+    # the squared stopping residual (tol ||rhs||)^2 underflowed: at 1e-12
+    # CG reported a relative residual of 0.0 and, at 1e-153, stopped one
+    # iteration early with a 2000-fold error
+    rng = np.random.default_rng(0)
+    H = rng.standard_normal((30, 30))
+    model = stacked_model(H)
+    rhs = rng.standard_normal(30)
+    exact = np.linalg.solve(np.eye(30) + H.T @ H, rhs)
+
+    def solve(scale):
+        z, info = cg_solve_regularized(model, 1.0, scale * rhs, tol=tol)
+        z = z / scale
+        error = np.linalg.norm(z - exact) / np.linalg.norm(exact)
+        true = np.linalg.norm(rhs - z - H.T @ (H @ z)) / np.linalg.norm(rhs)
+        return info, error, true
+
+    unit, unit_error, _ = solve(1.0)
+    info, error, true = solve(scale)
+    assert info.converged and info.iterations == unit.iterations
+    assert 0.0 < info.relative_residual <= tol
+    assert abs(info.relative_residual - true) <= 1e-13
+    assert error <= 10.0 * unit_error
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, 1.0, math.inf])
+def test_cg_tol_outside_0_1_is_a_config_error(tol):
+    # a NaN or negative tol ran all 10 n iterations; inf returned zero
+    # after 0 iterations as converged
+    with pytest.raises(ConfigurationError, match="tol must lie in"):
+        cg_solve_regularized(stacked_model(np.eye(3)), 1.0, np.ones(3),
+                             tol=tol)
+
+
 def test_cg_random_vs_dense_lu():
     rng = np.random.default_rng(42)
     H = rng.standard_normal((10, 10))

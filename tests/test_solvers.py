@@ -371,8 +371,9 @@ def test_pnp_admm_matches_cold_start_oracle(small_dt_model):
         assert trace.warnings == []
 
 
-def test_pnp_admm_warm_start_cuts_the_cg_work(monkeypatch):
-    """The benchmark's admm-filter run: 540 Gram matvecs from zero."""
+def admm_filter_matvecs(monkeypatch, fixed_tol=None):
+    """The final x and the Gram matvecs of the benchmark's admm-filter run,
+    every data prox solved to `fixed_tol` when it is given."""
     keys = {"phantom": "checker", "seed": 0, "grid": 32, "transmitters": 16,
             "receivers": 48, "algorithm": "pnp-admm", "denoiser": "filter",
             "iterations": 60, "record_timing": "false"}
@@ -381,21 +382,54 @@ def test_pnp_admm_warm_start_cuts_the_cg_work(monkeypatch):
     model = cli.model_from_config(cfg, truth)
     matvecs = []
 
-    def counting_prox(model, gamma, x, x0=None):
-        z, info = prox_datafit(model, gamma, x, x0=x0)
+    def counting_prox(model, gamma, x, tol, x0=None):
+        z, info = prox_datafit(model, gamma, x, tol=fixed_tol or tol, x0=x0)
         # a warm start adds the matvec of its initial residual
         matvecs.append(info.iterations + (x0 is not None))
         return z, info
 
     monkeypatch.setattr(solvers, "prox_datafit", counting_prox)
-    cli.run_algorithm(cfg, model, truth)
-    warm = sum(matvecs)
-    matvecs.clear()
-    monkeypatch.setattr(solvers, "galerkin_guess", lambda solved, rhs: None)
-    cli.run_algorithm(cfg, model, truth)
-    cold = sum(matvecs)
+    x, _ = cli.run_algorithm(cfg, model, truth)
     assert len(matvecs) == 60
+    return x, sum(matvecs)
+
+
+def test_pnp_admm_warm_start_cuts_the_cg_work(monkeypatch):
+    """The benchmark's admm-filter run: 481 Gram matvecs from zero."""
+    _, warm = admm_filter_matvecs(monkeypatch)
+    monkeypatch.setattr(solvers, "galerkin_guess", lambda solved, rhs: None)
+    _, cold = admm_filter_matvecs(monkeypatch)
     assert warm < 0.7 * cold
+
+
+def test_pnp_admm_tolerance_schedule(monkeypatch):
+    # the k-th data prox stops at max(1e-12, 2^-24 / k^2)
+    tols = []
+
+    def spy(model, gamma, x, tol, x0=None):
+        tols.append(tol)
+        return prox_datafit(model, gamma, x, tol=tol, x0=x0)
+
+    monkeypatch.setattr(solvers, "prox_datafit", spy)
+    model, _ = quadratic_model(seed=5)
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=245, seed=0, dist_stride=245,
+                           record_timing=False)
+    run_pnp_admm(model, identity_denoiser, cfg)
+    assert len(tols) == 245
+    for k in (1, 2, 244, 245):
+        assert tols[k - 1] == max(1e-12, 2.0 ** -24 / k ** 2)
+    assert tols[0] == 2.0 ** -24 and tols[243] > 1e-12 and tols[244] == 1e-12
+
+
+def test_pnp_admm_summable_tolerance_cuts_the_cg_work(monkeypatch):
+    """The benchmark's admm-filter run against the same loop with every
+    data prox solved to 1e-12: 213 Gram matvecs against 314."""
+    x, scheduled = admm_filter_matvecs(monkeypatch)
+    fixed, fixed_matvecs = admm_filter_matvecs(monkeypatch,
+                                                fixed_tol=1e-12)
+    assert scheduled <= 0.75 * fixed_matvecs
+    assert np.linalg.norm(x - fixed) <= 1e-9 * np.linalg.norm(fixed)
 
 
 # ----------------------------------------------------------------- PnP-SGD
