@@ -12,10 +12,11 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
 - "environment": the BLAS thread count, nproc, the Python, numpy, scipy
   and BLAS versions, and whether Python writes bytecode caches (under
   PYTHONDONTWRITEBYTECODE=1 every `pnp` child compiles the package, which
-  added about 12 ms to its import on 2 vCPUs) and whether it has the
-  builtin SHA-256 module that lets a `pnp` process block OpenSSL's
-  _hashlib (`cli.run_process`; without it every child's peak RSS is about
-  3.4 MiB higher);
+  costs about 36 ms: `-X importtime` reads 46 ms of the package's self
+  import time from source against 10 ms from bytecode, on 2 vCPUs) and
+  whether it has the builtin SHA-256 module that lets a `pnp` process
+  block OpenSSL's _hashlib (`cli.run_process`; without it every child's
+  peak RSS is about 3.4 MiB higher);
 - "layers": per grid, the median and quartiles of each layer over REPEATS
   in-process calls, after one untimed call; `build_dt_model`,
   `save_model` and `load_model` add the tracemalloc peak of one call

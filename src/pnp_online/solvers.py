@@ -25,8 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import (CyclingSampler, grad_full,
-                                gradient_from_indices, prox_datafit)
+from pnp_online.forward import grad_full, gradient_from_indices, prox_datafit
 from pnp_online.linops import CG_TOL
 
 DIVERGENCE_FACTOR = 1e6
@@ -178,30 +177,46 @@ def run_pnp_ista(model, denoiser, config, truth=None, x0=None):
                        truth, x0)
 
 
-def run_pnp_sgd(model, denoiser, config, truth=None, x0=None):
-    """The forward-backward loop: x = denoise(s - gamma * g(s)), then momentum.
+def _gradient_oracle(model, config):
+    """g(s) -> (indices, gradient), the forward-backward loop's gradient.
 
-    sample_mode picks the gradient g: "replacement" draws independent
-    uniform indices (the analyzed estimator); "cycle" randomly cycles
-    through all components without replacement; "full" always uses every
-    component in order and records no indices, so the trace is that of the
-    batch algorithm it degenerates to.
+    sample_mode "replacement" draws independent uniform indices (the
+    analyzed estimator), "cycle" pops them from successive random
+    permutations, and "full" takes every component, makes no generator and
+    records no indices, as the batch algorithm. perfbench's tracer wraps
+    the two gradients in this module, so they are looked up at each call.
     """
+    if config.sample_mode == "full":
+        return lambda s: (None, grad_full(model, s))
     rng = np.random.default_rng(config.seed)
-    sampler = CyclingSampler(model.num_components, rng)
+    if config.sample_mode == "replacement":
+        def draw():
+            return rng.integers(0, model.num_components,
+                                size=config.batch_size)
+    else:
+        def cycled():
+            while True:
+                yield from rng.permutation(model.num_components)[::-1]
+        stream = cycled()
+
+        def draw():
+            return np.asarray([next(stream) for _ in range(config.batch_size)])
+
+    def gradient(s):
+        indices = draw()
+        return indices, gradient_from_indices(model, indices, s)
+    return gradient
+
+
+def run_pnp_sgd(model, denoiser, config, truth=None, x0=None):
+    """Forward-backward: x = denoise(s - gamma * g(s)), then momentum."""
+    gradient = _gradient_oracle(model, config)
     x = _initial_iterate(model, x0)
     s = x.copy()
     q_prev = 1.0
     trace = IterateTrace(model, denoiser, config, x, truth)
     for k in range(1, config.iterations + 1):
-        if config.sample_mode == "full":
-            indices, grad = None, grad_full(model, s)
-        else:
-            indices = (sampler.draw(config.batch_size)
-                       if config.sample_mode == "cycle" else
-                       rng.integers(0, model.num_components,
-                                    size=config.batch_size))
-            grad = gradient_from_indices(model, indices, s)
+        indices, grad = gradient(s)
         x_new = _denoise_flat(model, denoiser, config.sigma,
                               s - config.gamma * grad)
         trace.check_divergence(x_new)

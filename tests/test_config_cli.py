@@ -898,6 +898,34 @@ def test_cli_process_runs_without_openssl(tmp_path):
         assert proc.stdout.split() == ["False", "True"]
 
 
+# A child that runs cli.main on sys.argv[1:] and prints its exit code and
+# whether numpy.random was imported.
+RANDOM_PROBE = (
+    "import sys\n"
+    "from pnp_online import cli\n"
+    "print(cli.main(sys.argv[1:]), 'numpy.random' in sys.modules)\n")
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["simulate", "--set", "input_snr_db=inf"], False),
+    (["simulate"], True),
+    (["reconstruct", "MODEL", "--set", "sample_mode=full"], False),
+    (["reconstruct", "MODEL", "--set", "algorithm=pnp-admm"], False),
+    (["reconstruct", "MODEL"], True)])
+def test_cli_run_that_draws_nothing_imports_no_generator(tmp_path, argv,
+                                                         draws):
+    """Only a run that draws numbers makes a generator and so imports
+    numpy.random: a noiseless simulate of a phantom without a seed, a
+    full-gradient and an ADMM reconstruct do not."""
+    keys = [*TINY, "--set", "phantom=checker", "--set", "iterations=3"]
+    model = str(tmp_path / "m.pnpm")
+    assert main(["simulate", *keys, "-o", model]) == 0
+    argv = [model if arg == "MODEL" else arg for arg in argv]
+    proc = _child(["-c", RANDOM_PROBE, *argv, *keys,
+                   "-o", str(tmp_path / "out")])
+    assert proc.stdout.split() == ["0", str(draws)], proc.stderr
+
+
 def test_cli_process_keeps_openssl_without_builtin_sha256(tmp_path):
     """Where CPython has no builtin SHA-256 module, the `pnp` process
     leaves _hashlib importable, which then serves the same digest; blocked,

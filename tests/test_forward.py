@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pnp_online.bessel import hankel1_0
 from pnp_online.errors import ConfigurationError
 from pnp_online import bessel
-from pnp_online.forward import (CyclingSampler, DtGeometry, MeasurementModel,
-                                build_dt_model, grad_full, grad_minibatch,
+from pnp_online.forward import (DtGeometry, MeasurementModel, build_dt_model,
+                                grad_full, grad_minibatch,
                                 gradient_from_indices, green_function_2d,
                                 prox_datafit)
 from conftest import (StackedModel, datafit_value, gaussian_model,
@@ -415,23 +414,3 @@ def test_prox_datafit_is_prox_of_datafit():
     z, _ = prox_datafit(model, 0.4, x, tol=1e-13)
     assert np.max(np.abs(z + 0.4 * grad_full(model, z) - x)) < 1e-9
 
-
-# ------------------------------------------------------------------ sampler
-
-def test_cycling_sampler_covers_all_components():
-    sampler = CyclingSampler(6, np.random.default_rng(0))
-    seen = np.concatenate([sampler.draw(2) for _ in range(3)])
-    assert sorted(seen.tolist()) == list(range(6))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=7),
-       st.integers(min_value=0, max_value=10**6))
-def test_cycling_sampler_uniform_long_run_property(num, B, seed):
-    sampler = CyclingSampler(num, np.random.default_rng(seed))
-    counts = np.zeros(num, dtype=int)
-    for _ in range(4 * num):
-        for i in sampler.draw(B):
-            counts[i] += 1
-    # sequential draws from chained random permutations: balanced to within 1
-    assert counts.max() - counts.min() <= 1

@@ -459,6 +459,75 @@ def test_pnp_sgd_deterministic(small_dt_model):
     assert all(np.array_equal(a, b) for a, b in zip(t1.indices, t2.indices))
 
 
+def cycle_indices(num, B, iterations, seed):
+    """The minibatch indices a `cycle` run over `num` components records,
+    in the order it drew them."""
+    model = gaussian_model(n=2, M=2, I=num, seed=seed, truth=np.zeros((1, 2)))
+    cfg = ExperimentConfig(gamma=1.0 / model.lipschitz, sigma=0.0,
+                           iterations=iterations, seed=seed, batch_size=B,
+                           sample_mode="cycle", dist_stride=iterations,
+                           record_timing=False)
+    _, trace = run_pnp_sgd(model, identity_denoiser, cfg)
+    return np.concatenate(trace.indices)
+
+
+def test_cycle_run_draws_every_component_once_per_pass():
+    # 9 minibatches of 4 are 6 passes over 6 components; 4 of the batches
+    # span two passes
+    drawn = cycle_indices(num=6, B=4, iterations=9, seed=0)
+    for one_pass in drawn.reshape(6, 6):
+        assert sorted(one_pass.tolist()) == list(range(6))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=10),
+       st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=10**6))
+def test_cycle_run_counts_stay_balanced(num, B, iterations, seed):
+    # sequential draws from chained random permutations, stopped anywhere:
+    # balanced to within 1
+    counts = np.bincount(cycle_indices(num, B, iterations, seed),
+                         minlength=num)
+    assert counts.max() - counts.min() <= 1
+
+
+@pytest.mark.parametrize("algorithm, sample_mode, accelerated", [
+    *[("pnp-sgd", mode, accelerated)
+      for mode in ("replacement", "cycle", "full")
+      for accelerated in (False, True)],
+    ("pnp-admm", "replacement", False),
+    ("ista", "replacement", False)])
+def test_dist_diagnostic_leaves_the_iterates_alone(small_dt_model, algorithm,
+                                                   sample_mode, accelerated):
+    """The iterates, their SNR and the minibatches are the same bits whether
+    `dist` is taken at every iteration or at the last one only."""
+    model, truth = small_dt_model
+    gamma, lam, iterations = 1.0 / model.lipschitz, 1e-4, 8
+    runs = []
+    for stride in (1, iterations):
+        cfg = ExperimentConfig(gamma=gamma, sigma=math.sqrt(gamma * lam),
+                               iterations=iterations, seed=5, batch_size=2,
+                               sample_mode=sample_mode,
+                               accelerated=accelerated, dist_stride=stride,
+                               record_timing=False)
+        if algorithm == "ista":
+            x, trace = run_ista(model, lambda z: tv_prox(z, gamma * lam),
+                                cfg, truth)
+        else:
+            run = run_pnp_sgd if algorithm == "pnp-sgd" else run_pnp_admm
+            x, trace = run(model, tv_denoiser, cfg, truth)
+        runs.append((x, trace))
+    (x_every, every), (x_last, last) = runs
+    assert np.array_equal(x_every, x_last)
+    assert every.snr == last.snr
+    assert all(math.isfinite(snr) for snr in last.snr)
+    assert ([None if i is None else i.tolist() for i in every.indices]
+            == [None if i is None else i.tolist() for i in last.indices])
+    assert all(math.isnan(d) for d in last.dist[:-1])
+    assert last.dist[-1] == every.dist[-1]
+
+
 def test_pnp_sgd_smaller_gamma_lower_plateau(small_dt_model):
     model, _ = small_dt_model
     den = averaged_linear_filter
