@@ -5,22 +5,24 @@ Hankel asymptotic expansion with optimal truncation. The crossover at
 |x| = 12 balances series cancellation against the smallest asymptotic term,
 giving roughly 1e-10 absolute accuracy on both sides.
 
-`hankel1_0_array` evaluates the same recurrences over a whole array, each
-element stopping at the term where the scalar loop stops. It works in
-blocks of ARRAY_BLOCK elements. A block with no element below the cutoff
+`hankel1_0_array` evaluates these recurrences over a whole array. It works
+in blocks of ARRAY_BLOCK elements. A block with no element below the cutoff
 is evaluated in place, and there the asymptotic recurrence runs on whole
 arrays until the first element stops (by the smallest-term rule or the
 1e-18 rule), then on index arrays of the elements still live; the series
 loops gather the elements below the cutoff. Each element gets the same
 operations in the same order either way, so the tests check it bit for
-bit against the gather-based loops, and to 1e-14 against the scalar
-`hankel1_0`. Nothing in the package calls `hankel1_0`; perfbench/tracer.py
-counts its binding.
+bit against the gather-based loops, and against mpmath. Its rejection of
+any x not > 0, NaN included, is the Green path's one input check.
+`hankel1_0` is the kernel at one point; nothing in the package calls it,
+and perfbench/tracer.py counts its binding.
 """
 
 import math
 
 import numpy as np
+
+from pnp_online.errors import ConfigurationError
 
 EULER_GAMMA = 0.5772156649015328606065120900824
 
@@ -30,67 +32,6 @@ _MAX_ASYMPTOTIC_TERMS = 40
 # Elements per block of hankel1_0_array's temporaries and of the row blocks
 # of S, U and Y in build_dt_model and save_model (forward.row_slices).
 ARRAY_BLOCK = 8192
-
-
-def _j0_series(x):
-    q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= -q / (k * k)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-    return total
-
-
-def _y0_series(x):
-    # Y0(x) = (2/pi)[(ln(x/2) + gamma) J0(x) + sum_{k>=1} (-1)^{k+1} H_k q^k/(k!)^2]
-    q = 0.25 * x * x
-    term = 1.0
-    harmonic = 0.0
-    total = 0.0
-    for k in range(1, _MAX_SERIES_TERMS):
-        term *= -q / (k * k)
-        harmonic += 1.0 / k
-        contrib = -term * harmonic
-        total += contrib
-        if abs(contrib) < 1e-18 * max(abs(total), 1e-300):
-            break
-    return (2.0 / math.pi) * ((math.log(0.5 * x) + EULER_GAMMA) * _j0_series(x)
-                              + total)
-
-
-def _hankel1_0_asymptotic(x):
-    # H0^(1)(x) ~ sqrt(2/(pi x)) e^{i(x - pi/4)} sum_k i^k a_k / x^k with
-    # a_k = (-1)^k ((2k-1)!!)^2 / (k! 8^k); truncated at the smallest term.
-    total = complex(1.0, 0.0)
-    coef = 1.0  # a_k / x^k magnitude carrier, signs folded in below
-    ik = complex(1.0, 0.0)
-    prev_mag = 1.0
-    for k in range(1, _MAX_ASYMPTOTIC_TERMS):
-        coef *= -((2 * k - 1) ** 2) / (8.0 * k * x)
-        ik *= 1j
-        mag = abs(coef)
-        if mag > prev_mag:
-            break  # divergent tail: stop at the smallest term
-        total += ik * coef
-        prev_mag = mag
-        if mag < 1e-18:
-            break
-    amplitude = math.sqrt(2.0 / (math.pi * x))
-    phase = x - 0.25 * math.pi
-    return amplitude * complex(math.cos(phase), math.sin(phase)) * total
-
-
-def hankel1_0(x):
-    """H0^(1)(x) = J0(x) + i Y0(x) for real x > 0."""
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("H0^(1) requires x > 0")
-    if x < _SERIES_CUTOFF:
-        return complex(_j0_series(x), _y0_series(x))
-    return _hankel1_0_asymptotic(x)
 
 
 def _j0_series_array(x):
@@ -182,7 +123,7 @@ def hankel1_0_array(x):
     """H0^(1) elementwise over an array of real x > 0 (no Python loop per element)."""
     x = np.asarray(x, dtype=float)
     if np.any(~(x > 0.0)):
-        raise ValueError("H0^(1) requires x > 0")
+        raise ConfigurationError("H0^(1) requires x > 0")
     flat = x.ravel()
     out = np.empty(flat.shape, dtype=complex)
     # Blocks bound the recurrences' temporaries, which would otherwise be
@@ -203,3 +144,8 @@ def hankel1_0_array(x):
             ob[big] = _hankel1_0_asymptotic_array(
                 xb[big], np.empty(np.count_nonzero(big), dtype=complex))
     return out.reshape(x.shape)
+
+
+def hankel1_0(x):
+    """H0^(1)(x) for one real x > 0: hankel1_0_array at one point."""
+    return hankel1_0_array([x])[0]

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from pnp_online.bessel import ARRAY_BLOCK, hankel1_0_array
-# Unused here; perfbench/tracer.py counts this binding.
+# hankel1_0_array at one point, unused here; perfbench/tracer.py counts
+# this binding.
 from pnp_online.bessel import hankel1_0  # noqa: F401
 from pnp_online.errors import ConfigurationError
 from pnp_online.linops import CG_TOL, cg_solve_regularized, lambda_max_bound
@@ -90,13 +91,13 @@ class DtGeometry:
 
 def green_function_2d(k_b, r):
     """2D free-space Helmholtz Green's function g(r) = (i/4) H0^(1)(k_b r),
-    elementwise over an array of distances r."""
-    if k_b <= 0:
+    elementwise over an array of distances r.
+
+    With k_b > 0, an r that is not positive, or NaN, gives a k_b r that
+    hankel1_0_array rejects, so r is checked there, once."""
+    if not k_b > 0:     # NaN too; with r < 0 as well, k_b r would be > 0
         raise ConfigurationError("wavenumber must be positive")
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ConfigurationError("green_function_2d is singular at r = 0")
-    g = hankel1_0_array(k_b * r)
+    g = hankel1_0_array(k_b * np.asarray(r, dtype=float))
     g *= 0.25j
     return g
 

@@ -151,8 +151,7 @@ class IterateTrace:
                         else self._metrics.snr_db(self._truth, x))
         self.elapsed.append(entered - self._start
                             if config.record_timing else 0.0)
-        self.indices.append(None if indices is None
-                            else np.asarray(indices).copy())
+        self.indices.append(indices)    # a new array at every draw
         self._start += time.perf_counter() - entered
 
 

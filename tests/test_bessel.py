@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-mpmath = pytest.importorskip("mpmath")
-
 from pnp_online import bessel
 from pnp_online.bessel import hankel1_0, hankel1_0_array
+from pnp_online.errors import ConfigurationError
 from pnp_online.forward import DtGeometry
 
-# J0 and Y0 are the real and imaginary parts of H0^(1) for x > 0.
+# J0 and Y0 are the real and imaginary parts of H0^(1) for x > 0. hankel1_0
+# is hankel1_0_array at one point.
 
 
 def test_j0_y0_published_ten_digit_values():
@@ -43,6 +43,7 @@ def test_y0_rejects_nonpositive():
     [11.999999, 12.000001, 500.0, 1000.0],
 ]).tolist())
 def test_j0_y0_vs_mpmath(x):
+    mpmath = pytest.importorskip("mpmath")
     h = hankel1_0(x)
     assert h.real == pytest.approx(float(mpmath.besselj(0, x)),
                                    abs=5e-11, rel=5e-11)
@@ -52,6 +53,7 @@ def test_j0_y0_vs_mpmath(x):
 
 def test_hankel_combines_j0_y0():
     # H0^(1) = J0 + i Y0, not J0 - i Y0
+    mpmath = pytest.importorskip("mpmath")
     for x in (0.3, 1.7, 25.0):
         assert hankel1_0(x) == pytest.approx(complex(mpmath.hankel1(0, x)),
                                              abs=5e-11, rel=5e-11)
@@ -69,23 +71,25 @@ def test_determinism_bit_identical():
     assert hankel1_0(77.7) == hankel1_0(77.7)
 
 
-def test_hankel_array_matches_scalar_elementwise():
+def test_hankel_array_vs_mpmath_elementwise():
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(0)
     x = np.concatenate([np.linspace(0.05, 11.95, 200),
                         np.linspace(12.0, 200.0, 200),
                         [1e-3, 11.999999, 12.000001, 500.0, 1000.0, 1e5],
                         rng.uniform(0.01, 3000.0, 2000)])
-    scalar = np.array([hankel1_0(v) for v in x])
     array = hankel1_0_array(x.reshape(2, -1)).ravel()
-    # Both evaluate the same recurrences and stop at the same term; only
-    # numpy's and math's log/cos/sin may round differently.
-    assert np.allclose(array, scalar, rtol=1e-14, atol=1e-15)
+    for v, h in zip(x, array):
+        assert h.real == pytest.approx(float(mpmath.besselj(0, v)),
+                                       abs=5e-11, rel=5e-11)
+        assert h.imag == pytest.approx(float(mpmath.bessely(0, v)),
+                                       abs=5e-11, rel=5e-11)
 
 
 def test_hankel_array_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         hankel1_0_array(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         hankel1_0_array(np.array([np.nan]))
 
 

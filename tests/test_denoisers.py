@@ -16,8 +16,6 @@ from pnp_online.denoisers import (FILTER_PASSES_MAX, TvInfo,
 from pnp_online.errors import ConfigurationError
 from conftest import _grad2d, tv_objective
 
-scipy_optimize = pytest.importorskip("scipy.optimize")
-
 
 def _div2d(px, py):
     """Negative adjoint of _grad2d: <grad u, p> = -<u, div p>."""
@@ -79,6 +77,7 @@ def reference_tv_prox(z, lambda_scaled, inner_iters=200, inner_tol=1e-12):
 
 def oracle_tv_prox(z, lam):
     """Independent high-accuracy prox: L-BFGS-B on the smooth dual QP."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
     shape = z.shape
 
     def f(pf):

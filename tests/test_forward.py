@@ -80,6 +80,16 @@ def test_green_function_rejects_zero_distance():
         green_function_2d(1.0, 0.0)
 
 
+@pytest.mark.parametrize("k_b, r", [
+    (1.0, -0.5), (1.0, math.nan), (1.0, [0.5, math.nan]),
+    (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
+    (-1.0, -0.5),           # k_b r > 0, so the kernel alone would pass it
+])
+def test_green_function_rejects_nonpositive_or_nan(k_b, r):
+    with pytest.raises(ConfigurationError):
+        green_function_2d(k_b, r)
+
+
 # ----------------------------------------------------------------- DT model
 
 def test_dt_zero_truth_yields_zero_measurements():
