@@ -36,8 +36,9 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   per inner iteration;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
-  `pnp reconstruct`, under "simulate-64" those of `pnp simulate` alone at
-  64 x 64, under "compare" those of `pnp compare` at its defaults, and
+  `pnp reconstruct`, under "simulate-64" and "simulate-64-60" those of
+  `pnp simulate` alone at 64 x 64 (32 Tx and 96 Rx; 60 Tx and 180 Rx),
+  under "compare" those of `pnp compare` at its defaults, and
   under "startup" those of `pnp --help`, the fixed cost of every child
   (start Python, import the package, parse, exit), the workloads taking
   turns run by run;
@@ -102,10 +103,13 @@ WORKLOADS = {
                  "algorithm": "pnp-sgd", "denoiser": "tv",
                  "sample_mode": "full", "iterations": 20},
 }
-# `pnp simulate` alone at a larger model, to show how its peak RSS grows
-# with the grid.
+# `pnp simulate` alone at larger models: at 64 x 64 with 32 Tx and 96 Rx,
+# to show how its peak RSS grows with the grid, and with 60 Tx and 180 Rx,
+# to show how its setup grows with the rings.
 SIMULATE_ONLY = {"simulate-64": {"grid": 64, "transmitters": 32,
-                                 "receivers": 96}}
+                                 "receivers": 96},
+                 "simulate-64-60": {"grid": 64, "transmitters": 60,
+                                    "receivers": 180}}
 # The solve's phases, each timed by wrapping the (module, name) bindings
 # the solve calls them through. A call made inside another timed call
 # counts for the outer one, so the gradients and denoiser calls of

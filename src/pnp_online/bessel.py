@@ -13,7 +13,8 @@ arrays until the first element stops (by the smallest-term rule or the
 loops gather the elements below the cutoff. Each element gets the same
 operations in the same order either way, so the tests check it bit for
 bit against the gather-based loops, and against mpmath. Its rejection of
-any x not > 0, NaN included, is the Green path's one input check.
+any x outside 0 < x < inf, NaN included, is the Green path's one input
+check.
 `hankel1_0` is the kernel at one point; nothing in the package calls it,
 and perfbench/tracer.py counts its binding.
 """
@@ -120,10 +121,11 @@ def _hankel1_0_asymptotic_array(x, out):
 
 
 def hankel1_0_array(x):
-    """H0^(1) elementwise over an array of real x > 0 (no Python loop per element)."""
+    """H0^(1) elementwise over an array of real x, 0 < x < inf (no Python
+    loop per element)."""
     x = np.asarray(x, dtype=float)
-    if np.any(~(x > 0.0)):
-        raise ConfigurationError("H0^(1) requires x > 0")
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ConfigurationError("H0^(1) requires 0 < x < inf")
     flat = x.ravel()
     out = np.empty(flat.shape, dtype=complex)
     # Blocks bound the recurrences' temporaries, which would otherwise be
@@ -147,5 +149,6 @@ def hankel1_0_array(x):
 
 
 def hankel1_0(x):
-    """H0^(1)(x) for one real x > 0: hankel1_0_array at one point."""
+    """H0^(1)(x) for one real x, 0 < x < inf: hankel1_0_array at one
+    point."""
     return hankel1_0_array([x])[0]

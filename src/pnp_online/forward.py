@@ -93,8 +93,9 @@ def green_function_2d(k_b, r):
     """2D free-space Helmholtz Green's function g(r) = (i/4) H0^(1)(k_b r),
     elementwise over an array of distances r.
 
-    With k_b > 0, an r that is not positive, or NaN, gives a k_b r that
-    hankel1_0_array rejects, so r is checked there, once."""
+    With k_b > 0, an r that is not positive, infinite or NaN, or a k_b
+    that is infinite, gives a k_b r that hankel1_0_array rejects, so r is
+    checked there, once."""
     if not k_b > 0:     # NaN too; with r < 0 as well, k_b r would be > 0
         raise ConfigurationError("wavenumber must be positive")
     g = hankel1_0_array(k_b * np.asarray(r, dtype=float))
@@ -136,7 +137,8 @@ class MeasurementModel:
     input SNR, and the digest `truth_sha256` of the simulated truth.
     `lambdas` holds lambda_max(H_i^H H_i) of every component, each a
     certified upper bound from `lambda_max_bound`; unless given, they are
-    computed from S and U. `lipschitz`, the step's L, is their max.
+    computed from S and U (`factored_lambdas`). `lipschitz`, the step's L,
+    is their max.
     """
 
     def __init__(self, *, measurements, scattering, incident, geometry, seed,
@@ -199,11 +201,38 @@ class MeasurementModel:
 
 def factored_lambdas(scattering, incident):
     """lambda_max(H_i^H H_i) of every H_i = S diag(u_i), u_i the rows of U,
-    from `lambda_max_bound` on H_i formed a column chunk at a time."""
-    return np.array([
-        lambda_max_bound(lambda cols, u=u: scattering[:, cols] * u[cols],
-                         scattering.shape)
-        for u in incident])
+    from `lambda_max_bound` on H_i formed a column chunk at a time, once
+    per orbit of `symmetry_maps`: component j takes the lambda_i of its
+    `_first_permuted` i < j, since permuted operators share lambda_max."""
+    source = _first_permuted(scattering, incident)
+    lambdas = []
+    for j, u in enumerate(incident):
+        lambdas.append(lambdas[source[j]] if source[j] < j else
+                       lambda_max_bound(
+                           lambda cols: scattering[:, cols] * u[cols],
+                           scattering.shape))
+    return np.array(lambdas, dtype=float)
+
+
+def _first_permuted(scattering, incident):
+    """For each component j, the first i <= j such that the stored arrays
+    prove H_j a row and column permutation of H_i by a map g with j = g.i:
+    S[rx_g][:, pix_g] == S (once per g, a row block at a time) and
+    U[j][pix_g] == U[i]. It has its own frame, so that no map is bound
+    while the lambda_i form their temporaries."""
+    (rows, cols), count = scattering.shape, len(incident)
+    grid = math.isqrt(cols)
+    source = list(range(count))
+    for pix, tx, rx in (symmetry_maps(grid, count, rows)
+                        if grid * grid == cols else ()):
+        if all(np.array_equal(scattering[rx[block, None], pix],
+                              scattering[block])
+               for block in row_slices(rows, cols)):
+            for i, j in enumerate(tx):
+                if i < source[j] and np.array_equal(incident[j][pix],
+                                                    incident[i]):
+                    source[j] = i
+    return source
 
 
 def _apply_noise(clean, rng, input_snr_db):
@@ -230,12 +259,57 @@ def row_slices(rows, cols):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _row_blocks(shape, fill):
-    """The complex array of `shape`, formed a row block at a time:
-    fill(rows, out) writes its rows `rows` (a slice) into their view out."""
-    array = np.empty(shape, dtype=complex)
-    for rows in row_slices(*shape):
-        fill(rows, array[rows])
+def symmetry_maps(grid, transmitters, receivers):
+    """The symmetries of the geometry as (pixel, transmitter, receiver)
+    index maps, each sending an index to that of its image: the elements
+    of D4 but the identity that map the grid x grid pixels and both rings
+    (K points at angles 2 pi k / K) onto themselves. theta -> -theta
+    always does; the half turn and theta -> pi - theta do when both ring
+    sizes are even, and the other four when both are divisible by 4."""
+    maps = []
+    for turns in (0, 2, 1, 3):
+        if any(turns * k % 4 for k in (transmitters, receivers)):
+            continue
+        for sign in (1, -1) if turns else (-1,):    # not the identity
+            # theta -> sign * theta + turns * pi / 2; y grows with the row
+            row, col = np.divmod(np.arange(grid * grid), grid)
+            if sign < 0:
+                row = grid - 1 - row
+            for _ in range(turns):      # (x, y) -> (-y, x)
+                row, col = col, grid - 1 - row
+            maps.append((row * grid + col,
+                         *[(sign * np.arange(k) + turns * k // 4) % k
+                           for k in (transmitters, receivers)]))
+    return maps
+
+
+def _orbit_rows(geometry, ring, rows_of):
+    """The complex (K, n) array of a ring of `geometry` (1: transmitters,
+    2: receivers) whose entries take the value at the first entry of their
+    orbit under `symmetry_maps`, in row-major order. rows_of(rows) forms,
+    a row block at a time, only the first row of each orbit; a reflection
+    that fixes its point makes each pixel pair it swaps take the first
+    one's value, and every other row is that first row carried by the
+    first map that reaches it. The maps go with the call."""
+    maps = [(m[0], m[ring]) for m in symmetry_maps(
+        geometry.grid, geometry.transmitters, geometry.receivers)]
+    count = (geometry.transmitters, geometry.receivers)[ring - 1]
+    cols = geometry.grid ** 2
+    array = np.empty((count, cols), dtype=complex)
+    firsts = [i for i in range(count)
+              if all(ring_map[i] >= i for _, ring_map in maps)]
+    for block in row_slices(len(firsts), cols):
+        rows = np.array(firsts[block])
+        array[rows] = rows_of(rows)
+    done = set(firsts)
+    for i in firsts:
+        for pix, ring_map in maps:      # at most one reflection fixes i
+            if ring_map[i] == i:
+                array[i] = array[i, np.minimum(np.arange(cols), pix)]
+        for pix, ring_map in maps:
+            if ring_map[i] not in done:
+                done.add(ring_map[i])
+                array[ring_map[i], pix] = array[i]
     return array
 
 
@@ -257,9 +331,10 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
     S[m, j] = k_b^2 * delta^2 * g(||r_m - r_j||) (midpoint-rule Born
     integral); the incident field is a point source at each transmitter, or
     a unit plane wave aimed at the origin when geometry.incident == "plane".
-    S and U are formed a row block at a time, each element as a whole-array
-    build forms it, and each block is written into its rows, so they are the
-    build's only arrays of their size.
+    S and U are formed by `_orbit_rows`, exactly invariant under the
+    geometry's symmetries and within one complex64 ulp of the direct build:
+    each element formed is the one a whole-array build forms, and they are
+    the build's only arrays of their size.
     The noisy Y is formed from them in full precision; then S, U and Y are
     rounded to complex64, so the model is the one its PNPM2 file loads.
     """
@@ -284,20 +359,21 @@ def build_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
         dist += dy
         return green_function_2d(k_b, np.sqrt(dist, out=dist))
 
-    scattering = _row_blocks(
-        (len(receivers), len(pixels)),
-        lambda rows, out: np.multiply(scale, green(receivers, rows), out=out))
-    if geometry.incident == "point":
-        incident = _row_blocks(
-            (len(transmitters), len(pixels)),
-            lambda rows, out: np.copyto(out, green(transmitters, rows)))
-    else:
-        directions = -transmitters / np.linalg.norm(transmitters, axis=1,
-                                                    keepdims=True)
-        phase = directions @ pixels.T
-        incident = _row_blocks(
-            phase.shape,
-            lambda rows, out: np.exp(1j * k_b * phase[rows], out=out))
+    def scattering_rows(rows):
+        g = green(receivers, rows)
+        g *= scale      # in place: no second block-sized temporary
+        return g
+
+    directions = -transmitters / np.linalg.norm(transmitters, axis=1,
+                                                keepdims=True)
+
+    def incident_rows(rows):
+        if geometry.incident == "point":
+            return green(transmitters, rows)
+        return np.exp(1j * k_b * (directions[rows] @ pixels.T))
+
+    scattering = _orbit_rows(geometry, 2, scattering_rows)
+    incident = _orbit_rows(geometry, 1, incident_rows)
 
     # Only a noisy model makes a generator. It comes before the clean data:
     # made after them, it raised a 48 x 48 simulate's peak RSS by 0.1 MB.

@@ -1,7 +1,8 @@
 """Shared fixtures: small measurement models and phantoms, and the test
 oracles: forward differences, the TV objective, the data fit, the
-stacked-matrix measurement model with its Gaussian draw, the whole-array
-DT build and PNPM2 write, a zero-residual DT model, and the CSV reader."""
+stacked-matrix measurement model with its Gaussian draw, the direct DT
+arrays and their fill by orbits, the whole-array DT build and PNPM2 write,
+a zero-residual DT model, and the CSV reader."""
 
 import math
 import sys
@@ -13,7 +14,7 @@ from pnp_online import modelio
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import (DtGeometry, MeasurementModel, _apply_noise,
                                 build_dt_model, green_function_2d,
-                                truth_sha256)
+                                symmetry_maps, truth_sha256)
 from pnp_online.linops import lambda_max_bound
 from pnp_online.phantoms import phantom_generate
 
@@ -118,10 +119,10 @@ def stacked_model(h, y=None):
     return StackedModel(h[None], np.asarray(y)[None], h.shape[1], 1)
 
 
-def whole_array_dt_arrays(geometry):
-    """The complex128 S and U of `build_dt_model` before their rounding, as
-    one pass over whole arrays: every distance, Green value and scaled copy
-    is a full-size temporary."""
+def direct_dt_arrays(geometry):
+    """The complex128 S and U of the DT geometry, every entry from its own
+    distance or phase, as one pass over whole arrays: every distance, Green
+    value and scaled copy is a full-size temporary."""
     k_b = geometry.wavenumber
     delta = geometry.pixel_size
     pixels = geometry.pixel_centers()
@@ -139,6 +140,28 @@ def whole_array_dt_arrays(geometry):
                                                     keepdims=True)
         incident = np.exp(1j * k_b * (directions @ pixels.T))
     return scattering, incident
+
+
+def orbit_first_entries(array, maps):
+    """`array` (K, n), each entry replaced by the first entry, in row-major
+    order, of its orbit {(g.m, g.p)} under the identity and `maps`, the
+    (pixel map, ring map) pairs of a symmetry group."""
+    rows, cols = array.shape
+    first = np.arange(rows * cols).reshape(rows, cols)
+    for pixels, ring in maps:
+        first = np.minimum(first, ring[:, None] * cols + pixels[None, :])
+    return array.ravel()[first]
+
+
+def whole_array_dt_arrays(geometry):
+    """The complex128 S and U of `build_dt_model` before their rounding:
+    the direct arrays, each entry taking the value at the first entry of
+    its orbit under `symmetry_maps`."""
+    scattering, incident = direct_dt_arrays(geometry)
+    maps = symmetry_maps(geometry.grid, geometry.transmitters,
+                         geometry.receivers)
+    return (orbit_first_entries(scattering, [(p, rx) for p, _, rx in maps]),
+            orbit_first_entries(incident, [(p, tx) for p, tx, _ in maps]))
 
 
 def whole_array_dt_model(geometry, truth, seed=0, input_snr_db=40.0):
@@ -175,7 +198,8 @@ PNPM2_INCIDENT_CODES = {"point": 0, "plane": 1}
 
 def whole_array_save_model(path, model):
     """`modelio.save_model` from whole complex64 copies of S, U and Y, with
-    each lambda_i from the widened column chunks of those copies."""
+    each lambda_i from the widened column chunks of those copies, or taken
+    from an earlier component that the copies prove a permutation of it."""
     geometry = model.geometry
     scattering = np.ascontiguousarray(model.scattering, dtype=np.complex64)
     incident = np.ascontiguousarray(model.incident, dtype=np.complex64)
@@ -184,12 +208,21 @@ def whole_array_save_model(path, model):
     if not all(np.all(np.isfinite(block))
                for block in (scattering, incident, measurements)):
         raise ConfigurationError("non-finite complex64 block")
-    lambdas = np.array([
-        lambda_max_bound(
-            lambda cols, u=u: (scattering[:, cols].astype(complex)
-                               * u[cols].astype(complex)),
-            scattering.shape)
-        for u in incident])
+    maps = symmetry_maps(geometry.grid, model.num_components, model.M)
+    lambdas = []
+    for j, u_j in enumerate(incident):
+        # lambda_j of the first component i whose H_i these arrays prove a
+        # row and column permutation of H_j
+        lambdas.append(next((
+            lambdas[i] for i in range(j) for pix, tx, rx in maps
+            if tx[i] == j and np.array_equal(incident[j][pix], incident[i])
+            and np.array_equal(scattering[rx][:, pix], scattering)), None))
+        if lambdas[j] is None:
+            lambdas[j] = lambda_max_bound(
+                lambda cols: (scattering[:, cols].astype(complex)
+                              * u_j[cols].astype(complex)),
+                scattering.shape)
+    lambdas = np.array(lambdas)
     header = modelio._HEADER.pack(
         modelio.VERSION, model.n, model.M, model.num_components,
         geometry.domain_side, geometry.wavelength, geometry.eps_background,

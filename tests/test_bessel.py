@@ -91,6 +91,8 @@ def test_hankel_array_rejects_nonpositive():
         hankel1_0_array(np.array([1.0, 0.0]))
     with pytest.raises(ConfigurationError):
         hankel1_0_array(np.array([np.nan]))
+    with pytest.raises(ConfigurationError):
+        hankel1_0_array(np.array([1.0, np.inf]))
 
 
 # ---------------------------------------------------- bitwise array oracle

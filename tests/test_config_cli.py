@@ -1018,7 +1018,9 @@ def test_cli_reconstruct_of_pnpm2_does_no_eigen_work(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "lambda_max_bound", counting)
     model = str(tmp_path / "m.pnpm")
     assert main(["simulate", *SMALL, "-o", model]) == 0
-    assert shapes == [(12, 256)] * 4       # once per component, I = 4
+    # once per orbit of the ring's symmetries: the I = 4 transmitters of a
+    # 16 x 16 grid are one orbit
+    assert shapes == [(12, 256)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("lambda_max_bound called")

@@ -9,13 +9,15 @@ import pytest
 from pnp_online.bessel import hankel1_0
 from pnp_online.errors import ConfigurationError
 from pnp_online import bessel
+from pnp_online import forward
 from pnp_online.forward import (DtGeometry, MeasurementModel, build_dt_model,
                                 grad_full, grad_minibatch,
                                 gradient_from_indices, green_function_2d,
-                                prox_datafit)
-from conftest import (StackedModel, datafit_value, gaussian_model,
-                      make_truth, stacked_model, whole_array_dt_arrays,
-                      whole_array_dt_model)
+                                prox_datafit, symmetry_maps)
+from pnp_online.linops import lambda_max_bound
+from conftest import (StackedModel, datafit_value, direct_dt_arrays,
+                      gaussian_model, make_truth, stacked_model,
+                      whole_array_dt_arrays, whole_array_dt_model)
 
 
 def dense_matrices(model):
@@ -84,10 +86,17 @@ def test_green_function_rejects_zero_distance():
     (1.0, -0.5), (1.0, math.nan), (1.0, [0.5, math.nan]),
     (0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5),
     (-1.0, -0.5),           # k_b r > 0, so the kernel alone would pass it
+    (math.inf, 1.0), (1.0, [math.inf]),     # returned NaN, with a warning
 ])
 def test_green_function_rejects_nonpositive_or_nan(k_b, r):
     with pytest.raises(ConfigurationError):
         green_function_2d(k_b, r)
+
+
+def test_green_function_accepts_huge_finite_distance():
+    # underflow in the asymptotic terms is expected and harmless
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert np.all(np.isfinite(green_function_2d(1.0, [1e300])))
 
 
 # ----------------------------------------------------------------- DT model
@@ -184,6 +193,137 @@ def test_dt_lambdas_match_dense_oracle_at_32():
                                      compute_uv=False)[0]) ** 2
         assert oracle <= bound <= oracle * (1.0 + 1e-9)
     assert model.lipschitz == max(model.lambdas)
+
+
+# ------------------------------------------------------- ring symmetries
+
+@pytest.mark.parametrize("grid, transmitters, receivers, elements", [
+    (8, 16, 48, 7), (9, 4, 12, 7), (8, 6, 12, 3), (8, 4, 6, 3),
+    (8, 16, 46, 3), (17, 5, 9, 1), (8, 1, 4, 1)])
+def test_symmetry_maps_are_the_geometry_symmetries(grid, transmitters,
+                                                   receivers, elements):
+    # each map is a permutation that carries every pixel centre and ring
+    # point to the point of its image index, and with the identity they
+    # are closed under composition
+    geometry = DtGeometry(grid=grid, transmitters=transmitters,
+                          receivers=receivers)
+    points = [geometry.pixel_centers(),
+              geometry.ring_positions(transmitters),
+              geometry.ring_positions(receivers)]
+    maps = symmetry_maps(grid, transmitters, receivers)
+    assert len(maps) == elements
+    keys = {tuple(np.concatenate(m)) for m in maps}
+    identity = tuple(np.concatenate([np.arange(len(p)) for p in points]))
+    assert len(keys) == elements and identity not in keys
+    tolerance = 1e-12 * geometry.ring_radius
+    ring = 1 if transmitters > 2 else 2     # its first two points span
+    for m in maps:
+        for index, p in zip(m, points):
+            assert np.array_equal(np.sort(index), np.arange(len(p)))
+        # the linear map that sends the first two ring points where this
+        # map says sends every point where it says
+        linear = np.linalg.solve(points[ring][:2],
+                                 points[ring][m[ring][:2]])
+        for index, p in zip(m, points):
+            np.testing.assert_allclose(p @ linear, p[index], rtol=0,
+                                       atol=tolerance)
+        for n in maps:
+            composed = tuple(np.concatenate([a[b] for a, b in zip(m, n)]))
+            assert composed in keys | {identity}
+
+
+@pytest.mark.parametrize("grid, transmitters, receivers", [
+    (32, 16, 48), (40, 7, 23)])
+@pytest.mark.parametrize("incident", ["point", "plane"])
+def test_dt_arrays_are_symmetric_and_one_ulp_from_direct_build(
+        grid, transmitters, receivers, incident):
+    # S and U are exactly invariant under every symmetry, and each entry
+    # lies within one complex64 ulp of its magnitude of the entry the
+    # direct Green build gives
+    geometry = DtGeometry(grid=grid, transmitters=transmitters,
+                          receivers=receivers, incident=incident)
+    model = build_dt_model(geometry, make_truth(grid, seed=3), seed=4)
+    for pix, tx, rx in symmetry_maps(grid, transmitters, receivers):
+        assert np.array_equal(model.scattering[rx][:, pix], model.scattering)
+        assert np.array_equal(model.incident[tx][:, pix], model.incident)
+    for built, direct in zip((model.scattering, model.incident),
+                             direct_dt_arrays(geometry)):
+        direct = direct.astype(np.complex64)
+        ulp = np.spacing(np.abs(direct))
+        assert np.all(np.abs(built.real - direct.real) <= ulp)
+        assert np.all(np.abs(built.imag - direct.imag) <= ulp)
+
+
+def lambdas_and_computed(monkeypatch, model, scattering, incident):
+    """The lambda_i of `model` made again from the arrays S and U, and the
+    components whose lambda_i it computed with `lambda_max_bound`."""
+    formed = []
+
+    def recording(columns, shape):
+        formed.append(columns(slice(None)))
+        return lambda_max_bound(columns, shape)
+
+    monkeypatch.setattr(forward, "lambda_max_bound", recording)
+    lambdas = MeasurementModel(
+        measurements=model.measurements, scattering=scattering,
+        incident=incident, geometry=model.geometry, seed=model.seed,
+        input_snr_db=model.input_snr_db,
+        truth_sha256=model.truth_sha256).lambdas
+    computed = [i for i, u in enumerate(incident)
+                if any(np.array_equal(h, scattering * u) for h in formed)]
+    assert len(computed) == len(formed)
+    return lambdas, computed
+
+
+def orbit_count(maps, count):
+    return len({min([i] + [int(tx[i]) for _, tx, _ in maps])
+                for i in range(count)})
+
+
+@pytest.mark.parametrize("grid, transmitters, receivers, incident", [
+    (16, 4, 12, "point"), (16, 4, 12, "plane"), (32, 16, 48, "point"),
+    (32, 16, 48, "plane"), (17, 5, 9, "point"), (17, 5, 9, "plane")])
+def test_dt_lambdas_per_orbit_are_certified(monkeypatch, grid, transmitters,
+                                            receivers, incident):
+    geometry = DtGeometry(grid=grid, transmitters=transmitters,
+                          receivers=receivers, incident=incident)
+    model = build_dt_model(geometry, make_truth(grid, seed=2), seed=0)
+    maps = symmetry_maps(grid, transmitters, receivers)
+    assert len(maps) == (1 if grid == 17 else 7)
+    s, u = model.scattering, model.incident
+    lambdas, computed = lambdas_and_computed(monkeypatch, model, s, u)
+    assert lambdas.tobytes() == model.lambdas.tobytes()
+    assert len(computed) == orbit_count(maps, transmitters) < transmitters
+    for j, bound in enumerate(lambdas):
+        h = s * u[j]
+        oracle = float(np.linalg.svd(h, compute_uv=False)[0]) ** 2
+        assert oracle <= bound <= oracle * (1.0 + 1e-9)
+        assert bound == pytest.approx(lambda_max_bound(
+            lambda cols: h[:, cols], h.shape), rel=1e-13, abs=0)
+        if j not in computed:
+            # a reused lambda_j comes with the equality that proves it
+            assert any(tx[i] == j and lambdas[i] == bound
+                       and np.array_equal(u[j][pix], u[i])
+                       and np.array_equal(s[rx][:, pix], s)
+                       for i in range(j) for pix, tx, rx in maps)
+
+
+@pytest.mark.parametrize("perturbed", ["scattering", "incident"])
+def test_dt_lambdas_of_unproved_components_are_computed(monkeypatch,
+                                                        perturbed):
+    # one entry off its symmetric value: a changed S proves no partner,
+    # and a changed u_j proves none for j
+    geometry = DtGeometry(grid=16, transmitters=4, receivers=12)
+    model = build_dt_model(geometry, make_truth(16, seed=2), seed=0)
+    s, u = model.scattering.copy(), model.incident.copy()
+    changed = s if perturbed == "scattering" else u
+    changed[1, 1] *= 1.0 + 2.0 ** -20
+    lambdas, computed = lambdas_and_computed(monkeypatch, model, s, u)
+    # the four transmitters are one orbit
+    assert computed == ([0, 1, 2, 3] if perturbed == "scattering" else [0, 1])
+    for i in computed:
+        assert lambdas[i] == lambda_max_bound(
+            lambda cols: s[:, cols] * u[i][cols], s.shape)
 
 
 # ----------------------------------------------------------- Gaussian model
