@@ -10,7 +10,9 @@
 It times the package in src/ of the checkout that holds this script, with
 OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
 - "environment": the BLAS thread count, nproc, the Python, numpy, scipy
-  and BLAS versions, and whether Python writes bytecode caches (under
+  and BLAS versions, whether a `pnp` child here selects its forked `dist`
+  helper ("dist_helper": `cli.dist_helper_allowed` under the pinned
+  BLAS), and whether Python writes bytecode caches (under
   PYTHONDONTWRITEBYTECODE=1 every `pnp` child compiles the package, which
   costs about 36 ms: `-X importtime` reads 46 ms of the package's self
   import time from source against 10 ms from bytecode, on 2 vCPUs) and
@@ -36,7 +38,12 @@ OpenBLAS, OpenMP and MKL pinned to one thread, and writes:
   per inner iteration;
 - "commands": per workload, the median and quartiles of the wall time and
   of the peak RSS over RUNS child-process runs each of `pnp simulate` and
-  `pnp reconstruct`, under "simulate-64" and "simulate-64-60" those of
+  `pnp reconstruct`, under "sgd-tv-unpinned" and "sgd-tv-one-cpu" those
+  of `sgd-tv`'s `pnp reconstruct` with the BLAS variables unset and on
+  one CPU (which the child sets in its own preexec_fn), where a `pnp`
+  process computes the trace's `dist` inline rather than in its forked
+  helper (`cli.dist_helper_allowed`), under "simulate-64" and
+  "simulate-64-60" those of
   `pnp simulate` alone at 64 x 64 (32 Tx and 96 Rx; 60 Tx and 180 Rx),
   under "compare" those of `pnp compare` at its defaults, and
   under "startup" those of `pnp --help`, the fixed cost of every child
@@ -148,7 +155,7 @@ def time_ms(fn):
 
 def environment():
     import numpy
-    from pnp_online.cli import BUILTIN_SHA256
+    from pnp_online.cli import BUILTIN_SHA256, dist_helper_allowed
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     try:
         scipy = importlib.metadata.version("scipy")
@@ -156,6 +163,7 @@ def environment():
         scipy = None                  # the package itself does not need it
     return {"blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
             "nproc": len(os.sched_getaffinity(0)),
+            "dist_helper": dist_helper_allowed(),
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "scipy": scipy,
@@ -337,7 +345,7 @@ def solve_split(keys):
     return split
 
 
-def run_command(argv, env, cwd):
+def run_command(argv, env, cwd, preexec_fn=None):
     """One `pnp` child: (wall s, peak RSS MB); exits on a failed command.
 
     Its stdout and stderr go to a log file in `cwd`, as perfbench's do:
@@ -348,7 +356,8 @@ def run_command(argv, env, cwd):
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "pnp_online.cli", *argv], cwd=cwd,
-            env=env, stdout=out, stderr=subprocess.STDOUT)
+            env=env, stdout=out, stderr=subprocess.STDOUT,
+            preexec_fn=preexec_fn)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -366,18 +375,42 @@ def child_env(tree):
     return env
 
 
+def one_cpu():
+    """A child's preexec_fn: it may run on one CPU only."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def unpinned(env):
+    """`env` without the BLAS thread variables."""
+    return {k: v for k, v in env.items()
+            if k not in (*BLAS_THREAD_VARS, "GOTO_NUM_THREADS")}
+
+
+# Reruns of sgd-tv's reconstruct, on its model, in which a `pnp` child
+# computes `dist` inline: (env transform, preexec_fn).
+INLINE_RERUNS = {"sgd-tv-unpinned": (unpinned, None),
+                 "sgd-tv-one-cpu": (None, one_cpu)}
+
+
 def jobs():
-    """(workload, command, argv) of every child command, in run order."""
+    """(workload, command, argv, env transform, preexec_fn) of every
+    child command, in run order."""
     untimed = ["--set", "record_timing=false"]
-    yield "startup", "help", ["--help"]
+    yield "startup", "help", ["--help"], None, None
     for name, keys in {**WORKLOADS, **SIMULATE_ONLY}.items():
         sets = [arg for k, v in {**BASE_KEYS, **keys}.items()
                 for arg in ("--set", f"{k}={v}")] + untimed
-        yield name, "simulate", ["simulate", "-o", "model.pnpm", *sets]
+        yield (name, "simulate", ["simulate", "-o", "model.pnpm", *sets],
+               None, None)
         if name in WORKLOADS:
-            yield name, "reconstruct", ["reconstruct", "model.pnpm", "-o",
-                                        "recon", *sets]
-    yield "compare", "compare", ["compare", "-o", "compare", *untimed]
+            reconstruct = ["reconstruct", "model.pnpm", "-o", "recon", *sets]
+            yield name, "reconstruct", reconstruct, None, None
+            if name == "sgd-tv":
+                for rerun, (transform, preexec_fn) in INLINE_RERUNS.items():
+                    yield (rerun, "reconstruct", reconstruct, transform,
+                           preexec_fn)
+    yield ("compare", "compare", ["compare", "-o", "compare", *untimed],
+           None, None)
 
 
 def commands(trees, runs):
@@ -397,11 +430,13 @@ def commands(trees, runs):
         for path in works.values():
             os.mkdir(path)
         for run in range(runs):
-            for name, command, argv in jobs():
+            for name, command, argv, transform, preexec_fn in jobs():
                 for tree in trees if run % 2 == 0 else trees[::-1]:
+                    env = envs[tree] if transform is None \
+                        else transform(envs[tree])
                     samples[tree].setdefault(name, {}).setdefault(
                         command, []).append(run_command(
-                            argv, envs[tree], works[tree]))
+                            argv, env, works[tree], preexec_fn))
     return samples
 
 

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from pnp_online import denoisers, metrics
+from pnp_online import denoisers, metrics, solvers
 from pnp_online.config import load_config
 from pnp_online.denoisers import (certify_averaged, certify_pair,
                                   estimate_bounded_constant, filter_passes)
@@ -477,16 +477,42 @@ def main(argv=None):
 # CPython's builtin SHA-256 module, which hashlib serves sha256 from when
 # OpenSSL's _hashlib cannot be imported
 BUILTIN_SHA256 = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+# The variables OpenBLAS takes its thread count from: the first one set.
+OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS")
+
+
+def dist_helper_allowed():
+    """Whether this process may compute its traces' distances in a forked
+    helper (`solvers.DIST_HELPER`): it can fork, it may run on two CPUs or
+    more, and numpy's BLAS is OpenBLAS pinned to one thread, the first of
+    OPENBLAS_THREAD_VARS that is set reading 1. Any other BLAS counts as
+    unpinned: under BLAS threads, both processes' threads spin on the
+    same cores."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or len(os.sched_getaffinity(0)) < 2:
+        return False
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        return False
+    if "openblas" not in str(blas).lower():
+        return False
+    threads = next((os.environ[name] for name in OPENBLAS_THREAD_VARS
+                    if name in os.environ), None)
+    return threads is not None and threads.strip() == "1"
 
 
 def run_process():
     """The `pnp` process: freeze the heap its imports made, keep OpenSSL
-    out, then exit with `main()`'s code.
+    out, let the traces' distances run in a forked helper where
+    `dist_helper_allowed`, then exit with `main()`'s code.
 
     The frozen objects (numpy's and this package's modules, functions and
     types) live until the process ends anyway. Frozen, no collection scans
     them again, those of interpreter shutdown included, which saved about
-    9 ms a child (2 vCPUs).
+    9 ms a child (2 vCPUs), and a forked helper's collections skip them
+    too.
 
     OpenSSL's _hashlib added about 3.4 MiB to every child's peak RSS, and
     the process needs none of it: it hashes one truth image with SHA-256
@@ -495,12 +521,14 @@ def run_process():
     builtin module, with the same digest, and hmac compares digests with
     `_operator._compare_digest`. Without that module hashlib would have no
     sha256 at all, so the block needs it, and a _hashlib already loaded
-    is kept. `main()` itself leaves the GC state and the imports alone,
-    since tests and perfbench/traced_cli.py call it in their own process.
+    is kept. `main()` itself leaves the GC state, the imports and the
+    helper switch alone, since tests and perfbench/traced_cli.py call it
+    in their own process: there every distance is computed inline.
     """
     gc.freeze()
     if importlib.util.find_spec(BUILTIN_SHA256) is not None:
         sys.modules.setdefault("_hashlib", None)
+    solvers.DIST_HELPER = dist_helper_allowed()
     sys.exit(main())
 
 

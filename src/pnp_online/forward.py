@@ -217,21 +217,25 @@ def factored_lambdas(scattering, incident):
 def _first_permuted(scattering, incident):
     """For each component j, the first i <= j such that the stored arrays
     prove H_j a row and column permutation of H_i by a map g with j = g.i:
-    S[rx_g][:, pix_g] == S (once per g, a row block at a time) and
-    U[j][pix_g] == U[i]. It has its own frame, so that no map is bound
-    while the lambda_i form their temporaries."""
+    S[rx_g][:, pix_g] == S and U[j][pix_g] == U[i]. S is checked, a row
+    block at a time, only under `generating_maps`, since invariance under
+    maps is invariance under their compositions; if it fails, no map
+    proves anything. It has its own frame, so that no map is bound while
+    the lambda_i form their temporaries."""
     (rows, cols), count = scattering.shape, len(incident)
     grid = math.isqrt(cols)
     source = list(range(count))
-    for pix, tx, rx in (symmetry_maps(grid, count, rows)
-                        if grid * grid == cols else ()):
-        if all(np.array_equal(scattering[rx[block, None], pix],
+    maps = symmetry_maps(grid, count, rows) if grid * grid == cols else []
+    if not all(np.array_equal(scattering[rx[block, None], pix],
                               scattering[block])
+               for pix, _, rx in generating_maps(maps)
                for block in row_slices(rows, cols)):
-            for i, j in enumerate(tx):
-                if i < source[j] and np.array_equal(incident[j][pix],
-                                                    incident[i]):
-                    source[j] = i
+        return source
+    for pix, tx, _ in maps:
+        for i, j in enumerate(tx):
+            if i < source[j] and np.array_equal(incident[j][pix],
+                                                incident[i]):
+                source[j] = i
     return source
 
 
@@ -281,6 +285,13 @@ def symmetry_maps(grid, transmitters, receivers):
                          *[(sign * np.arange(k) + turns * k // 4) % k
                            for k in (transmitters, receivers)]))
     return maps
+
+
+def generating_maps(maps):
+    """Maps of a `symmetry_maps` list whose compositions give every map in
+    it: theta -> -theta, its first, with the half turn, its second, in a
+    list of 3, or the quarter turn, its fourth, in a list of 7."""
+    return maps[:1] + maps[3:4] if len(maps) == 7 else maps[:2]
 
 
 def _orbit_rows(geometry, ring, rows_of):

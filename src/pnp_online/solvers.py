@@ -31,6 +31,9 @@ from pnp_online.linops import CG_TOL
 DIVERGENCE_FACTOR = 1e6
 # The default dist_stride is 1 up to this many pixels, and 10 above.
 DIST_EVERY_ITERATION_MAX_N = 4096
+# Whether a trace computes its distances in a forked helper
+# (`IterateTrace`); cli.run_process sets it, for the `pnp` process only.
+DIST_HELPER = False
 # The ADMM data prox starts CG from the Galerkin projection of its right
 # side onto its last GALERKIN_WINDOW solutions. On the benchmark's
 # `admm-filter` run (32 x 32, 60 iterations, seeds 0 and 97, under the
@@ -111,6 +114,12 @@ class IterateTrace:
     The recorded distance is metrics.dist_to_fix for the run's denoiser,
     gamma and sigma. The clock stops while a record is taken, so elapsed
     times the solver without its diagnostics.
+
+    With DIST_HELPER set, the distances due before the last iteration go
+    to a `disthelper.DistHelper`, forked at the first of them, and the
+    last one is computed here. A run that records only its last distance
+    forks nothing. The trace is a context manager: on leaving it, by any
+    exit, the run fills in the distances still due and reaps the helper.
     """
 
     def __init__(self, model, denoiser, config, x0, truth):
@@ -124,12 +133,22 @@ class IterateTrace:
         self._stride = config.dist_stride
         if self._stride is None:
             self._stride = 1 if model.n <= DIST_EVERY_ITERATION_MAX_N else 10
+        self._may_fork = DIST_HELPER
+        self._helper = None
         self.dist, self.snr, self.elapsed, self.indices = [], [], [], []
         self.warnings = []
         self._start = time.perf_counter()
 
     def __len__(self):
         return len(self.dist)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        helper, self._helper = self._helper, None
+        if helper is not None:
+            self._fill(helper.close())
 
     def check_divergence(self, x):
         if not np.all(np.isfinite(x)):
@@ -138,21 +157,45 @@ class IterateTrace:
             raise DivergenceError("iterate norm exceeded safety bound",
                                   trace=self)
 
+    def _dist(self, x):
+        config = self._config
+        return self._metrics.dist_to_fix(self._model, self._denoiser,
+                                         config.gamma, config.sigma, x)
+
+    def _fill(self, answered):
+        for index, dist in answered:
+            self.dist[index] = dist
+
     def record(self, k, x, indices=None):
         config = self._config
         entered = time.perf_counter()
-        if k % self._stride == 0 or k == config.iterations:
-            dist = self._metrics.dist_to_fix(self._model, self._denoiser,
-                                             config.gamma, config.sigma, x)
-        else:
-            dist = math.nan
-        self.dist.append(dist)
+        self.dist.append(self._record_dist(k, x)
+                         if k % self._stride == 0 or k == config.iterations
+                         else math.nan)
         self.snr.append(math.nan if self._truth is None
                         else self._metrics.snr_db(self._truth, x))
         self.elapsed.append(entered - self._start
                             if config.record_timing else 0.0)
         self.indices.append(indices)    # a new array at every draw
         self._start += time.perf_counter() - entered
+
+    def _record_dist(self, k, x):
+        """The distance at x, or NaN where the helper takes x, to fill in
+        this record's distance later."""
+        last = k == self._config.iterations
+        if self._may_fork and not last:
+            self._may_fork = False
+            # imported only where a helper is forked
+            from pnp_online.disthelper import DistHelper
+            try:
+                self._helper = DistHelper(self._model.n, self._dist)
+            except OSError:             # no fork: every distance is here
+                pass
+        if self._helper is not None:
+            self._fill(self._helper.poll())
+            if not last and self._helper.submit(len(self.dist), x):
+                return math.nan
+        return self._dist(x)
 
 
 def _initial_iterate(model, x0):
@@ -213,16 +256,16 @@ def run_pnp_sgd(model, denoiser, config, truth=None, x0=None):
     x = _initial_iterate(model, x0)
     s = x.copy()
     q_prev = 1.0
-    trace = IterateTrace(model, denoiser, config, x, truth)
-    for k in range(1, config.iterations + 1):
-        indices, grad = gradient(s)
-        x_new = _denoise_flat(model, denoiser, config.sigma,
-                              s - config.gamma * grad)
-        trace.check_divergence(x_new)
-        q_new = fista_q_update(q_prev) if config.accelerated else 1.0
-        s = x_new + (q_prev - 1.0) / q_new * (x_new - x)
-        x, q_prev = x_new, q_new
-        trace.record(k, x, indices)
+    with IterateTrace(model, denoiser, config, x, truth) as trace:
+        for k in range(1, config.iterations + 1):
+            indices, grad = gradient(s)
+            x_new = _denoise_flat(model, denoiser, config.sigma,
+                                  s - config.gamma * grad)
+            trace.check_divergence(x_new)
+            q_new = fista_q_update(q_prev) if config.accelerated else 1.0
+            s = x_new + (q_prev - 1.0) / q_new * (x_new - x)
+            x, q_prev = x_new, q_new
+            trace.record(k, x, indices)
     return x, trace
 
 
@@ -278,27 +321,27 @@ def run_pnp_admm(model, denoiser, config, truth=None):
     """
     x, s = np.zeros(model.n), np.zeros(model.n)
     solved = deque(maxlen=GALERKIN_WINDOW)
-    trace = IterateTrace(model, denoiser, config, x, truth)
-    for k in range(1, config.iterations + 1):
-        v = x - s
-        rhs = v + config.gamma * model.back_projection
-        guess = galerkin_guess(solved, rhs) if solved else None
-        tol = max(CG_TOL, DATA_PRECISION / k ** 2)
-        z, info = prox_datafit(model, config.gamma, v, tol=tol, x0=guess)
-        if info.converged:
-            solved.appendleft((z, rhs - info.residual))
-        elif not math.isfinite(info.relative_residual):
-            raise DivergenceError(
-                f"NaN or Inf in the inner CG residual at iteration {k}",
-                trace=trace)
-        else:
-            trace.warnings.append(
-                f"iteration {k}: inner CG stopped at relative residual "
-                f"{info.relative_residual:.3e}")
-        x = _denoise_flat(model, denoiser, config.sigma, z + s)
-        trace.check_divergence(x)
-        s = s + (z - x)
-        trace.record(k, x)
+    with IterateTrace(model, denoiser, config, x, truth) as trace:
+        for k in range(1, config.iterations + 1):
+            v = x - s
+            rhs = v + config.gamma * model.back_projection
+            guess = galerkin_guess(solved, rhs) if solved else None
+            tol = max(CG_TOL, DATA_PRECISION / k ** 2)
+            z, info = prox_datafit(model, config.gamma, v, tol=tol, x0=guess)
+            if info.converged:
+                solved.appendleft((z, rhs - info.residual))
+            elif not math.isfinite(info.relative_residual):
+                raise DivergenceError(
+                    f"NaN or Inf in the inner CG residual at iteration {k}",
+                    trace=trace)
+            else:
+                trace.warnings.append(
+                    f"iteration {k}: inner CG stopped at relative residual "
+                    f"{info.relative_residual:.3e}")
+            x = _denoise_flat(model, denoiser, config.sigma, z + s)
+            trace.check_divergence(x)
+            s = s + (z - x)
+            trace.record(k, x)
     return x, trace
 
 

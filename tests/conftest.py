@@ -2,7 +2,8 @@
 oracles: forward differences, the TV objective, the data fit, the
 stacked-matrix measurement model with its Gaussian draw, the direct DT
 arrays and their fill by orbits, the whole-array DT build and PNPM2 write,
-a zero-residual DT model, and the CSV reader."""
+a zero-residual DT model, the CSV reader, and a denoiser that is averaged
+but no proximal operator."""
 
 import math
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from pnp_online import modelio
+from pnp_online.denoisers import averaged_linear_filter, tv_denoiser
 from pnp_online.errors import ConfigurationError
 from pnp_online.forward import (DtGeometry, MeasurementModel, _apply_noise,
                                 build_dt_model, green_function_2d,
@@ -252,6 +254,14 @@ def read_csv(path):
         rows = [line.rstrip("\n").split(",") for line in fh
                 if line.strip() and not line.startswith("#")]
     return schema, columns, rows
+
+
+def filtered_tv_denoiser(z, sigma):
+    """D = averaged_linear_filter(., 0.1) o tv_denoiser: the paper's case
+    of an averaged denoiser that is no proximal operator. Both maps are
+    1/2-averaged, so D is 2/3-averaged (`composition_alpha(1/2, 1/2)`),
+    but its Jacobian is not symmetric, as a prox's is."""
+    return averaged_linear_filter(tv_denoiser(z, sigma), 0.1)
 
 
 def recording(fn, outputs):

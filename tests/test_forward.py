@@ -11,7 +11,7 @@ from pnp_online.errors import ConfigurationError
 from pnp_online import bessel
 from pnp_online import forward
 from pnp_online.forward import (DtGeometry, MeasurementModel, build_dt_model,
-                                grad_full, grad_minibatch,
+                                generating_maps, grad_full, grad_minibatch,
                                 gradient_from_indices, green_function_2d,
                                 prox_datafit, symmetry_maps)
 from pnp_online.linops import lambda_max_bound
@@ -230,6 +230,32 @@ def test_symmetry_maps_are_the_geometry_symmetries(grid, transmitters,
         for n in maps:
             composed = tuple(np.concatenate([a[b] for a, b in zip(m, n)]))
             assert composed in keys | {identity}
+
+
+@pytest.mark.parametrize("grid", [8, 9])
+@pytest.mark.parametrize("transmitters, receivers, generators", [
+    (16, 48, 2), (24, 72, 2), (6, 10, 2), (3, 5, 1)])
+def test_generating_maps_compose_to_every_symmetry(grid, transmitters,
+                                                   receivers, generators):
+    # S is checked under the generating maps alone (`_first_permuted`):
+    # every listed map must be a composition of them
+    maps = symmetry_maps(grid, transmitters, receivers)
+    chosen = generating_maps(maps)
+    assert len(chosen) == generators
+    assert all(any(g is m for m in maps) for g in chosen)
+
+    def key(m):
+        return tuple(np.concatenate(m))
+    reached = {key(g): g for g in chosen}
+    todo = list(chosen)
+    while todo:
+        g = todo.pop()
+        for s in chosen:
+            composed = tuple(a[b] for a, b in zip(s, g))
+            if key(composed) not in reached:
+                reached[key(composed)] = composed
+                todo.append(composed)
+    assert {key(m) for m in maps} <= set(reached)
 
 
 @pytest.mark.parametrize("grid, transmitters, receivers", [

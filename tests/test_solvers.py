@@ -12,7 +12,8 @@ from pnp_online.config import ExperimentConfig, load_config
 from pnp_online.denoisers import (averaged_linear_filter, identity_denoiser,
                                   tv_denoiser, tv_prox)
 from pnp_online.errors import ConfigurationError, DivergenceError
-from pnp_online.forward import grad_full, prox_datafit
+from pnp_online.forward import (DtGeometry, build_dt_model, grad_full,
+                                prox_datafit)
 from pnp_online.metrics import dist_to_fix
 from pnp_online.solvers import (composition_alpha, corollary1_constant,
                                 estimate_gradient_noise, fista_q_update,
@@ -20,8 +21,8 @@ from pnp_online.solvers import (composition_alpha, corollary1_constant,
                                 prop2_bound, run_admm, run_counterexample, run_ista,
                                 run_pnp_admm, run_pnp_ista, run_pnp_sgd,
                                 sgd_bound)
-from conftest import (StackedModel, datafit_value, gaussian_model,
-                      recording, stacked_model)
+from conftest import (StackedModel, datafit_value, filtered_tv_denoiser,
+                      gaussian_model, make_truth, recording, stacked_model)
 
 
 def quadratic_model(n=10, M=14, I=2, seed=0, noisy=True):
@@ -118,6 +119,84 @@ def test_composition_alpha_inequality_chain():
     assert alpha == pytest.approx(4.0 / 7.0)
     assert alpha / (1 - alpha) == pytest.approx(4.0 / 3.0)
     assert alpha / (1 - alpha) <= 2 * (1 + theta) / (1 - theta)
+
+
+# ------------------------------------------ a denoiser that is no prox
+
+# The TV strength of the runs below: TV moves the iterates, so D's
+# Jacobian is not symmetric along the run either.
+FILTERED_TV_SIGMA = 0.01
+
+
+def jacobian_asymmetry(denoiser, x, a, b, sigma, h=1e-6):
+    """(|<J a, b> - <J b, a>|, |<J a, b>|) for D's Jacobian J at x, by
+    central differences."""
+    ja, jb = ((denoiser(x + h * d, sigma) - denoiser(x - h * d, sigma))
+              / (2.0 * h) for d in (a, b))
+    inner = float(np.sum(ja * b))
+    return abs(inner - float(np.sum(jb * a))), abs(inner)
+
+
+def test_filtered_tv_jacobian_is_not_symmetric():
+    # a prox's Jacobian is symmetric wherever it exists: the filter's
+    # asymmetry is rounding, and D's is of the order of <J a, b>
+    rng = np.random.default_rng(0)
+    x, a, b = (rng.uniform(-1.0, 1.0, (16, 16)) for _ in range(3))
+    filtered = jacobian_asymmetry(
+        lambda z, _s: averaged_linear_filter(z, 0.1), x, a, b, 0.1)[0]
+    asymmetry, size = jacobian_asymmetry(filtered_tv_denoiser, x, a, b, 0.1)
+    assert filtered < 1e-8
+    assert asymmetry > 0.05 * size and asymmetry > 1e6 * filtered
+
+
+@pytest.fixture(scope="module")
+def filtered_tv_problem():
+    """The 16^2 model of ACCEPTANCE 2 and 5, gamma = 1/L, and the fixed
+    point x* of P for D: the last iterate of 300 PnP-ISTA steps, where
+    dist has fallen below 1e-20. With it, the run's dist trace."""
+    model = build_dt_model(DtGeometry(grid=16, transmitters=16,
+                                      receivers=24),
+                           make_truth(16, seed=0), seed=0, input_snr_db=40.0)
+    gamma = 1.0 / model.lipschitz
+    cfg = ExperimentConfig(gamma=gamma, sigma=FILTERED_TV_SIGMA,
+                           iterations=300, seed=0, record_timing=False)
+    xstar, trace = run_pnp_ista(model, filtered_tv_denoiser, cfg)
+    assert trace.dist[-1] < 1e-20
+    return model, gamma, xstar, np.asarray(trace.dist)
+
+
+def test_filtered_tv_batch_run_meets_prop2_bound(filtered_tv_problem):
+    # P = D o (I - gamma grad d) is composition_alpha(2/3, 1/2) = 3/4
+    # averaged at gamma = 1/L
+    _, _, xstar, dist = filtered_tv_problem
+    theta = composition_alpha(2.0 / 3.0, 0.5)
+    assert theta == pytest.approx(0.75)
+    running = np.cumsum(dist) / np.arange(1, dist.size + 1)
+    d0 = float(np.sum(xstar ** 2))            # x0 = 0
+    assert all(running[t - 1] <= prop2_bound(theta, d0, t)
+               for t in range(1, dist.size + 1))
+
+
+def test_filtered_tv_online_run_meets_sgd_bound_in_expectation(
+        filtered_tv_problem):
+    # the dist trace averaged over seeds estimates its expectation
+    model, gamma, xstar, _ = filtered_tv_problem
+    theta = composition_alpha(2.0 / 3.0, 0.5)
+    nu = estimate_gradient_noise(model, np.zeros(model.n), num_draws=1000,
+                                 B=1, seed=0)
+    iterations, seeds, batch = 100, 10, 4
+    mean = np.zeros(iterations)
+    for seed in range(seeds):
+        cfg = ExperimentConfig(gamma=gamma, sigma=FILTERED_TV_SIGMA,
+                               iterations=iterations, seed=seed,
+                               batch_size=batch, record_timing=False)
+        mean += run_pnp_sgd(model, filtered_tv_denoiser, cfg)[1].dist
+    mean /= seeds
+    running = np.cumsum(mean) / np.arange(1, iterations + 1)
+    x0_dist = math.sqrt(float(np.sum(xstar ** 2)))
+    assert all(running[t - 1]
+               <= sgd_bound(theta, gamma, nu, batch, x0_dist, t)
+               for t in range(1, iterations + 1))
 
 
 # --------------------------------------------------------------- operator P
